@@ -11,11 +11,8 @@ package bprom_test
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,8 +259,7 @@ func BenchmarkConvIm2Col(b *testing.B) {
 // entirely, while the int8 kernel always runs dense (a quantized zero is the
 // zero-point byte, indistinguishable mid-kernel). On dense operands — the
 // kernel pair here, and any non-ReLU activation pattern — the full gap shows.
-// scripts/bench.sh records all of these in BENCH_6.json. Reproduce locally
-// with:
+// BENCH_6.json is the historical record of these. Reproduce locally with:
 //
 //	go test -bench 'QMatMul|ModelPredictDense' -benchtime=3s .
 
@@ -427,15 +423,11 @@ func BenchmarkModelPredictDenseInt8(b *testing.B) {
 
 // --- Generation-batched CMA-ES evaluation ------------------------------------
 //
-// The before/after pair for PR 5's tentpole: TrainBlackBox with the legacy
-// per-candidate objective (one oracle call per CMA-ES candidate, re-resizing
-// the mini-batch every evaluation) versus the generation-batched evaluator
-// (candidate-invariant resize cache + one fused oracle call per generation).
-// Both paths are bit-identical in output — the delta is pure evaluation-
-// pipeline overhead. The HTTP variants add the wire: serial sends λ narrow
-// requests per generation, batched sends one wide call that the client chunks
-// into parallel full-width requests. scripts/bench.sh records all four in
-// BENCH_5.json. Reproduce locally with:
+// TrainBlackBox end to end — candidate-invariant resize cache plus one fused
+// oracle call per generation — against an in-process oracle, over loopback
+// HTTP (the client chunks each fused call into parallel full-width
+// requests), and against a simulated 3ms-RTT endpoint. Reproduce locally
+// with:
 //
 //	go test -bench 'TrainBlackBox' -benchtime=3x .
 
@@ -446,9 +438,9 @@ func benchPromptWorkload(b *testing.B) (*nn.Model, *data.Dataset) {
 	return m, tgt
 }
 
-func benchTrainBlackBox(b *testing.B, o oracle.Oracle, src data.Shape, tgt *data.Dataset, serial bool) {
+func benchTrainBlackBox(b *testing.B, o oracle.Oracle, src data.Shape, tgt *data.Dataset) {
 	b.Helper()
-	cfg := vp.BlackBoxConfig{Iterations: 4, SerialEval: serial}
+	cfg := vp.BlackBoxConfig{Iterations: 4}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -463,26 +455,13 @@ func benchTrainBlackBox(b *testing.B, o oracle.Oracle, src data.Shape, tgt *data
 	}
 }
 
-// BenchmarkTrainBlackBoxSerial is the legacy per-candidate baseline against
-// an in-process oracle.
-func BenchmarkTrainBlackBoxSerial(b *testing.B) {
-	m, tgt := benchPromptWorkload(b)
-	src := data.Shape{C: 3, H: 12, W: 12}
-	benchTrainBlackBox(b, oracle.NewModelOracle(m), src, tgt, true)
-}
-
-// BenchmarkTrainBlackBoxBatched is the generation-batched path against the
-// same in-process oracle. On a single core both paths are bound by the
-// identical model flops, so the delta is the evaluation-pipeline overhead
-// the batching removes (resizes, canvas allocations — see the allocs/op
-// column); the ≥2× wins appear where the fused call changes what the
-// backend can do: multi-core hosts parallelize the full-width batches
-// across the worker pool, and the RemoteRTT pair below shows the λ→1
-// round-trip collapse that dominates real remote audits.
+// BenchmarkTrainBlackBoxBatched runs against an in-process oracle: the
+// forward pass dominates, the evaluation pipeline (resizes, canvas
+// allocations — see the allocs/op column) is the rest.
 func BenchmarkTrainBlackBoxBatched(b *testing.B) {
 	m, tgt := benchPromptWorkload(b)
 	src := data.Shape{C: 3, H: 12, W: 12}
-	benchTrainBlackBox(b, oracle.NewModelOracle(m), src, tgt, false)
+	benchTrainBlackBox(b, oracle.NewModelOracle(m), src, tgt)
 }
 
 func benchHTTPOracle(b *testing.B, m *nn.Model) *mlaas.Client {
@@ -498,29 +477,20 @@ func benchHTTPOracle(b *testing.B, m *nn.Model) *mlaas.Client {
 	return c
 }
 
-// BenchmarkTrainBlackBoxSerialHTTP audits over the wire with the legacy
-// path: λ narrow sequential requests per generation.
-func BenchmarkTrainBlackBoxSerialHTTP(b *testing.B) {
-	m, tgt := benchPromptWorkload(b)
-	src := data.Shape{C: 3, H: 12, W: 12}
-	benchTrainBlackBox(b, benchHTTPOracle(b, m), src, tgt, true)
-}
-
 // BenchmarkTrainBlackBoxBatchedHTTP audits over the wire with one fused
 // call per generation, chunked by the client into parallel full-width
 // requests for the server's micro-batch engine.
 func BenchmarkTrainBlackBoxBatchedHTTP(b *testing.B) {
 	m, tgt := benchPromptWorkload(b)
 	src := data.Shape{C: 3, H: 12, W: 12}
-	benchTrainBlackBox(b, benchHTTPOracle(b, m), src, tgt, false)
+	benchTrainBlackBox(b, benchHTTPOracle(b, m), src, tgt)
 }
 
 // rttOracle simulates a genuinely remote endpoint: every Predict call pays
 // a fixed round-trip latency before the in-process forward pass. Loopback
 // httptest hides exactly this cost, yet it dominates real MLaaS audits (the
-// paper's query-budget setting): the serial path pays it λ times per
-// generation, the fused path once. The 3ms default is a conservative
-// same-region RTT.
+// paper's query-budget setting): the fused path pays it once per generation.
+// 3ms is a conservative same-region RTT.
 type rttOracle struct {
 	oracle.Oracle
 	rtt time.Duration
@@ -531,20 +501,12 @@ func (o *rttOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tens
 	return o.Oracle.Predict(ctx, x)
 }
 
-// BenchmarkTrainBlackBoxSerialRemoteRTT: legacy path against a 3ms-RTT
-// oracle — λ round-trips per generation.
-func BenchmarkTrainBlackBoxSerialRemoteRTT(b *testing.B) {
-	m, tgt := benchPromptWorkload(b)
-	src := data.Shape{C: 3, H: 12, W: 12}
-	benchTrainBlackBox(b, &rttOracle{Oracle: oracle.NewModelOracle(m), rtt: 3 * time.Millisecond}, src, tgt, true)
-}
-
-// BenchmarkTrainBlackBoxBatchedRemoteRTT: generation-batched path against
-// the same 3ms-RTT oracle — one round-trip per generation.
+// BenchmarkTrainBlackBoxBatchedRemoteRTT runs against a 3ms-RTT oracle: one
+// round-trip per generation.
 func BenchmarkTrainBlackBoxBatchedRemoteRTT(b *testing.B) {
 	m, tgt := benchPromptWorkload(b)
 	src := data.Shape{C: 3, H: 12, W: 12}
-	benchTrainBlackBox(b, &rttOracle{Oracle: oracle.NewModelOracle(m), rtt: 3 * time.Millisecond}, src, tgt, false)
+	benchTrainBlackBox(b, &rttOracle{Oracle: oracle.NewModelOracle(m), rtt: 3 * time.Millisecond}, src, tgt)
 }
 
 // --- Inline screening serving overhead (PR 7) ---------------------------------
@@ -568,8 +530,8 @@ func BenchmarkTrainBlackBoxBatchedRemoteRTT(b *testing.B) {
 //     rows ride idle kernel-pool workers; on a single-core runner they
 //     serialize and the delta is the raw forward cost.
 //
-// scripts/bench.sh records all three (and the derived ratios) in
-// BENCH_7.json. Reproduce locally with:
+// BENCH_7.json is the historical record of all three (and the derived
+// ratios). Reproduce locally with:
 //
 //	go test -bench 'ServerPredict(Screened|Unscreened)' -benchtime=2s .
 
@@ -639,99 +601,6 @@ func BenchmarkServerPredictScreenedOptOut(b *testing.B) {
 func BenchmarkServerPredictScreened(b *testing.B) {
 	benchServerPredict(b, benchScreener(b), true)
 }
-
-// --- Multi-node gateway scaling (PR 8) ------------------------------------------
-//
-// Aggregate predict throughput through mlaas-gateway as the fleet grows:
-// the same 8-model zoo served by 1, 2, and 4 registry nodes behind one
-// gateway, hammered from all procs with requests spread round-robin across
-// the models. Placement shards the zoo across nodes (Replication 1), so
-// added nodes split the per-model load. All nodes live in this one test
-// process and share the kernel worker pool, so the scaling measured here
-// is the serving stack's (routing, HTTP, JSON, micro-batchers) — separate
-// processes would add kernel-level parallelism on top. scripts/bench.sh
-// records the 1/2/4-node series in BENCH_8.json. Reproduce locally with:
-//
-//	go test -bench 'GatewayPredict[0-9]' -benchtime=2s .
-
-const benchGatewayModels = 8
-
-// benchGatewayZoo saves benchGatewayModels random-weight checkpoints of the
-// benchModel shape into one registry directory shared by every node.
-func benchGatewayZoo(b *testing.B) string {
-	b.Helper()
-	dir := b.TempDir()
-	for i := 0; i < benchGatewayModels; i++ {
-		m, err := nn.Build(nn.ArchConfig{
-			Arch: nn.ArchResNetLite, C: 3, H: 12, W: 12, NumClasses: 10, Hidden: 32,
-		}, rng.New(uint64(20+i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.SaveFile(filepath.Join(dir, fmt.Sprintf("m%d.bin", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return dir
-}
-
-func benchGatewayPredict(b *testing.B, nodeCount int) {
-	zoo := benchGatewayZoo(b)
-	ctx := context.Background()
-	nodes := make([]string, nodeCount)
-	for i := range nodes {
-		reg, err := mlaas.OpenRegistry(zoo, mlaas.RegistryConfig{MaxLoaded: benchGatewayModels})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := mlaas.NewRegistryServer(reg)
-		b.Cleanup(s.Close)
-		srv := httptest.NewServer(s.Handler())
-		b.Cleanup(srv.Close)
-		nodes[i] = srv.URL
-	}
-	g, err := mlaas.NewGateway(ctx, mlaas.GatewayConfig{Nodes: nodes})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gs := mlaas.NewGatewayServer(g)
-	b.Cleanup(gs.Close)
-	gwSrv := httptest.NewServer(gs.Handler())
-	b.Cleanup(gwSrv.Close)
-
-	clients := make([]*mlaas.Client, benchGatewayModels)
-	for i := range clients {
-		c, err := mlaas.DialModel(ctx, gwSrv.URL, fmt.Sprintf("m%d", i), mlaas.ClientConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients[i] = c
-	}
-	x := tensor.New(8, 3*12*12)
-	rng.New(30).Uniform(x.Data, 0, 1)
-	var next atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c := clients[next.Add(1)%benchGatewayModels]
-			if _, err := c.Predict(ctx, x); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkGatewayPredict1Node is the single-node floor: every request pays
-// the gateway hop but lands on the same backend.
-func BenchmarkGatewayPredict1Node(b *testing.B) { benchGatewayPredict(b, 1) }
-
-// BenchmarkGatewayPredict2Node shards the zoo across two nodes.
-func BenchmarkGatewayPredict2Node(b *testing.B) { benchGatewayPredict(b, 2) }
-
-// BenchmarkGatewayPredict4Node shards the zoo across four nodes.
-func BenchmarkGatewayPredict4Node(b *testing.B) { benchGatewayPredict(b, 4) }
 
 // Ablations and the limitation experiment (DESIGN.md extensions).
 func BenchmarkLimitationAllToAll(b *testing.B) { runExperiment(b, "limitation-alltoall", 1) }

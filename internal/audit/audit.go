@@ -252,13 +252,7 @@ func (m *Manager) replay() error {
 		case jobstore.StateDone:
 			j.snap.State = StateDone
 			j.snap.Finished = rec.Finished
-			v := bprom.Verdict{
-				Score:       rec.Verdict.Score,
-				Threshold:   rec.Verdict.Threshold,
-				Backdoored:  rec.Verdict.Backdoored,
-				PromptedAcc: rec.Verdict.PromptedAcc,
-				Queries:     rec.Verdict.Queries,
-			}
+			v := bprom.Verdict(*rec.Verdict) // field-for-field the journal's record
 			j.snap.Verdict = &v
 			j.snap.Progress = bprom.Progress{Queries: v.Queries}
 			cancel()
@@ -300,15 +294,19 @@ func (m *Manager) replay() error {
 	return nil
 }
 
-// failResumed marks a journal job failed during replay (bad checkpoint,
-// unbuildable oracle) both in memory and in the journal.
+// failResumed registers a job that is born failed — a journal job whose
+// checkpoint or oracle cannot be rebuilt at replay, or a migrated-in job
+// with a corrupt frame — in memory and, when durable, in the journal. The
+// caller holds m.mu (or is the constructor).
 func (m *Manager) failResumed(j *job, msg, code string) {
 	j.cancel()
 	j.snap.State = StateFailed
 	j.snap.Error = msg
 	j.snap.ErrorCode = code
 	j.snap.Finished = m.now()
-	_ = m.cfg.Store.Fail(j.num, msg, code, j.snap.Progress.Queries, j.snap.Finished)
+	if m.cfg.Store != nil {
+		_ = m.cfg.Store.Fail(j.num, msg, code, j.snap.Progress.Queries, j.snap.Finished)
+	}
 	m.jobs[j.snap.ID] = j
 	m.order = append(m.order, j.snap.ID)
 }
@@ -328,53 +326,7 @@ func (m *Manager) Detector() *bprom.Detector { return m.det }
 // without tenancy). With a Store configured the job is journaled before
 // Submit returns: an acknowledged submission survives a crash.
 func (m *Manager) Submit(modelID, tenant string, sus oracle.Oracle, inspectID int) (Job, error) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return Job{}, ErrClosed
-	}
-	if len(m.pending) >= m.cfg.MaxQueued {
-		m.mu.Unlock()
-		return Job{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.cfg.MaxQueued)
-	}
-	m.seq++
-	if inspectID < 0 {
-		inspectID = m.seq
-	}
-	ctx, cancel := context.WithCancel(m.root)
-	j := &job{
-		num: uint64(m.seq),
-		snap: Job{
-			ID:        fmt.Sprintf("a%d", m.seq),
-			ModelID:   modelID,
-			InspectID: inspectID,
-			Tenant:    tenant,
-			State:     StateQueued,
-			Created:   m.now(),
-		},
-		sus:    sus,
-		ctx:    ctx,
-		cancel: cancel,
-	}
-	if m.cfg.Store != nil {
-		if err := m.cfg.Store.Create(j.num, modelID, tenant, inspectID, j.snap.Created); err != nil {
-			m.seq--
-			m.mu.Unlock()
-			cancel()
-			return Job{}, fmt.Errorf("audit: journaling submission: %w", err)
-		}
-	}
-	m.pending = append(m.pending, j)
-	m.jobs[j.snap.ID] = j
-	m.order = append(m.order, j.snap.ID)
-	m.mu.Unlock()
-	// Best-effort nudge: if the buffer is full, enough wakeups are already
-	// outstanding, and workers re-check the pending list before sleeping.
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
-	return j.snapshot(), nil
+	return m.SubmitResume(modelID, tenant, sus, inspectID, nil, "")
 }
 
 // ExportCheckpoint returns the newest in-memory checkpoint of a
@@ -400,11 +352,11 @@ func (m *Manager) ExportCheckpoint(id string) (*bprom.Checkpoint, error) {
 	return j.ckpt, nil
 }
 
-// SubmitResume enqueues a migrated audit job: an audit started elsewhere,
-// resumed here from a wire-shipped checkpoint (a jobstore CRC frame around
-// an encoded bprom.Checkpoint; nil for a from-scratch re-run that only
-// preserves identity). source names the job this one continues (the
-// gateway's namespaced id) and lands in the snapshot's MigratedFrom.
+// SubmitResume is the one enqueue path. Beyond Submit it takes a
+// wire-shipped checkpoint to resume from (a jobstore CRC frame around an
+// encoded bprom.Checkpoint; nil starts at generation zero) and source, the
+// job this one continues (the gateway's namespaced id of a migrated job,
+// landing in the snapshot's MigratedFrom; "" for a fresh submission).
 //
 // The frame is validated here, not at the transport: a corrupt or
 // truncated checkpoint ACCEPTS the submission and immediately fails the
@@ -470,17 +422,7 @@ func (m *Manager) SubmitResume(modelID, tenant string, sus oracle.Oracle, inspec
 		}
 	}
 	if decErr != nil {
-		msg := fmt.Sprintf("migrated checkpoint corrupt: %v", decErr)
-		cancel()
-		j.snap.State = StateFailed
-		j.snap.Error = msg
-		j.snap.ErrorCode = BadCheckpointCode
-		j.snap.Finished = m.now()
-		if m.cfg.Store != nil {
-			_ = m.cfg.Store.Fail(j.num, msg, BadCheckpointCode, 0, j.snap.Finished)
-		}
-		m.jobs[j.snap.ID] = j
-		m.order = append(m.order, j.snap.ID)
+		m.failResumed(j, fmt.Sprintf("migrated checkpoint corrupt: %v", decErr), BadCheckpointCode)
 		m.mu.Unlock()
 		return j.snapshot(), nil
 	}
@@ -793,12 +735,6 @@ func (m *Manager) run(j *job) {
 	j.snap.Verdict = &v
 	j.mu.Unlock()
 	if store != nil {
-		_ = store.Done(j.num, jobstore.VerdictRecord{
-			Score:       v.Score,
-			Threshold:   v.Threshold,
-			Backdoored:  v.Backdoored,
-			PromptedAcc: v.PromptedAcc,
-			Queries:     v.Queries,
-		}, finished)
+		_ = store.Done(j.num, jobstore.VerdictRecord(v), finished)
 	}
 }

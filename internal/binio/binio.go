@@ -22,6 +22,11 @@ import (
 // corrupt or malicious file.
 const maxLen = 1 << 30
 
+// maxString caps string lengths at 64 KiB (names, notes, arch tags). The
+// writer enforces the same cap the reader does, so nothing that saves can
+// fail to load.
+const maxString = 1 << 16
+
 // WriteU32 writes v as 4 little-endian bytes.
 func WriteU32(w io.Writer, v uint32) error {
 	var buf [4]byte
@@ -103,8 +108,13 @@ func ReadBool(r io.Reader) (bool, error) {
 	}
 }
 
-// WriteString writes a u32 length prefix followed by the raw bytes.
+// WriteString writes a u32 length prefix followed by the raw bytes. Strings
+// longer than the cap ReadString enforces are refused before anything is
+// written.
 func WriteString(w io.Writer, s string) error {
+	if len(s) > maxString {
+		return fmt.Errorf("binio: string length %d exceeds the %d-byte cap", len(s), maxString)
+	}
 	if err := WriteU32(w, uint32(len(s))); err != nil {
 		return err
 	}
@@ -120,7 +130,7 @@ func ReadString(r io.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<16 {
+	if n > maxString {
 		return "", fmt.Errorf("binio: implausible string length %d", n)
 	}
 	buf := make([]byte, n)

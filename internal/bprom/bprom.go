@@ -162,19 +162,20 @@ func Train(ctx context.Context, cfg Config) (*Detector, error) {
 	shadows := make([]Shadow, m)
 	errs := make([]error, m)
 
-	// Shadow generation + prompting, parallel across models. Every shadow
-	// derives its own RNG stream from (seed, index), so results do not
-	// depend on goroutine scheduling.
+	// Shadow generation + prompting, parallel across models. Every shadow's
+	// RNG stream is split off the root here, in index order, before its
+	// goroutine starts: Split advances the root, so splitting inside the
+	// goroutines would race on it and tie results to scheduling.
 	sem := make(chan struct{}, cfg.Parallelism)
 	var wg sync.WaitGroup
 	for i := 0; i < m; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, r *rng.RNG) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			shadows[i], errs[i] = trainShadow(ctx, cfg, root.Split("shadow", i), i >= cfg.NumClean)
-		}(i)
+			shadows[i], errs[i] = trainShadow(ctx, cfg, r, i >= cfg.NumClean)
+		}(i, root.Split("shadow", i))
 	}
 	wg.Wait()
 	for i, err := range errs {

@@ -218,36 +218,6 @@ func TestScoreModelMatchesInspect(t *testing.T) {
 	}
 }
 
-// TestInspectSerialBatchedParity is the end-to-end bit-parity gate for the
-// generation-batched evaluator: a detector forced onto the legacy
-// per-candidate evaluation path must produce the byte-identical verdict —
-// score, prompted accuracy, AND total query count — as the default fused
-// path. Combined with the golden-artifact test (whose committed score the
-// batched path must keep reproducing), this locks the optimization out of
-// the observable behavior.
-func TestInspectSerialBatchedParity(t *testing.T) {
-	e := sharedEnv(t)
-	ctx := context.Background()
-	m := trainSus(t, e, nil, 600)
-
-	batched, err := e.det.Inspect(ctx, oracle.NewModelOracle(m), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialDet := *e.det // shallow copy: Inspect only reads detector state
-	serialDet.blackBox.SerialEval = true
-	serial, err := serialDet.Inspect(ctx, oracle.NewModelOracle(m), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched != serial {
-		t.Fatalf("batched verdict %+v != serial verdict %+v", batched, serial)
-	}
-	if batched.Queries == 0 {
-		t.Fatal("inspection made no oracle queries")
-	}
-}
-
 // TestProgressQueryDeltas asserts the per-generation spend reporting: the
 // deltas must be positive for every completed generation and sum to the
 // final cumulative query count.

@@ -1,10 +1,9 @@
 // Package cmaes implements the gradient-free optimizers BPROM uses to learn
-// visual prompts against a black-box oracle: CMA-ES with full covariance
-// adaptation (Hansen's (μ/μ_w, λ) strategy) for low-dimensional prompts,
-// the separable sep-CMA-ES variant whose diagonal covariance scales to
-// high-dimensional prompts, and SPSA as a cheap baseline.
+// visual prompts against a black-box oracle: sep-CMA-ES (Hansen's
+// (μ/μ_w, λ) strategy with a diagonal covariance, which scales to prompts of
+// hundreds of pixels) and SPSA as a cheap baseline.
 //
-// All three minimize a possibly stochastic objective f: R^n -> R using only
+// Both minimize a possibly stochastic objective f: R^n -> R using only
 // function evaluations — exactly the access a defender has to an MLaaS
 // endpoint (confidence vectors in, loss out).
 package cmaes
@@ -194,9 +193,9 @@ func generationBudget(opt Options, done, lambda int) int {
 	return lambda
 }
 
-// MinimizeSep runs sep-CMA-ES (diagonal covariance) from x0. It is the
-// default for visual prompts, whose dimension (hundreds of pixels) makes the
-// full covariance update unnecessary and slow.
+// MinimizeSep runs sep-CMA-ES (diagonal covariance) from x0: visual prompts
+// have hundreds of dimensions, where a full covariance update is unnecessary
+// and slow.
 func MinimizeSep(obj Objective, x0 []float64, opt Options, r *rng.RNG) (Result, error) {
 	n := len(x0)
 	if n == 0 {

@@ -27,35 +27,6 @@ func shiftedSphere(target []float64) Objective {
 	}
 }
 
-func ellipse(x []float64) float64 {
-	s := 0.0
-	for i, v := range x {
-		s += math.Pow(10, 3*float64(i)/float64(len(x)-1)) * v * v
-	}
-	return s
-}
-
-func rosenbrock(x []float64) float64 {
-	s := 0.0
-	for i := 0; i < len(x)-1; i++ {
-		a := x[i+1] - x[i]*x[i]
-		b := 1 - x[i]
-		s += 100*a*a + b*b
-	}
-	return s
-}
-
-func TestMinimizeSphere(t *testing.T) {
-	x0 := []float64{2, -3, 1, 4, -2}
-	res, err := Minimize(sphere, x0, Options{MaxIters: 200, Sigma0: 1}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestValue > 1e-6 {
-		t.Fatalf("full CMA on sphere: best %v", res.BestValue)
-	}
-}
-
 func TestMinimizeSepSphere(t *testing.T) {
 	x0 := make([]float64, 20)
 	rng.New(2).Uniform(x0, -3, 3)
@@ -78,29 +49,6 @@ func TestMinimizeSepShiftedTarget(t *testing.T) {
 		if math.Abs(v-target[i]) > 0.01 {
 			t.Fatalf("dim %d: %v, want %v", i, v, target[i])
 		}
-	}
-}
-
-func TestMinimizeEllipse(t *testing.T) {
-	// Ill-conditioned problem: full covariance adaptation should still solve it.
-	x0 := []float64{3, 3, 3, 3, 3, 3}
-	res, err := Minimize(ellipse, x0, Options{MaxIters: 400, Sigma0: 1}, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestValue > 1e-4 {
-		t.Fatalf("full CMA on ellipse: best %v", res.BestValue)
-	}
-}
-
-func TestMinimizeRosenbrock(t *testing.T) {
-	x0 := make([]float64, 4)
-	res, err := Minimize(rosenbrock, x0, Options{MaxIters: 600, Sigma0: 0.5}, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestValue > 1e-2 {
-		t.Fatalf("full CMA on rosenbrock: best %v", res.BestValue)
 	}
 }
 
@@ -153,9 +101,6 @@ func TestNoisyObjective(t *testing.T) {
 }
 
 func TestEmptyStartRejected(t *testing.T) {
-	if _, err := Minimize(sphere, nil, Options{}, rng.New(1)); err == nil {
-		t.Fatal("expected error for empty x0")
-	}
 	if _, err := MinimizeSep(sphere, nil, Options{}, rng.New(1)); err == nil {
 		t.Fatal("expected error for empty x0")
 	}
@@ -251,19 +196,15 @@ func batchFrom(obj Objective, widths *[]int) BatchObjective {
 // TestBatchEvaluateBitParity locks the tentpole contract: a run whose
 // generations are evaluated by one fused call must be bit-identical to the
 // scalar run — same best point, same value, same eval count, same iteration
-// count — for both optimizers, with and without a truncating MaxEvals.
+// count — with and without a truncating MaxEvals.
 func TestBatchEvaluateBitParity(t *testing.T) {
-	type minimizer func(obj Objective, x0 []float64, opt Options, r *rng.RNG) (Result, error)
 	cases := []struct {
 		name string
-		run  minimizer
 		opt  Options
 	}{
-		{"sep", MinimizeSep, Options{MaxIters: 60, Sigma0: 0.7}},
-		{"sep-maxevals", MinimizeSep, Options{MaxIters: 60, Sigma0: 0.7, MaxEvals: 47}}, // not a λ multiple: truncates a generation
-		{"sep-box", MinimizeSep, Options{MaxIters: 40, Sigma0: 0.5, Lo: -1, Hi: 1}},
-		{"full", Minimize, Options{MaxIters: 60, Sigma0: 0.7}},
-		{"full-maxevals", Minimize, Options{MaxIters: 60, Sigma0: 0.7, MaxEvals: 31}},
+		{"sep", Options{MaxIters: 60, Sigma0: 0.7}},
+		{"sep-maxevals", Options{MaxIters: 60, Sigma0: 0.7, MaxEvals: 47}}, // not a λ multiple: truncates a generation
+		{"sep-box", Options{MaxIters: 40, Sigma0: 0.5, Lo: -1, Hi: 1}},
 	}
 	x0 := []float64{2, -3, 1, 4, -2, 0.5}
 	for _, tc := range cases {
@@ -274,14 +215,14 @@ func TestBatchEvaluateBitParity(t *testing.T) {
 				noise := rng.New(seed)
 				return func(x []float64) float64 { return sphere(x) + 0.01*noise.NormFloat64() }
 			}
-			serial, err := tc.run(mkObj(77), x0, tc.opt, rng.New(21))
+			serial, err := MinimizeSep(mkObj(77), x0, tc.opt, rng.New(21))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var widths []int
 			opt := tc.opt
 			opt.Evaluate = batchFrom(mkObj(77), &widths)
-			batched, err := tc.run(nil, x0, opt, rng.New(21))
+			batched, err := MinimizeSep(nil, x0, opt, rng.New(21))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,58 +255,5 @@ func TestBatchEvaluateWrongWidthRejected(t *testing.T) {
 	bad := func(cands [][]float64) []float64 { return make([]float64, len(cands)+1) }
 	if _, err := MinimizeSep(nil, []float64{1, 2}, Options{MaxIters: 5, Evaluate: bad}, rng.New(1)); err == nil {
 		t.Fatal("expected error for wrong-width batch evaluator")
-	}
-	if _, err := Minimize(nil, []float64{1, 2}, Options{MaxIters: 5, Evaluate: bad}, rng.New(1)); err == nil {
-		t.Fatal("expected error for wrong-width batch evaluator")
-	}
-}
-
-func TestJacobiEigenIdentityAndDiag(t *testing.T) {
-	v, eig, err := jacobiEigen([][]float64{{3, 0}, {0, 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[float64]bool{}
-	for _, e := range eig {
-		got[math.Round(e)] = true
-	}
-	if !got[3] || !got[7] {
-		t.Fatalf("eigenvalues %v, want {3,7}", eig)
-	}
-	// eigenvectors orthonormal
-	dot := v[0][0]*v[0][1] + v[1][0]*v[1][1]
-	if math.Abs(dot) > 1e-9 {
-		t.Fatalf("eigenvectors not orthogonal: %v", dot)
-	}
-}
-
-func TestJacobiEigenSymmetric(t *testing.T) {
-	// A = Q Λ Qᵀ reconstruction check on a random symmetric matrix.
-	r := rng.New(14)
-	n := 5
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := r.NormFloat64()
-			a[i][j], a[j][i] = v, v
-		}
-	}
-	v, eig, err := jacobiEigen(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			recon := 0.0
-			for k := 0; k < n; k++ {
-				recon += v[i][k] * eig[k] * v[j][k]
-			}
-			if math.Abs(recon-a[i][j]) > 1e-8 {
-				t.Fatalf("reconstruction error at (%d,%d): %v vs %v", i, j, recon, a[i][j])
-			}
-		}
 	}
 }

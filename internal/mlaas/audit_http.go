@@ -54,6 +54,7 @@ type AuditConfig struct {
 // manager; with a Store the shutdown checkpoints running jobs instead of
 // failing them, and the next EnableAudits over the same store resumes them.
 func (s *Server) EnableAudits(det *bprom.Detector, cfg AuditConfig) error {
+	l := &localAudits{prov: s.prov, tenancy: s.tenancy, store: cfg.Store}
 	acfg := audit.Config{
 		Workers:         cfg.Workers,
 		MaxQueued:       cfg.MaxQueued,
@@ -69,51 +70,195 @@ func (s *Server) EnableAudits(det *bprom.Detector, cfg AuditConfig) error {
 			if err != nil {
 				return nil, err
 			}
-			return s.auditOracle(info, tenant), nil
+			return l.oracle(info, tenant), nil
 		}
 	}
 	m, err := audit.NewManager(det, acfg)
 	if err != nil {
 		return err
 	}
-	s.audits = m
-	s.store = cfg.Store
+	l.mgr = m
+	// A local manager always wins: a server with its own detector runs jobs
+	// in-process whatever it routed to before.
+	s.local, s.jobs = l, l
 	return nil
 }
 
 // Audits exposes the attached audit manager (nil when audits are disabled).
 // In-process callers (examples, tests) can submit and poll without HTTP.
-func (s *Server) Audits() *audit.Manager { return s.audits }
-
-// auditRouter is an optional provider capability: a provider that routes
-// audit jobs to remote nodes instead of running them in a local manager.
-// When the server has no local manager but its provider routes (the
-// gateway's remoteProvider), the /v1/audits family proxies through it —
-// same wire contract, jobs namespaced "{node}.{id}".
-type auditRouter interface {
-	SubmitAudit(ctx context.Context, modelID string, inspectID int, resume *AuditResume) (audit.Job, error)
-	GetAudit(ctx context.Context, jobID string) (audit.Job, error)
-	ListAudits(ctx context.Context) ([]audit.Job, error)
-	CancelAudit(ctx context.Context, jobID string) (audit.Job, error)
-	ExportAuditCheckpoint(ctx context.Context, jobID string) (CheckpointExport, error)
-}
-
-// auditRouter returns the provider's audit-routing capability, or nil. A
-// local audit manager always wins: routing only kicks in where there is no
-// in-process detector to run jobs with.
-func (s *Server) auditRouter() auditRouter {
-	if s.audits != nil {
+func (s *Server) Audits() *audit.Manager {
+	if s.local == nil {
 		return nil
 	}
-	rt, _ := s.prov.(auditRouter)
-	return rt
+	return s.local.mgr
 }
 
-// healthAugmenter is an optional provider capability: a provider that adds
-// fields to the /v1/healthz payload (the gateway reports fleet membership
-// and aggregates the nodes' audit-service state).
-type healthAugmenter interface {
+// auditBackend is the one seam between the HTTP layer and whatever runs
+// audit jobs behind it. A node's Server runs them in-process (localAudits);
+// a gateway's Server routes them to the fleet (*Gateway, job ids namespaced
+// "{node}.{id}"). Every /v1/audits*, /v1/tenants/{id}/usage and /v1/healthz
+// handler is decode → one call here → write, so the two cannot drift apart
+// on the wire.
+type auditBackend interface {
+	// submitAudit enqueues an audit of modelID ("" = the default model) on
+	// behalf of the tenant authenticated on ctx. inspectID < 0 lets the
+	// backend assign the stream; a non-nil resume continues a migrated job.
+	submitAudit(ctx context.Context, modelID string, inspectID int, resume *AuditResume) (audit.Job, error)
+	getAudit(ctx context.Context, jobID string) (audit.Job, error)
+	// listAudits returns every held job in submission order.
+	listAudits(ctx context.Context) ([]audit.Job, error)
+	// cancelAudit cancels and removes a job, returning its last snapshot.
+	cancelAudit(ctx context.Context, jobID string) (audit.Job, error)
+	// exportAuditCheckpoint returns a live job's newest checkpoint frame;
+	// audit.ErrNoCheckpoint (unwrapped by routing) means none exists yet.
+	exportAuditCheckpoint(ctx context.Context, jobID string) (CheckpointExport, error)
+	tenantUsage(ctx context.Context, name string) (TenantUsage, error)
+	// augmentHealth fills the audit-service fields of a /v1/healthz payload
+	// (and, on a gateway, the fleet view).
 	augmentHealth(h *Health)
+}
+
+// errNotAuditable reports a submission against a model the detector cannot
+// prompt. The HTTP layer maps it to 400.
+var errNotAuditable = errors.New("not auditable")
+
+// localAudits is the in-process auditBackend of a serving node: an
+// audit.Manager over the provider's own engines, metered by the tenancy.
+// Until EnableAudits supplies the manager every job route answers
+// ErrAuditsDisabled; tenant usage only needs the tenancy.
+type localAudits struct {
+	prov    provider
+	tenancy *jobstore.Tenancy // nil without EnableTenancy
+	mgr     *audit.Manager    // nil until EnableAudits
+	store   *jobstore.Store   // nil unless jobs are durable
+}
+
+// oracle builds the oracle an audit job queries: the provider's own engines
+// (no HTTP loopback), quota-wrapped when the tenant is known to the
+// tenancy. Unknown or empty tenants (serverless tests, the re-audit
+// scheduler's synthetic tenant on a key file that does not name it) run
+// unmetered.
+func (l *localAudits) oracle(info ModelInfo, tenant string) oracle.Oracle {
+	var o oracle.Oracle = &providerOracle{prov: l.prov, id: info.ID, classes: info.Classes, inputDim: info.InputDim}
+	if l.tenancy != nil {
+		if t, ok := l.tenancy.Lookup(tenant); ok {
+			o = jobstore.WrapOracle(t, o)
+		}
+	}
+	return o
+}
+
+// submitAudit validates the model and its detector compatibility up front,
+// so incompatible submissions fail fast instead of producing a failed job.
+func (l *localAudits) submitAudit(ctx context.Context, modelID string, inspectID int, resume *AuditResume) (audit.Job, error) {
+	if l.mgr == nil {
+		return audit.Job{}, ErrAuditsDisabled
+	}
+	info, err := l.prov.Info(modelID)
+	if err != nil {
+		return audit.Job{}, err
+	}
+	if err := l.mgr.Detector().Compatible(info.Classes, info.InputDim); err != nil {
+		return audit.Job{}, fmt.Errorf("model %q %w: %v", info.ID, errNotAuditable, err)
+	}
+	tenant := tenantFrom(ctx)
+	var frame []byte
+	source := ""
+	if resume != nil {
+		// A migrated job keeps its original tenant attribution: the
+		// supervisor resubmits with its own service credential (validated
+		// at the edge), but spend and listings must follow the tenant who
+		// paid for the first half.
+		if resume.Tenant != "" {
+			tenant = resume.Tenant
+		}
+		frame, source = resume.Checkpoint, resume.Source
+	}
+	return l.mgr.SubmitResume(info.ID, tenant, l.oracle(info, tenant), inspectID, frame, source)
+}
+
+func (l *localAudits) getAudit(_ context.Context, jobID string) (audit.Job, error) {
+	if l.mgr == nil {
+		return audit.Job{}, ErrAuditsDisabled
+	}
+	return l.mgr.Get(jobID)
+}
+
+func (l *localAudits) listAudits(context.Context) ([]audit.Job, error) {
+	if l.mgr == nil {
+		return nil, ErrAuditsDisabled
+	}
+	return l.mgr.List(), nil
+}
+
+func (l *localAudits) cancelAudit(_ context.Context, jobID string) (audit.Job, error) {
+	if l.mgr == nil {
+		return audit.Job{}, ErrAuditsDisabled
+	}
+	return l.mgr.Delete(jobID)
+}
+
+func (l *localAudits) exportAuditCheckpoint(_ context.Context, jobID string) (CheckpointExport, error) {
+	if l.mgr == nil {
+		return CheckpointExport{}, ErrAuditsDisabled
+	}
+	c, err := l.mgr.ExportCheckpoint(jobID)
+	if err != nil {
+		return CheckpointExport{}, err
+	}
+	job, err := l.mgr.Get(jobID)
+	if err != nil {
+		return CheckpointExport{}, err
+	}
+	blob, err := c.Encode()
+	if err != nil {
+		return CheckpointExport{}, err
+	}
+	frame, err := jobstore.EncodeFrame(blob)
+	if err != nil {
+		return CheckpointExport{}, err
+	}
+	return CheckpointExport{
+		Frame:      frame,
+		Generation: c.Generation,
+		Queries:    c.Queries,
+		ModelID:    job.ModelID,
+		InspectID:  job.InspectID,
+		Tenant:     job.Tenant,
+	}, nil
+}
+
+func (l *localAudits) tenantUsage(_ context.Context, name string) (TenantUsage, error) {
+	if l.tenancy == nil {
+		return TenantUsage{}, ErrTenancyDisabled
+	}
+	t, ok := l.tenancy.Lookup(name)
+	if !ok {
+		return TenantUsage{}, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
+	}
+	u := TenantUsage{Tenant: t.Name, Quota: t.Quota, Spent: t.Spent()}
+	if n, bounded := t.Remaining(); bounded {
+		u.Remaining = n
+	}
+	if l.mgr != nil {
+		for _, j := range l.mgr.List() {
+			if j.Tenant == t.Name {
+				u.Jobs++
+			}
+		}
+	}
+	return u, nil
+}
+
+func (l *localAudits) augmentHealth(h *Health) {
+	if l.mgr != nil {
+		h.AuditsEnabled = true
+		h.AuditJobs = l.mgr.Len()
+	}
+	if l.store != nil {
+		st := l.store.Stats()
+		h.JobStore = &st
+	}
 }
 
 // providerOracle adapts one hosted model to oracle.Oracle for server-side
@@ -232,28 +377,13 @@ type Health struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	models := s.prov.Models()
-	screened := 0
+	resp := Health{Status: "ok", Models: len(models)}
 	for _, mi := range models {
 		if mi.Screened {
-			screened++
+			resp.ScreenedModels++
 		}
 	}
-	resp := Health{
-		Status:         "ok",
-		Models:         len(models),
-		AuditsEnabled:  s.audits != nil,
-		ScreenedModels: screened,
-	}
-	if s.audits != nil {
-		resp.AuditJobs = s.audits.Len()
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		resp.JobStore = &st
-	}
-	if ha, ok := s.prov.(healthAugmenter); ok {
-		ha.augmentHealth(&resp)
-	}
+	s.jobs.augmentHealth(&resp)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -266,17 +396,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 const maxSubmitBody = (maxCheckpointWire+2)/3*4 + 4096
 
 // handleSubmitAudit serves POST /v1/models/{id}/audits (and the legacy
-// default-model alias POST /v1/audits, id ""). It validates the model and
-// its detector compatibility up front, so incompatible submissions fail
-// fast with 400 instead of producing a failed job. On a gateway (no local
-// manager, routing provider) the submission is forwarded to the node
-// placed for the model; its validation errors pass through.
+// default-model alias POST /v1/audits, id ""). Shape errors and the
+// resume-tenant privilege are settled here, at the edge; model lookup,
+// detector compatibility and queueing belong to the backend (on a gateway,
+// to the node placed for the model, whose verdicts pass through).
 func (s *Server) handleSubmitAudit(w http.ResponseWriter, r *http.Request, id string) {
-	rt := s.auditRouter()
-	if s.audits == nil && rt == nil {
-		s.writeError(w, ErrAuditsDisabled)
-		return
-	}
 	var req auditSubmitRequest
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSubmitBody+1))
 	if err != nil {
@@ -311,8 +435,8 @@ func (s *Server) handleSubmitAudit(w http.ResponseWriter, r *http.Request, id st
 		// resume on another tenant's behalf. An ordinary key that could name
 		// an arbitrary tenant here would charge its oracle spend to a
 		// victim's quota — or name an unknown tenant and run unmetered.
-		// Enforced before routing too, so a tenancy-enabled gateway rejects
-		// at the edge with the same envelope as a node.
+		// A tenancy-enabled gateway rejects here too, before routing, with
+		// the same envelope as a node.
 		if t, ok := s.tenancy.Lookup(tenant); !ok || !t.Service {
 			writeJSON(w, http.StatusForbidden, errorResponse{
 				Error: fmt.Sprintf("resume.tenant %q: only a service credential may resume on another tenant's behalf", req.Resume.Tenant),
@@ -321,41 +445,7 @@ func (s *Server) handleSubmitAudit(w http.ResponseWriter, r *http.Request, id st
 			return
 		}
 	}
-	if rt != nil {
-		job, err := rt.SubmitAudit(r.Context(), id, inspectID, req.Resume)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job)
-		return
-	}
-	info, err := s.prov.Info(id)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := s.audits.Detector().Compatible(info.Classes, info.InputDim); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("model %q not auditable: %v", info.ID, err)})
-		return
-	}
-	if req.Resume != nil {
-		// A migrated job keeps its original tenant attribution: the
-		// supervisor resubmits with its own service credential (validated
-		// above), but spend and listings must follow the tenant who paid
-		// for the first half.
-		if req.Resume.Tenant != "" {
-			tenant = req.Resume.Tenant
-		}
-		job, err := s.audits.SubmitResume(info.ID, tenant, s.auditOracle(info, tenant), inspectID, req.Resume.Checkpoint, req.Resume.Source)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job)
-		return
-	}
-	job, err := s.audits.Submit(info.ID, tenant, s.auditOracle(info, tenant), inspectID)
+	job, err := s.jobs.submitAudit(r.Context(), id, inspectID, req.Resume)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -367,63 +457,13 @@ func (s *Server) handleSubmitAudit(w http.ResponseWriter, r *http.Request, id st
 // newest checkpoint as one CRC-framed application/octet-stream body, with
 // the job's identity in X-Audit-* headers. 204 means "job exists, nothing
 // checkpointed yet" (submit a fresh-resume instead); 409 a terminal job;
-// 404 an unknown one. On a gateway the request routes to the node that
-// owns the namespaced job.
+// 404 an unknown one.
 func (s *Server) handleExportCheckpoint(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if rt := s.auditRouter(); rt != nil {
-		exp, err := rt.ExportAuditCheckpoint(r.Context(), id)
-		if err != nil {
-			if errors.Is(err, audit.ErrNoCheckpoint) {
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-			s.writeError(w, err)
-			return
-		}
-		writeCheckpoint(w, exp)
-		return
-	}
-	if s.audits == nil {
-		s.writeError(w, ErrAuditsDisabled)
-		return
-	}
-	c, err := s.audits.ExportCheckpoint(id)
-	if err != nil {
-		if errors.Is(err, audit.ErrNoCheckpoint) {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		s.writeError(w, err)
-		return
-	}
-	job, err := s.audits.Get(id)
+	exp, err := s.jobs.exportAuditCheckpoint(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	blob, err := c.Encode()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	frame, err := jobstore.EncodeFrame(blob)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeCheckpoint(w, CheckpointExport{
-		Frame:      frame,
-		Generation: c.Generation,
-		Queries:    c.Queries,
-		ModelID:    job.ModelID,
-		InspectID:  job.InspectID,
-		Tenant:     job.Tenant,
-	})
-}
-
-// writeCheckpoint emits one CheckpointExport on the wire.
-func writeCheckpoint(w http.ResponseWriter, exp CheckpointExport) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-Audit-Generation", strconv.Itoa(exp.Generation))
@@ -437,23 +477,11 @@ func writeCheckpoint(w http.ResponseWriter, exp CheckpointExport) {
 }
 
 func (s *Server) handleListAudits(w http.ResponseWriter, r *http.Request) {
-	if rt := s.auditRouter(); rt != nil {
-		jobs, err := rt.ListAudits(r.Context())
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		if jobs == nil {
-			jobs = []audit.Job{}
-		}
-		writeJSON(w, http.StatusOK, auditListResponse{Jobs: jobs})
+	jobs, err := s.jobs.listAudits(r.Context())
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	if s.audits == nil {
-		s.writeError(w, ErrAuditsDisabled)
-		return
-	}
-	jobs := s.audits.List()
 	if jobs == nil {
 		jobs = []audit.Job{}
 	}
@@ -461,20 +489,7 @@ func (s *Server) handleListAudits(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetAudit(w http.ResponseWriter, r *http.Request) {
-	if rt := s.auditRouter(); rt != nil {
-		job, err := rt.GetAudit(r.Context(), r.PathValue("id"))
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, job)
-		return
-	}
-	if s.audits == nil {
-		s.writeError(w, ErrAuditsDisabled)
-		return
-	}
-	job, err := s.audits.Get(r.PathValue("id"))
+	job, err := s.jobs.getAudit(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -483,20 +498,7 @@ func (s *Server) handleGetAudit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteAudit(w http.ResponseWriter, r *http.Request) {
-	if rt := s.auditRouter(); rt != nil {
-		job, err := rt.CancelAudit(r.Context(), r.PathValue("id"))
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, job)
-		return
-	}
-	if s.audits == nil {
-		s.writeError(w, ErrAuditsDisabled)
-		return
-	}
-	job, err := s.audits.Delete(r.PathValue("id"))
+	job, err := s.jobs.cancelAudit(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -197,13 +197,7 @@ func (e *StatusError) Error() string {
 // getJSON fetches one metadata URL and decodes the response (no retries:
 // metadata fetches are cheap for the caller to re-issue).
 func (c *Client) getJSON(ctx context.Context, u string, v any) error {
-	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, u, nil)
-	if err != nil {
-		return fmt.Errorf("mlaas: build request: %w", err)
-	}
-	return c.doJSON(req, v)
+	return c.sendJSON(ctx, http.MethodGet, u, nil, v)
 }
 
 // ModelID reports which hosted model this client queries ("" for the
@@ -359,24 +353,25 @@ const (
 	retryMaxBackoff  = 5 * time.Second
 )
 
-// retryBackoff computes the sleep before retry attempt (1-based): capped
-// exponential with the upper half jittered (d/2 + uniform[0, d/2]), so
-// concurrent clients decorrelate while the expected wait keeps its
-// exponential shape. A server Retry-After hint floors the result — the
-// server knows its backlog better than our schedule does.
-func retryBackoff(attempt int, hint time.Duration) time.Duration {
-	d := retryBaseBackoff
-	for i := 1; i < attempt && d < retryMaxBackoff; i++ {
+// jitteredBackoff is capped exponential backoff: base doubled doublings
+// times, clamped to ceiling, with the upper half jittered (d/2 + uniform[0,
+// d/2]) so concurrent retriers decorrelate while the expected wait keeps
+// its exponential shape. Client retries and the gateway's migration
+// supervisor share it.
+func jitteredBackoff(base, ceiling time.Duration, doublings int) time.Duration {
+	d := base
+	for i := 0; i < doublings && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > retryMaxBackoff {
-		d = retryMaxBackoff
-	}
-	d = d/2 + rand.N(d/2+1)
-	if hint > d {
-		d = hint
-	}
-	return d
+	d = min(d, ceiling)
+	return d/2 + rand.N(d/2+1)
+}
+
+// retryBackoff computes the sleep before retry attempt (1-based). A server
+// Retry-After hint floors the result — the server knows its backlog better
+// than our schedule does.
+func retryBackoff(attempt int, hint time.Duration) time.Duration {
+	return max(hint, jitteredBackoff(retryBaseBackoff, retryMaxBackoff, attempt-1))
 }
 
 // parseRetryAfter reads a Retry-After header in delay-seconds form (the
@@ -476,14 +471,26 @@ const ServerAssignedInspectID = -1
 // stream; pass ServerAssignedInspectID to let the server choose. Poll the
 // returned job with GetAudit, or block with WaitAudit.
 func (c *Client) AuditModel(ctx context.Context, inspectID int) (audit.Job, error) {
-	var req struct {
-		InspectID *int `json:"inspect_id,omitempty"`
-	}
+	return c.submitAudit(ctx, inspectID, nil)
+}
+
+// submitAudit is the one submission body behind AuditModel and
+// AuditModelResume (and the gateway's routed submissions): inspect_id is
+// sent only when non-negative, the resume block only when present.
+func (c *Client) submitAudit(ctx context.Context, inspectID int, resume *AuditResume) (audit.Job, error) {
+	req := struct {
+		InspectID *int         `json:"inspect_id,omitempty"`
+		Resume    *AuditResume `json:"resume,omitempty"`
+	}{Resume: resume}
 	if inspectID >= 0 {
 		req.InspectID = &inspectID
 	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return audit.Job{}, fmt.Errorf("mlaas: encode request: %w", err)
+	}
 	var job audit.Job
-	if err := c.postJSON(ctx, c.route("audits"), req, &job); err != nil {
+	if err := c.sendJSON(ctx, http.MethodPost, c.route("audits"), payload, &job); err != nil {
 		return audit.Job{}, err
 	}
 	return job, nil
@@ -512,14 +519,8 @@ func (c *Client) ListAudits(ctx context.Context) ([]audit.Job, error) {
 // a queued job never runs, a running one is context-cancelled server-side.
 // It returns the job's snapshot as of deletion.
 func (c *Client) CancelAudit(ctx context.Context, jobID string) (audit.Job, error) {
-	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodDelete, c.base+"/v1/audits/"+url.PathEscape(jobID), nil)
-	if err != nil {
-		return audit.Job{}, fmt.Errorf("mlaas: build request: %w", err)
-	}
 	var job audit.Job
-	if err := c.doJSON(req, &job); err != nil {
+	if err := c.sendJSON(ctx, http.MethodDelete, c.base+"/v1/audits/"+url.PathEscape(jobID), nil, &job); err != nil {
 		return audit.Job{}, err
 	}
 	return job, nil
@@ -583,19 +584,13 @@ func (c *Client) ExportCheckpoint(ctx context.Context, jobID string) (Checkpoint
 	if err != nil {
 		return CheckpointExport{}, fmt.Errorf("mlaas: build request: %w", err)
 	}
-	c.authorize(req)
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.do(req)
 	if err != nil {
-		return CheckpointExport{}, fmt.Errorf("mlaas: GET %s: %w", u, err)
+		return CheckpointExport{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNoContent {
 		return CheckpointExport{}, fmt.Errorf("%w (job %s)", audit.ErrNoCheckpoint, jobID)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var er errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		return CheckpointExport{}, &StatusError{Code: resp.StatusCode, URL: u, Msg: er.Error}
 	}
 	frame, err := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointWire))
 	if err != nil {
@@ -620,19 +615,7 @@ func (c *Client) ExportCheckpoint(ctx context.Context, jobID string) (Checkpoint
 // checkpoint still returns a job (the server accepts the submission and
 // fails it with error_code "bad_checkpoint") rather than an error.
 func (c *Client) AuditModelResume(ctx context.Context, inspectID int, resume AuditResume) (audit.Job, error) {
-	var req struct {
-		InspectID *int         `json:"inspect_id,omitempty"`
-		Resume    *AuditResume `json:"resume,omitempty"`
-	}
-	if inspectID >= 0 {
-		req.InspectID = &inspectID
-	}
-	req.Resume = &resume
-	var job audit.Job
-	if err := c.postJSON(ctx, c.route("audits"), req, &job); err != nil {
-		return audit.Job{}, err
-	}
-	return job, nil
+	return c.submitAudit(ctx, inspectID, &resume)
 }
 
 // WaitAudit polls an audit job (every ClientConfig.AuditPoll) until it
@@ -681,27 +664,42 @@ func transientStatus(err error) bool {
 	return se.Code >= 500 && se.Code != http.StatusNotImplemented
 }
 
-// postJSON sends one JSON request body and decodes the JSON response (no
-// retries: submissions are not idempotent from the caller's viewpoint).
-func (c *Client) postJSON(ctx context.Context, u string, body, v any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("mlaas: encode request: %w", err)
-	}
+// sendJSON issues one request — payload, when non-nil, is its JSON body —
+// and decodes the 2xx JSON response into v. No retries: metadata fetches
+// are cheap to re-issue, and submissions are not idempotent from the
+// caller's viewpoint.
+func (c *Client) sendJSON(ctx context.Context, method, u string, payload []byte, v any) error {
 	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, u, bytes.NewReader(payload))
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(reqCtx, method, u, body)
 	if err != nil {
 		return fmt.Errorf("mlaas: build request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.doJSON(req, v)
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("mlaas: decode %s: %w", req.URL, err)
+	}
+	return nil
 }
 
-// authorize attaches the API-key credential to req: the request context's
-// WithAPIKey value when present (pass-through across a gateway hop), else
-// the client's configured APIKey, else nothing.
-func (c *Client) authorize(req *http.Request) {
+// do is the one round trip every request path shares: attach the API-key
+// credential (the request context's WithAPIKey value when present — the
+// pass-through across a gateway hop — else the client's configured APIKey),
+// execute, and turn a non-2xx response into a *StatusError carrying the
+// decoded error envelope and the Retry-After hint. On success the caller
+// owns resp.Body.
+func (c *Client) do(req *http.Request) (*http.Response, error) {
 	key := apiKeyFrom(req.Context())
 	if key == "" {
 		key = c.cfg.APIKey
@@ -709,33 +707,28 @@ func (c *Client) authorize(req *http.Request) {
 	if key != "" {
 		req.Header.Set("Authorization", "Bearer "+key)
 	}
-}
-
-// doJSON executes req and decodes a 2xx JSON response into v; non-2xx
-// responses become *StatusError with the decoded error envelope.
-func (c *Client) doJSON(req *http.Request, v any) error {
-	c.authorize(req)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return fmt.Errorf("mlaas: %s %s: %w", req.Method, req.URL, err)
+		return nil, fmt.Errorf("mlaas: %s %s: %w", req.Method, req.URL, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
 		var er errorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&er)
-		return &StatusError{
+		return nil, &StatusError{
 			Code:       resp.StatusCode,
 			URL:        req.URL.String(),
 			Msg:        er.Error,
 			RetryAfter: int(parseRetryAfter(resp.Header.Get("Retry-After")).Seconds()),
 		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("mlaas: decode %s: %w", req.URL, err)
-	}
-	return nil
+	return resp, nil
 }
 
+// predictOnce sends one encoded batch. Transport errors, 5xx and 429 are
+// retryable: the server is unreachable, broken or pushing back, and in the
+// last two cases may name its own recovery horizon via Retry-After (which
+// the backoff honors as a floor).
 func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *tensor.Tensor, _ []Screening, retryable bool, retryAfter time.Duration, _ error) {
 	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
 	defer cancel()
@@ -744,32 +737,16 @@ func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *ten
 		return nil, nil, false, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	c.authorize(req)
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.do(req)
 	if err != nil {
-		return nil, nil, true, 0, err
+		var se *StatusError
+		if !errors.As(err, &se) {
+			return nil, nil, true, 0, err
+		}
+		transient := se.Code >= 500 || se.Code == http.StatusTooManyRequests
+		return nil, nil, transient, time.Duration(se.RetryAfter) * time.Second, err
 	}
 	defer resp.Body.Close()
-	// Non-200 responses surface as *StatusError so callers that stack on
-	// top of the client — the gateway classifying a replica's failure, a
-	// fleet audit skipping incompatible models — see the status code and
-	// Retry-After hint instead of a flattened string. 5xx and 429 are
-	// transient: the server is broken or pushing back, and either way it may
-	// name its own recovery horizon via Retry-After (which the backoff
-	// honors as a floor).
-	if resp.StatusCode != http.StatusOK {
-		var er errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		hint := parseRetryAfter(resp.Header.Get("Retry-After"))
-		se := &StatusError{
-			Code:       resp.StatusCode,
-			URL:        req.URL.String(),
-			Msg:        er.Error,
-			RetryAfter: int(hint.Seconds()),
-		}
-		transient := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		return nil, nil, transient, hint, se
-	}
 	// Decode into a pooled response: encoding/json reuses both the outer
 	// slice and the per-row []float64 backing arrays across calls, and the
 	// rows are copied into the caller's tensor before the scratch goes back.

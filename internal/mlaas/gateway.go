@@ -26,11 +26,12 @@ package mlaas
 //     traffic nor bounces in and out of the pool per probe. Failed proxied
 //     requests count against the same streak (passive detection), so a
 //     dead node is usually down before the next probe tick.
-//   - The wire API is proxied through remoteProvider, an implementation of
-//     the same provider seam the single-node server runs on — the HTTP
-//     layer (routes, envelopes, screening fields, error mapping) is reused
-//     unchanged, which is what keeps gateway responses bit-identical to a
-//     node's and testable as such.
+//   - The Gateway itself implements the two seams the single-node Server
+//     runs on — provider (listings, predicts) and auditBackend (audit jobs,
+//     tenant usage, healthz) — so the HTTP layer (routes, envelopes,
+//     screening fields, error mapping) is reused unchanged, which is what
+//     keeps gateway responses bit-identical to a node's and testable as
+//     such.
 //   - Backpressure passes through: a node's 429 (audit queue full,
 //     Retry-After hint) is retried on a replica for idempotent predicts,
 //     and only when every replica sheds does the gateway return 429 with
@@ -344,8 +345,8 @@ func NewGateway(ctx context.Context, cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the membership loop. Safe to call more than once; the
-// remoteProvider's Close (Server shutdown) lands here.
+// Close stops the membership loop (provider seam: Server shutdown lands
+// here). Safe to call more than once.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() {
 		g.closed.Store(true)
@@ -396,19 +397,16 @@ func (g *Gateway) probeNode(ctx context.Context, n *gatewayNode) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 	defer cancel()
 	var h Health
-	if err := n.api.getJSON(ctx, n.base+"/v1/healthz", &h); err != nil {
-		n.recordFailure(g.cfg.MarkDownAfter, err)
-		return
-	}
 	var list ModelList
-	if err := n.api.getJSON(ctx, n.base+"/v1/models", &list); err != nil {
-		n.recordFailure(g.cfg.MarkDownAfter, err)
-		return
-	}
 	var info infoResponse
-	if err := n.api.getJSON(ctx, n.base+"/v1/info", &info); err != nil {
-		n.recordFailure(g.cfg.MarkDownAfter, err)
-		return
+	for _, probe := range []struct {
+		path string
+		into any
+	}{{"/v1/healthz", &h}, {"/v1/models", &list}, {"/v1/info", &info}} {
+		if err := n.api.getJSON(ctx, n.base+probe.path, probe.into); err != nil {
+			n.recordFailure(g.cfg.MarkDownAfter, err)
+			return
+		}
 	}
 	n.recordSuccess(g.cfg.MarkUpAfter, h, list, info)
 }
@@ -496,14 +494,18 @@ func rendezvousScore(node, modelID string) uint64 {
 // node loss reassigns exactly the models it owned.
 func placementOrder(modelID string, nodeNames []string) []string {
 	order := append([]string(nil), nodeNames...)
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := rendezvousScore(order[i], modelID), rendezvousScore(order[j], modelID)
-		if si != sj {
-			return si > sj
-		}
-		return order[i] < order[j]
-	})
+	sort.Slice(order, func(i, j int) bool { return placedBefore(modelID, order[i], order[j]) })
 	return order
+}
+
+// placedBefore reports whether node a outranks node b for modelID: higher
+// rendezvous score first, ties broken by name.
+func placedBefore(modelID, a, b string) bool {
+	sa, sb := rendezvousScore(a, modelID), rendezvousScore(b, modelID)
+	if sa != sb {
+		return sa > sb
+	}
+	return a < b
 }
 
 // replicasFor resolves a model's current replica set: the nodes hosting it,
@@ -515,27 +517,25 @@ func placementOrder(modelID string, nodeNames []string) []string {
 // than failing a request a live node could have served. known reports
 // whether any node (healthy or not) has ever listed the id.
 func (g *Gateway) replicasFor(modelID string) (replicas, backup []*gatewayNode, known bool) {
-	g.mu.Lock()
-	hosting := g.hosts[modelID]
-	g.mu.Unlock()
-	if len(hosting) == 0 {
-		return nil, nil, false
-	}
-	names := make([]string, len(hosting))
-	for i, n := range hosting {
-		names[i] = n.name
-	}
-	for _, name := range placementOrder(modelID, names) {
-		n := g.byName[name]
+	hosting := g.hostsInOrder(modelID)
+	for _, n := range hosting {
 		if !n.isHealthy() {
 			backup = append(backup, n)
-			continue
-		}
-		if len(replicas) < g.cfg.Replication {
+		} else if len(replicas) < g.cfg.Replication {
 			replicas = append(replicas, n)
 		}
 	}
-	return replicas, backup, true
+	return replicas, backup, len(hosting) > 0
+}
+
+// hostsInOrder lists every node that has ever listed modelID, healthy or
+// not, in the model's placement order.
+func (g *Gateway) hostsInOrder(modelID string) []*gatewayNode {
+	g.mu.Lock()
+	hosts := append([]*gatewayNode(nil), g.hosts[modelID]...)
+	g.mu.Unlock()
+	sort.Slice(hosts, func(i, j int) bool { return placedBefore(modelID, hosts[i].name, hosts[j].name) })
+	return hosts
 }
 
 // --- Request routing -----------------------------------------------------------------
@@ -550,13 +550,13 @@ func (g *Gateway) resolveID(id string) string {
 	return g.defaultID
 }
 
-// predict routes one batch to the model's replica set: rotate the starting
-// replica (spreading a hot model's load), fail over on transient errors —
-// dropping to the marked-down desperation tier once the healthy replicas
-// are exhausted — and shed with the node's own 429 only when every replica
-// sheds. Permanent node verdicts (4xx other than 429) pass through
-// immediately: a replica would answer the same.
-func (g *Gateway) predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+// Predict (provider seam) routes one batch to the model's replica set:
+// rotate the starting replica (spreading a hot model's load), fail over on
+// transient errors — dropping to the marked-down desperation tier once the
+// healthy replicas are exhausted — and shed with the node's own 429 only
+// when every replica sheds. Permanent node verdicts (4xx other than 429)
+// pass through immediately: a replica would answer the same.
+func (g *Gateway) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if g.closed.Load() {
 		return nil, nil, errEngineClosed
 	}
@@ -665,8 +665,14 @@ func namespaceJob(n *gatewayNode, j audit.Job) audit.Job {
 	return j
 }
 
-// splitJob resolves a namespaced job id to its node and local id.
+// splitJob resolves a namespaced job id to its owning node and local id,
+// following the supervisor's migration forward chain first: a client still
+// polling the id it was handed at submission keeps getting answers after the
+// job has been re-homed, from wherever it lives now.
 func (g *Gateway) splitJob(jobID string) (*gatewayNode, string, error) {
+	if g.sup != nil {
+		jobID = g.sup.resolve(jobID)
+	}
 	name, rest, ok := strings.Cut(jobID, ".")
 	if ok {
 		if n := g.byName[name]; n != nil && rest != "" {
@@ -698,12 +704,7 @@ func (g *Gateway) submitAudit(ctx context.Context, modelID string, inspectID int
 	if err != nil {
 		return audit.Job{}, g.nodeRouteErr(n, err)
 	}
-	var job audit.Job
-	if resume != nil {
-		job, err = c.AuditModelResume(ctx, inspectID, *resume)
-	} else {
-		job, err = c.AuditModel(ctx, inspectID)
-	}
+	job, err := c.submitAudit(ctx, inspectID, resume)
 	if err != nil {
 		return audit.Job{}, g.nodeRouteErr(n, err)
 	}
@@ -718,57 +719,41 @@ func (g *Gateway) submitAudit(ctx context.Context, modelID string, inspectID int
 // namespaced job from its node. audit.ErrNoCheckpoint passes through
 // unwrapped so the HTTP layer can answer 204 just like a single node.
 func (g *Gateway) exportAuditCheckpoint(ctx context.Context, jobID string) (CheckpointExport, error) {
-	jobID = g.forwarded(jobID)
 	n, local, err := g.splitJob(jobID)
 	if err != nil {
 		return CheckpointExport{}, err
 	}
 	exp, err := n.api.ExportCheckpoint(ctx, local)
-	if err != nil {
-		if errors.Is(err, audit.ErrNoCheckpoint) {
-			return CheckpointExport{}, err
-		}
-		return CheckpointExport{}, g.nodeRouteErr(n, err)
+	if err != nil && !errors.Is(err, audit.ErrNoCheckpoint) {
+		err = g.nodeRouteErr(n, err)
 	}
-	return exp, nil
+	return exp, err
 }
 
-// forwarded follows the supervisor's migration forward chain: a client
-// still polling the job id it was handed at submission keeps getting
-// answers after the job has been re-homed, from wherever it lives now.
-func (g *Gateway) forwarded(jobID string) string {
-	if g.sup == nil {
-		return jobID
-	}
-	return g.sup.resolve(jobID)
-}
-
-// getAudit polls one namespaced job on its node. The node is tried even
-// when marked down — a probe-lagged node may well still answer, and if it
-// does not the caller gets a structured 503 rather than a stale snapshot.
-func (g *Gateway) getAudit(ctx context.Context, jobID string) (audit.Job, error) {
-	n, local, err := g.splitJob(g.forwarded(jobID))
+// onOwner runs one job-snapshot call (poll or cancel) against the node
+// owning a namespaced job. The node is tried even when marked down — a
+// probe-lagged node may well still answer, and if it does not the caller
+// gets a structured 503 rather than a stale snapshot.
+func (g *Gateway) onOwner(ctx context.Context, jobID string, call func(*Client, context.Context, string) (audit.Job, error)) (audit.Job, error) {
+	n, local, err := g.splitJob(jobID)
 	if err != nil {
 		return audit.Job{}, err
 	}
-	job, err := n.api.GetAudit(ctx, local)
+	job, err := call(n.api, ctx, local)
 	if err != nil {
 		return audit.Job{}, g.nodeRouteErr(n, err)
 	}
 	return namespaceJob(n, job), nil
+}
+
+// getAudit polls one namespaced job on its node.
+func (g *Gateway) getAudit(ctx context.Context, jobID string) (audit.Job, error) {
+	return g.onOwner(ctx, jobID, (*Client).GetAudit)
 }
 
 // cancelAudit cancels one namespaced job on its node.
 func (g *Gateway) cancelAudit(ctx context.Context, jobID string) (audit.Job, error) {
-	n, local, err := g.splitJob(g.forwarded(jobID))
-	if err != nil {
-		return audit.Job{}, err
-	}
-	job, err := n.api.CancelAudit(ctx, local)
-	if err != nil {
-		return audit.Job{}, g.nodeRouteErr(n, err)
-	}
-	return namespaceJob(n, job), nil
+	return g.onOwner(ctx, jobID, (*Client).CancelAudit)
 }
 
 // listAudits merges every healthy node's job list (best-effort: a node
@@ -904,88 +889,43 @@ func (g *Gateway) tenantUsage(ctx context.Context, name string) (TenantUsage, er
 
 // --- Provider seam -------------------------------------------------------------------
 
-// remoteProvider adapts the Gateway to the provider seam the single-node
-// server runs on: the same Server (routes, envelopes, screening fields,
-// error mapping) serves a fleet instead of an engine. It additionally
-// implements the auditRouter and healthAugmenter capabilities, so the
-// audit-job routes and /v1/healthz reflect the fleet.
-type remoteProvider struct {
-	g *Gateway
-}
-
 var (
-	_ provider        = (*remoteProvider)(nil)
-	_ auditRouter     = (*remoteProvider)(nil)
-	_ healthAugmenter = (*remoteProvider)(nil)
-	_ usageRouter     = (*remoteProvider)(nil)
+	_ provider     = (*Gateway)(nil)
+	_ auditBackend = (*Gateway)(nil)
 )
 
-func (p *remoteProvider) Models() []ModelInfo {
-	p.g.mu.Lock()
-	defer p.g.mu.Unlock()
-	models := make([]ModelInfo, 0, len(p.g.zoo))
-	for _, mi := range p.g.zoo {
+// Models lists the merged fleet zoo, sorted by id.
+func (g *Gateway) Models() []ModelInfo {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	models := make([]ModelInfo, 0, len(g.zoo))
+	for _, mi := range g.zoo {
 		models = append(models, mi)
 	}
 	sort.Slice(models, func(i, j int) bool { return models[i].ID < models[j].ID })
 	return models
 }
 
-func (p *remoteProvider) DefaultID() string {
-	p.g.mu.Lock()
-	defer p.g.mu.Unlock()
-	return p.g.defaultID
-}
+// DefaultID is the fleet's default model: the first healthy node's.
+func (g *Gateway) DefaultID() string { return g.resolveID("") }
 
-func (p *remoteProvider) Info(id string) (ModelInfo, error) {
-	id = p.g.resolveID(id)
-	p.g.mu.Lock()
-	mi, ok := p.g.zoo[id]
-	p.g.mu.Unlock()
+// Info resolves one model's last-known metadata ("" = the default model).
+func (g *Gateway) Info(id string) (ModelInfo, error) {
+	id = g.resolveID(id)
+	g.mu.Lock()
+	mi, ok := g.zoo[id]
+	g.mu.Unlock()
 	if !ok {
 		return ModelInfo{}, fmt.Errorf("%w: %q", ErrUnknownModel, id)
 	}
 	return mi, nil
 }
 
-func (p *remoteProvider) MaxBatch() int {
-	p.g.mu.Lock()
-	defer p.g.mu.Unlock()
-	return p.g.maxBatch
-}
-
-func (p *remoteProvider) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
-	return p.g.predict(ctx, id, x, screen)
-}
-
-func (p *remoteProvider) Close() { p.g.Close() }
-
-func (p *remoteProvider) SubmitAudit(ctx context.Context, modelID string, inspectID int, resume *AuditResume) (audit.Job, error) {
-	return p.g.submitAudit(ctx, modelID, inspectID, resume)
-}
-
-func (p *remoteProvider) ExportAuditCheckpoint(ctx context.Context, jobID string) (CheckpointExport, error) {
-	return p.g.exportAuditCheckpoint(ctx, jobID)
-}
-
-func (p *remoteProvider) GetAudit(ctx context.Context, jobID string) (audit.Job, error) {
-	return p.g.getAudit(ctx, jobID)
-}
-
-func (p *remoteProvider) ListAudits(ctx context.Context) ([]audit.Job, error) {
-	return p.g.listAudits(ctx)
-}
-
-func (p *remoteProvider) CancelAudit(ctx context.Context, jobID string) (audit.Job, error) {
-	return p.g.cancelAudit(ctx, jobID)
-}
-
-// augmentHealth implements healthAugmenter.
-func (p *remoteProvider) augmentHealth(h *Health) { p.g.augmentHealth(h) }
-
-// TenantUsage implements usageRouter: fleet-summed tenant usage.
-func (p *remoteProvider) TenantUsage(ctx context.Context, name string) (TenantUsage, error) {
-	return p.g.tenantUsage(ctx, name)
+// MaxBatch is the smallest per-request row limit across healthy nodes.
+func (g *Gateway) MaxBatch() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.maxBatch
 }
 
 // NewGatewayServer wraps the gateway in the standard HTTP Server: the full
@@ -1001,5 +941,5 @@ func NewGatewayServer(g *Gateway) *Server {
 	if policy == "" {
 		policy = ScreenAnnotate
 	}
-	return &Server{prov: &remoteProvider{g: g}, screenPolicy: policy}
+	return &Server{prov: g, jobs: g, screenPolicy: policy}
 }

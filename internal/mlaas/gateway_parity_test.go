@@ -2,6 +2,10 @@ package mlaas
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"bprom/internal/audit"
 	"bprom/internal/bprom"
+	"bprom/internal/jobstore"
 	"bprom/internal/nn"
 	"bprom/internal/rng"
 	"bprom/internal/tensor"
@@ -247,4 +253,184 @@ func TestGatewayListingMatchesNode(t *testing.T) {
 			t.Fatalf("model %d diverges through gateway: %+v vs %+v", i, g, w)
 		}
 	}
+}
+
+// wireEnvelope is what the audit-route envelope case compares across the
+// routing hop: the status code, the error envelope's machine-readable code,
+// the Retry-After hint, and — for tenant usage — the payload itself. Error
+// messages are deliberately left out: the gateway prefixes them with the
+// node name.
+type wireEnvelope struct {
+	Status     int
+	Code       string
+	RetryAfter string
+	Usage      TenantUsage
+}
+
+func fetchEnvelope(t *testing.T, method, url, key string) wireEnvelope {
+	t.Helper()
+	var body io.Reader
+	if method == http.MethodPost {
+		body = strings.NewReader("{}")
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "" {
+		req.Header.Set("Authorization", "Bearer "+key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	env := wireEnvelope{Status: resp.StatusCode, RetryAfter: resp.Header.Get("Retry-After")}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		_ = json.Unmarshal(raw, &env.Usage)
+	} else {
+		var er errorResponse
+		_ = json.Unmarshal(raw, &er)
+		env.Code = er.Code
+	}
+	return env
+}
+
+// TestGatewayAuditEnvelopeParity pins the audit-job and usage routes' wire
+// envelopes across the routing hop: the same request against a bare node
+// and against a gateway over that node must answer with the same status,
+// the same envelope code, and the same Retry-After. (Listing on an
+// audits-disabled fleet is left out on purpose: the gateway's best-effort
+// merge answers an empty 200 there, the node a 501.)
+func TestGatewayAuditEnvelopeParity(t *testing.T) {
+	env := sharedAuditEnv(t)
+	ctx := context.Background()
+	const key = "ka"
+
+	// front puts a one-node gateway over node. MarkDownAfter is out of
+	// reach so the node's 501s (counted as strikes) cannot reorder routing
+	// mid-test.
+	front := func(node *httptest.Server) *httptest.Server {
+		g, err := NewGateway(ctx, GatewayConfig{Nodes: []string{node.URL}, HealthInterval: time.Hour, MarkDownAfter: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs := NewGatewayServer(g)
+		t.Cleanup(gs.Close)
+		srv := httptest.NewServer(gs.Handler())
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	type probe struct {
+		name, method, nodePath, gwPath string
+		want                           int
+	}
+	check := func(node, gw *httptest.Server, probes []probe) {
+		t.Helper()
+		for _, p := range probes {
+			n := fetchEnvelope(t, p.method, node.URL+p.nodePath, key)
+			g := fetchEnvelope(t, p.method, gw.URL+p.gwPath, key)
+			if n.Status != p.want {
+				t.Errorf("%s: node answered %d, want %d", p.name, n.Status, p.want)
+			}
+			if g != n {
+				t.Errorf("%s: gateway envelope %+v != node envelope %+v", p.name, g, n)
+			}
+		}
+	}
+
+	// A full platform node: tenancy, audits, one worker and one queue slot
+	// so a stalled job and a queued one fill it deterministically.
+	det, err := bprom.LoadFile(env.artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := OpenRegistry(env.zoo, RegistryConfig{MaxLoaded: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewRegistryServer(reg)
+	s.EnableTenancy(jobstore.NewTenancy([]jobstore.TenantConfig{{Name: "acme", Key: key, Quota: 1 << 20}}, nil))
+	if err := s.EnableAudits(det, AuditConfig{Workers: 1, MaxQueued: 1}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	node := httptest.NewServer(s.Handler())
+	t.Cleanup(node.Close)
+	gw := front(node)
+
+	c, err := DialModel(ctx, node.URL, "clean", ClientConfig{APIKey: key, AuditPoll: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.AuditModel(ctx, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err = c.WaitAudit(ctx, done.ID); err != nil || done.State != audit.StateDone {
+		t.Fatalf("reference audit did not finish: %+v, %v", done, err)
+	}
+
+	info, err := reg.Info("clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	stall := &stallOracle{classes: info.Classes, dim: info.InputDim, release: release}
+	wedged, err := s.Audits().Submit("clean", "acme", stall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second stalled job is accepted once the worker has picked the
+	// first one up; it then holds the only queue slot.
+	for i := 0; ; i++ {
+		if _, err := s.Audits().Submit("clean", "acme", stall, 2); err == nil {
+			break
+		} else if !errors.Is(err, audit.ErrQueueFull) {
+			t.Fatal(err)
+		}
+		if i > 200 {
+			t.Fatal("worker never picked up the wedged job")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	check(node, gw, []probe{
+		{"poll unknown job", http.MethodGet, "/v1/audits/a999", "/v1/audits/n0.a999", 404},
+		{"cancel unknown job", http.MethodDelete, "/v1/audits/a999", "/v1/audits/n0.a999", 404},
+		{"checkpoint of unknown job", http.MethodGet, "/v1/audits/a999/checkpoint", "/v1/audits/n0.a999/checkpoint", 404},
+		{"checkpoint of terminal job", http.MethodGet, "/v1/audits/" + done.ID + "/checkpoint", "/v1/audits/n0." + done.ID + "/checkpoint", 409},
+		{"checkpoint before first generation", http.MethodGet, "/v1/audits/" + wedged.ID + "/checkpoint", "/v1/audits/n0." + wedged.ID + "/checkpoint", 204},
+		{"submit on full queue", http.MethodPost, "/v1/models/clean/audits", "/v1/models/clean/audits", 429},
+		{"tenant usage", http.MethodGet, "/v1/tenants/acme/usage", "/v1/tenants/acme/usage", 200},
+		{"usage of unknown tenant", http.MethodGet, "/v1/tenants/nobody/usage", "/v1/tenants/nobody/usage", 404},
+	})
+	if u := fetchEnvelope(t, http.MethodGet, gw.URL+"/v1/tenants/acme/usage", ""); u.Usage.Jobs != 3 || u.Usage.Spent != done.Verdict.Queries {
+		t.Errorf("gateway usage %+v, want 3 jobs and %d spent", u.Usage, done.Verdict.Queries)
+	}
+	if ra := fetchEnvelope(t, http.MethodPost, gw.URL+"/v1/models/clean/audits", key).RetryAfter; ra == "" {
+		t.Error("gateway 429 dropped the node's Retry-After")
+	}
+
+	// A serving-only node: no detector, no key file.
+	bareReg, err := OpenRegistry(env.zoo, RegistryConfig{MaxLoaded: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := NewRegistryServer(bareReg)
+	t.Cleanup(bare.Close)
+	bareNode := httptest.NewServer(bare.Handler())
+	t.Cleanup(bareNode.Close)
+	check(bareNode, front(bareNode), []probe{
+		{"submit, audits disabled", http.MethodPost, "/v1/models/clean/audits", "/v1/models/clean/audits", 501},
+		{"poll, audits disabled", http.MethodGet, "/v1/audits/a1", "/v1/audits/n0.a1", 501},
+		{"cancel, audits disabled", http.MethodDelete, "/v1/audits/a1", "/v1/audits/n0.a1", 501},
+		{"checkpoint, audits disabled", http.MethodGet, "/v1/audits/a1/checkpoint", "/v1/audits/n0.a1/checkpoint", 501},
+		{"usage, tenancy disabled", http.MethodGet, "/v1/tenants/acme/usage", "/v1/tenants/acme/usage", 501},
+	})
 }

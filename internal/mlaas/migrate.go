@@ -3,7 +3,6 @@ package mlaas
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
 	"net/http"
 	"strings"
 	"sync"
@@ -318,17 +317,8 @@ func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 	inspectID := tj.inspectID
 	s.mu.Unlock()
 
-	g := s.g
-	g.mu.Lock()
-	hosting := g.hosts[tj.modelID]
-	g.mu.Unlock()
-	names := make([]string, 0, len(hosting))
-	for _, n := range hosting {
-		names = append(names, n.name)
-	}
 	attempts := 0
-	for _, name := range placementOrder(tj.modelID, names) {
-		n := g.byName[name]
+	for _, n := range s.g.hostsInOrder(tj.modelID) {
 		if n == tj.node || !n.isHealthy() {
 			continue
 		}
@@ -382,7 +372,7 @@ func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 		// capped-jitter backoff instead of sleeping here — the rest of the
 		// sweep (and the next ticks) must not wait on this job.
 		s.mu.Lock()
-		tj.nextTry = time.Now().Add(s.backoff(tj.attempts))
+		tj.nextTry = time.Now().Add(jitteredBackoff(s.cfg.BackoffBase, s.cfg.BackoffMax, tj.attempts))
 		s.mu.Unlock()
 	}
 }
@@ -465,18 +455,4 @@ func (s *supervisor) prune(now time.Time) {
 		}
 	}
 	s.stale = keep
-}
-
-// backoff computes the sleep before the next migration attempt: capped
-// exponential from BackoffBase with the upper half jittered, same shape as
-// the client's retryBackoff but bounded by the supervisor's own knobs.
-func (s *supervisor) backoff(attempt int) time.Duration {
-	d := s.cfg.BackoffBase
-	for i := 0; i < attempt && d < s.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	return d/2 + rand.N(d/2+1)
 }

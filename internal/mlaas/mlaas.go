@@ -17,6 +17,17 @@
 // own hosted models (internal/audit), so one trained detector screens the
 // whole zoo without the defender pulling predictions over the wire.
 //
+// The HTTP layer (Server) sits on exactly two unexported seams. provider
+// answers listings and predicts: one in-memory model, a Registry, or a
+// Gateway's fleet. auditBackend answers everything about audit jobs —
+// submit (with optional resume), poll, list, cancel, checkpoint export,
+// tenant usage, and the audit half of healthz: in-process on a node
+// (localAudits over an audit.Manager, the tenancy and the provider's
+// engines), routed to the owning node on a gateway (*Gateway implements
+// both seams itself). Each handler decodes, makes one backend call, and
+// writes — which is why a gateway's responses are envelope-for-envelope a
+// node's.
+//
 // API (see docs/API.md for the full wire-protocol reference):
 //
 //	GET    /v1/models                  -> {"default": id, "models": [{...}, ...]}
@@ -103,7 +114,8 @@ type ModelInfo struct {
 }
 
 // provider abstracts where hosted models come from: a single in-memory
-// model (NewServer) or a disk-backed LRU registry (NewRegistryServer).
+// model (NewServer), a disk-backed LRU registry (NewRegistryServer), or a
+// fleet of nodes (NewGatewayServer).
 type provider interface {
 	// Models lists every hosted model, sorted by id.
 	Models() []ModelInfo
@@ -213,17 +225,23 @@ func (p *singleProvider) Predict(ctx context.Context, id string, x *tensor.Tenso
 }
 
 // Server is the HTTP front of the service: request decoding, model routing,
-// and the error envelope. Inference happens in per-model engines owned by
-// the provider behind it; server-side audit jobs (EnableAudits) run in an
-// audit.Manager beside it.
+// and the error envelope. Inference happens behind the provider (per-model
+// engines on a node, the fleet on a gateway); audit jobs, tenant usage and
+// the audit half of healthz happen behind the one auditBackend.
 type Server struct {
 	prov         provider
 	screenPolicy string              // ScreenAnnotate or ScreenReject
-	audits       *audit.Manager      // nil until EnableAudits
-	tenancy      *jobstore.Tenancy   // nil until EnableTenancy
-	store        *jobstore.Store     // nil until EnableAudits with a Store
+	jobs         auditBackend        // local, or the *Gateway on a gateway server
+	local        *localAudits        // the in-process backend (nil on a gateway server)
+	tenancy      *jobstore.Tenancy   // edge auth; nil until EnableTenancy
 	reaudit      *jobstore.Scheduler // nil until EnableReaudit
 	once         sync.Once
+}
+
+// newNodeServer builds a Server that runs its audit jobs in-process.
+func newNodeServer(prov provider, screenPolicy string) *Server {
+	l := &localAudits{prov: prov}
+	return &Server{prov: prov, screenPolicy: screenPolicy, jobs: l, local: l}
 }
 
 // NewServer wraps one frozen in-memory model and starts its micro-batch
@@ -241,30 +259,27 @@ func NewServer(model *nn.Model, cfg ServerConfig) *Server {
 	if cfg.Screener != nil && cfg.Screener.InputDim() != model.InputDim {
 		panic(fmt.Sprintf("mlaas: screener canvas %d != model input %d", cfg.Screener.InputDim(), model.InputDim))
 	}
-	return &Server{
-		screenPolicy: cfg.ScreenPolicy,
-		prov: &singleProvider{
-			info: ModelInfo{
-				ID:            DefaultModelID,
-				Name:          cfg.Name,
-				Arch:          string(model.Arch),
-				Classes:       model.NumClasses,
-				InputDim:      model.InputDim,
-				Params:        model.ParamCount(),
-				Precision:     model.Precision(),
-				Screened:      cfg.Screener != nil,
-				Loaded:        true,
-				ResidentBytes: model.WeightBytes(),
-			},
-			eng: newEngine(model, cfg.Screener, cfg.MaxBatch, cfg.MaxConcurrent),
+	return newNodeServer(&singleProvider{
+		info: ModelInfo{
+			ID:            DefaultModelID,
+			Name:          cfg.Name,
+			Arch:          string(model.Arch),
+			Classes:       model.NumClasses,
+			InputDim:      model.InputDim,
+			Params:        model.ParamCount(),
+			Precision:     model.Precision(),
+			Screened:      cfg.Screener != nil,
+			Loaded:        true,
+			ResidentBytes: model.WeightBytes(),
 		},
-	}
+		eng: newEngine(model, cfg.Screener, cfg.MaxBatch, cfg.MaxConcurrent),
+	}, cfg.ScreenPolicy)
 }
 
 // NewRegistryServer serves every checkpoint hosted by reg. The server takes
 // ownership of the registry: Close (and Serve on shutdown) closes it.
 func NewRegistryServer(reg *Registry) *Server {
-	return &Server{prov: reg, screenPolicy: reg.cfg.ScreenPolicy}
+	return newNodeServer(reg, reg.cfg.ScreenPolicy)
 }
 
 // Close stops the re-audit scheduler, drains the audit manager (running
@@ -277,8 +292,8 @@ func (s *Server) Close() {
 		if s.reaudit != nil {
 			s.reaudit.Close()
 		}
-		if s.audits != nil {
-			s.audits.Close()
+		if m := s.Audits(); m != nil {
+			m.Close()
 		}
 		s.prov.Close()
 	})
@@ -304,8 +319,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/audits/{id}/checkpoint", s.handleExportCheckpoint)
 	mux.HandleFunc("DELETE /v1/audits/{id}", s.handleDeleteAudit)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	// Tenancy routes (501 until EnableTenancy, or until a routing provider
-	// can fan the question out to nodes that run it).
+	// Tenancy routes (501 until EnableTenancy; a gateway fans the question
+	// out to the nodes, whose ledgers are the record).
 	mux.HandleFunc("GET /v1/tenants/{id}/usage", func(w http.ResponseWriter, r *http.Request) {
 		s.handleTenantUsage(w, r, r.PathValue("id"))
 	})
@@ -505,9 +520,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeError maps provider and audit errors onto the wire error envelope:
-// unknown model or audit job -> 404, audits not enabled -> 501, audit queue
-// full -> 429, closed/cancelled -> 503, anything else (e.g. a checkpoint
+// writeError maps provider and audit-backend errors onto the wire error
+// envelope: unknown model or audit job -> 404, unauditable model -> 400,
+// audits not enabled -> 501, audit queue full -> 429, no checkpoint yet ->
+// 204 (no body), closed/cancelled -> 503, anything else (e.g. a checkpoint
 // that fails to load) -> 500. Gateway errors carry their own mapping: a
 // *nodeError passes the originating node's status (and Retry-After hint)
 // through unchanged, and ErrNoHealthyReplica is a 503 — the routing layer's
@@ -536,6 +552,11 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 	case errors.Is(err, ErrUnknownModel), errors.Is(err, audit.ErrUnknownJob):
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+	case errors.Is(err, errNotAuditable):
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	case errors.Is(err, audit.ErrNoCheckpoint):
+		// The job exists, there is just no state to ship yet.
+		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, audit.ErrTerminalJob):
 		// Checkpoint export against a finished job: a structured conflict,
 		// not a missing resource — the job is there, it just has a verdict
@@ -548,8 +569,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		// (and, before the client-side jitter fix, retrying in lockstep).
 		// The hint is derived from current queue depth over worker count —
 		// see audit.Manager.RetryAfter.
-		if s.audits != nil {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.audits.RetryAfter().Seconds())))
+		if m := s.Audits(); m != nil {
+			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(m.RetryAfter().Seconds())))
 		}
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
 	case errors.Is(err, errEngineClosed), errors.Is(err, audit.ErrClosed):

@@ -22,9 +22,7 @@ import (
 	"strings"
 	"time"
 
-	"bprom/internal/audit"
 	"bprom/internal/jobstore"
-	"bprom/internal/oracle"
 )
 
 // ErrTenancyDisabled reports a tenancy request against a server without an
@@ -58,8 +56,14 @@ func apiKeyFrom(ctx context.Context) string {
 	return k
 }
 
-// tenantFrom reads the authenticated tenant name the middleware stored (""
-// on servers without tenancy, and on non-mutating routes).
+// withTenant marks ctx as acting for tenant: the tenancy middleware does it
+// for an authenticated caller, the re-audit scheduler for its own sweeps.
+func withTenant(ctx context.Context, tenant string) context.Context {
+	return context.WithValue(ctx, ctxKeyTenant, tenant)
+}
+
+// tenantFrom reads the tenant withTenant stored ("" on servers without
+// tenancy, and on non-mutating routes).
 func tenantFrom(ctx context.Context) string {
 	t, _ := ctx.Value(ctxKeyTenant).(string)
 	return t
@@ -81,7 +85,12 @@ func bearerToken(r *http.Request) string {
 // authenticated tenant, and audit oracle traffic is charged against the
 // tenant's quota. Call it before EnableAudits — resumed jobs rebuild their
 // oracles at EnableAudits time and must see the tenancy to quota-wrap them.
-func (s *Server) EnableTenancy(tn *jobstore.Tenancy) { s.tenancy = tn }
+func (s *Server) EnableTenancy(tn *jobstore.Tenancy) {
+	s.tenancy = tn
+	if s.local != nil {
+		s.local.tenancy = tn
+	}
+}
 
 // Tenancy exposes the attached tenant set (nil when tenancy is disabled).
 func (s *Server) Tenancy() *jobstore.Tenancy { return s.tenancy }
@@ -115,7 +124,7 @@ func (s *Server) withTenancy(next http.Handler) http.Handler {
 				})
 				return
 			}
-			ctx = context.WithValue(ctx, ctxKeyTenant, t.Name)
+			ctx = withTenant(ctx, t.Name)
 		}
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
@@ -139,79 +148,13 @@ type TenantUsage struct {
 	Jobs int `json:"jobs"`
 }
 
-// usageRouter is an optional provider capability: a provider that answers
-// tenant-usage queries by fanning out to remote nodes (the gateway).
-type usageRouter interface {
-	TenantUsage(ctx context.Context, name string) (TenantUsage, error)
-}
-
 func (s *Server) handleTenantUsage(w http.ResponseWriter, r *http.Request, name string) {
-	// Routing wins where there is no local ledger, mirroring auditRouter: a
-	// gateway's own tenancy (edge auth) holds no spend — the nodes do.
-	if rt, ok := s.prov.(usageRouter); ok && s.audits == nil {
-		u, err := rt.TenantUsage(r.Context(), name)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, u)
+	u, err := s.jobs.tenantUsage(r.Context(), name)
+	if err != nil {
+		s.writeError(w, err)
 		return
-	}
-	if s.tenancy == nil {
-		s.writeError(w, ErrTenancyDisabled)
-		return
-	}
-	t, ok := s.tenancy.Lookup(name)
-	if !ok {
-		s.writeError(w, fmt.Errorf("%w: %q", ErrUnknownTenant, name))
-		return
-	}
-	u := TenantUsage{Tenant: t.Name, Quota: t.Quota, Spent: t.Spent()}
-	if n, bounded := t.Remaining(); bounded {
-		u.Remaining = n
-	}
-	if s.audits != nil {
-		for _, j := range s.audits.List() {
-			if j.Tenant == t.Name {
-				u.Jobs++
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, u)
-}
-
-// auditOracle builds the oracle an audit job queries: the provider's own
-// engines (no HTTP loopback), quota-wrapped when the tenant is known to the
-// tenancy. Unknown or empty tenants (serverless tests, the re-audit
-// scheduler's synthetic tenant on a key file that does not name it) run
-// unmetered.
-func (s *Server) auditOracle(info ModelInfo, tenant string) oracle.Oracle {
-	var o oracle.Oracle = &providerOracle{prov: s.prov, id: info.ID, classes: info.Classes, inputDim: info.InputDim}
-	if s.tenancy != nil {
-		if t, ok := s.tenancy.Lookup(tenant); ok {
-			o = jobstore.WrapOracle(t, o)
-		}
-	}
-	return o
-}
-
-// SubmitAudit submits an in-process audit job for a hosted model on behalf
-// of tenant ("" without tenancy) — the programmatic face of POST
-// /v1/models/{id}/audits, used by the HTTP handler, the re-audit scheduler,
-// and in-process callers alike. inspectID < 0 lets the manager assign the
-// job's sequence number.
-func (s *Server) SubmitAudit(modelID, tenant string, inspectID int) (audit.Job, error) {
-	if s.audits == nil {
-		return audit.Job{}, ErrAuditsDisabled
-	}
-	info, err := s.prov.Info(modelID)
-	if err != nil {
-		return audit.Job{}, err
-	}
-	if err := s.audits.Detector().Compatible(info.Classes, info.InputDim); err != nil {
-		return audit.Job{}, fmt.Errorf("model %q not auditable: %w", info.ID, err)
-	}
-	return s.audits.Submit(info.ID, tenant, s.auditOracle(info, tenant), inspectID)
 }
 
 // EnableReaudit starts the cron-like re-audit scheduler: every interval it
@@ -221,24 +164,25 @@ func (s *Server) SubmitAudit(modelID, tenant string, inspectID int) (audit.Job, 
 // and usage). Call it after EnableAudits; Close stops the scheduler before
 // draining the jobs it submitted.
 func (s *Server) EnableReaudit(interval time.Duration, tenant string) error {
-	if s.audits == nil {
+	if s.Audits() == nil {
 		return ErrAuditsDisabled
 	}
 	if s.reaudit != nil {
 		return errors.New("mlaas: re-audit scheduler already enabled")
 	}
 	s.reaudit = jobstore.NewScheduler(interval, func(ctx context.Context) {
-		s.reauditSweep(tenant)
+		s.reauditSweep(withTenant(ctx, tenant))
 	})
 	return nil
 }
 
-// reauditSweep submits one job per idle auditable model. Failures (queue
-// full, incompatible, closed) are skipped silently: the next sweep retries,
-// and piling up duplicate jobs would be worse than waiting a tick.
-func (s *Server) reauditSweep(tenant string) {
+// reauditSweep submits one job per idle auditable model on behalf of ctx's
+// tenant. Failures (queue full, incompatible, closed) are skipped silently:
+// the next sweep retries, and piling up duplicate jobs would be worse than
+// waiting a tick.
+func (s *Server) reauditSweep(ctx context.Context) {
 	active := make(map[string]bool)
-	for _, j := range s.audits.List() {
+	for _, j := range s.local.mgr.List() {
 		if !j.State.Terminal() {
 			active[j.ModelID] = true
 		}
@@ -247,6 +191,6 @@ func (s *Server) reauditSweep(tenant string) {
 		if active[mi.ID] {
 			continue
 		}
-		_, _ = s.SubmitAudit(mi.ID, tenant, -1)
+		_, _ = s.local.submitAudit(ctx, mi.ID, ServerAssignedInspectID, nil)
 	}
 }

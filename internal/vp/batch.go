@@ -54,7 +54,11 @@ var canvasPool sync.Pool
 
 // getCanvas returns a pooled float64 slice of length n. Contents are
 // unspecified — callers overwrite every element (a prompted canvas is
-// border ∪ window, which covers the whole row).
+// border ∪ window, which covers the whole row). A canvas goes back to the
+// pool only after the Predict it fed succeeded: an oracle that gives up
+// early (cancelled context, closed engine) may return while its backend is
+// still reading the rows, and recycling then would hand another search a
+// buffer that is still being read.
 func getCanvas(n int) *[]float64 {
 	if p, ok := canvasPool.Get().(*[]float64); ok && cap(*p) >= n {
 		*p = (*p)[:n]
@@ -177,7 +181,6 @@ func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
 	dim := e.prompt.Source.Dim()
 	rows := lam * e.k
 	buf := getCanvas(rows * dim)
-	defer putCanvas(buf)
 	x := tensor.FromSlice(*buf, rows, dim)
 	for c, theta := range cands {
 		e.prompt.materializeInto(x, c*e.k, theta, e.cache.resized, idx[c*e.k:(c+1)*e.k])
@@ -190,6 +193,7 @@ func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
 		}
 		return fs
 	}
+	putCanvas(buf)
 	classes := probs.Dim(1)
 	for c := 0; c < lam; c++ {
 		loss := 0.0
@@ -245,7 +249,6 @@ func predictPrompted(ctx context.Context, o oracle.Oracle, p *Prompt, ds *data.D
 		chunk = len(idx)
 	}
 	buf := getCanvas(chunk * dim)
-	defer putCanvas(buf)
 	for start := 0; start < len(idx); start += chunk {
 		end := start + chunk
 		if end > len(idx) {
@@ -263,5 +266,6 @@ func predictPrompted(ctx context.Context, o oracle.Oracle, p *Prompt, ds *data.D
 		}
 		copy(out.Data[start*classes:end*classes], probs.Data)
 	}
+	putCanvas(buf)
 	return out, nil
 }

@@ -259,14 +259,6 @@ type BlackBoxConfig struct {
 	MaxQueries int
 	// UseSPSA switches to SPSA (ablation).
 	UseSPSA bool
-	// SerialEval forces the legacy per-candidate evaluation path: one
-	// oracle call per CMA-ES candidate, re-resizing the mini-batch per
-	// evaluation. The default generation-batched path (one fused oracle
-	// call per generation) is bit-identical — same θ, same query count —
-	// and strictly faster; this switch exists for the parity harness, the
-	// before/after benchmarks, and debugging. Ignored by SPSA (which is
-	// per-candidate by construction). Not persisted in detector artifacts.
-	SerialEval bool
 	// OnGeneration, when non-nil, is invoked after every completed CMA-ES
 	// generation with the 1-based generation count — the progress hook
 	// behind live audit-job reporting. Ignored by SPSA. Not persisted in
@@ -311,12 +303,12 @@ func (c BlackBoxConfig) Generations() int {
 // identity label mapping, minimized by sep-CMA-ES (or SPSA). This is the
 // only access BPROM has to the suspicious model.
 //
-// The CMA-ES path is generation-batched by default: every training image is
-// resized into the inner window once per call, each generation's λ×k
-// prompted canvases are materialized into one pooled tensor, and the oracle
-// sees one fused Predict per generation. The result — learned θ and oracle
-// query count alike — is bit-identical to the per-candidate path
-// (cfg.SerialEval), which remains as the fallback.
+// The CMA-ES path is generation-batched: every training image is resized
+// into the inner window once per call, each generation's λ×k prompted
+// canvases are materialized into one pooled tensor, and the oracle sees one
+// fused Predict per generation. The result — learned θ and oracle query
+// count alike — is bit-identical to scoring each candidate with
+// serialObjective, which the parity test pins.
 func TrainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.Dataset, cfg BlackBoxConfig, r *rng.RNG) error {
 	cfg.defaults()
 	if train.Classes > o.NumClasses() {
@@ -338,34 +330,10 @@ func TrainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.
 	if cfg.Resume != nil {
 		batchRNG.SetState(cfg.Resume.BatchRNG)
 	}
-	work := p.Clone()
 	var oracleErr error
-	n := train.Len()
 	k := cfg.BatchSize
-	if k > n {
+	if n := train.Len(); k > n {
 		k = n
-	}
-	// Serial objective: one oracle call per candidate, re-resizing the
-	// mini-batch per evaluation. SPSA and the SerialEval fallback use it;
-	// the batched path below replaces it wholesale.
-	objective := func(theta []float64) float64 {
-		if oracleErr != nil || ctx.Err() != nil {
-			return math.Inf(1)
-		}
-		copy(work.Theta, theta)
-		idx := batchRNG.Sample(n, k)
-		x := work.Batch(train, idx)
-		probs, err := o.Predict(ctx, x)
-		if err != nil {
-			oracleErr = err
-			return math.Inf(1)
-		}
-		loss := 0.0
-		for bi, i := range idx {
-			pTrue := probs.At(bi, train.Y[i])
-			loss -= math.Log(math.Max(pTrue, 1e-12))
-		}
-		return loss / float64(k)
 	}
 	// A generation evaluated after the oracle failed (or the context was
 	// cancelled mid-run) scored every candidate +Inf: the optimizer update
@@ -405,24 +373,23 @@ func TrainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.
 	}
 	var best []float64
 	if cfg.UseSPSA {
+		objective := serialObjective(ctx, o, p.Clone(), train, k, batchRNG, &oracleErr)
 		spsaOpt := cmaes.Options{Lo: 0, Hi: 1, MaxEvals: opt.MaxEvals}
 		res := cmaes.SPSA(ctx, objective, p.Theta, cfg.Iterations*10, 0.2, 0.05, spsaOpt, r.Split("spsa"))
 		best = res.Best
 	} else {
-		if !cfg.SerialEval {
-			ev := &genEvaluator{
-				ctx:      ctx,
-				oracle:   o,
-				prompt:   p,
-				cache:    newResizeCache(p, train),
-				train:    train,
-				k:        k,
-				batchRNG: batchRNG,
-				errp:     &oracleErr,
-			}
-			opt.Evaluate = ev.evaluate
+		ev := &genEvaluator{
+			ctx:      ctx,
+			oracle:   o,
+			prompt:   p,
+			cache:    newResizeCache(p, train),
+			train:    train,
+			k:        k,
+			batchRNG: batchRNG,
+			errp:     &oracleErr,
 		}
-		res, err := cmaes.MinimizeSep(objective, p.Theta, opt, r.Split("cmaes"))
+		opt.Evaluate = ev.evaluate
+		res, err := cmaes.MinimizeSep(nil, p.Theta, opt, r.Split("cmaes"))
 		if err != nil {
 			return fmt.Errorf("vp: black-box prompt optimization: %w", err)
 		}
@@ -437,6 +404,34 @@ func TrainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.
 	copy(p.Theta, best)
 	p.clampTheta()
 	return nil
+}
+
+// serialObjective scores one candidate θ per call: draw a k-sample
+// mini-batch from batchRNG, prompt it on work (a scratch prompt the
+// objective overwrites), query the oracle once, and return the mean
+// cross-entropy against the identity label mapping. SPSA — per-candidate by
+// construction — runs on it, and it is the reference the generation-batched
+// evaluator is held bit-identical to. The first oracle failure lands in
+// *errp; from then on (and once ctx is done) every candidate scores +Inf.
+func serialObjective(ctx context.Context, o oracle.Oracle, work *Prompt, train *data.Dataset, k int, batchRNG *rng.RNG, errp *error) cmaes.Objective {
+	return func(theta []float64) float64 {
+		if *errp != nil || ctx.Err() != nil {
+			return math.Inf(1)
+		}
+		copy(work.Theta, theta)
+		idx := batchRNG.Sample(train.Len(), k)
+		probs, err := o.Predict(ctx, work.Batch(train, idx))
+		if err != nil {
+			*errp = err
+			return math.Inf(1)
+		}
+		loss := 0.0
+		for bi, i := range idx {
+			pTrue := probs.At(bi, train.Y[i])
+			loss -= math.Log(math.Max(pTrue, 1e-12))
+		}
+		return loss / float64(k)
+	}
 }
 
 // --- Prompted model ---------------------------------------------------------------------

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"bprom/internal/cmaes"
 	"bprom/internal/data"
 	"bprom/internal/nn"
 	"bprom/internal/oracle"
@@ -251,16 +252,44 @@ func TestAccuracyEmptySet(t *testing.T) {
 	}
 }
 
-// TestBlackBoxSerialBatchedBitParity locks the tentpole contract at the vp
-// level: training a prompt through the generation-batched evaluator (one
-// fused oracle call per generation) must be bit-identical to the legacy
-// per-candidate path — same learned θ, same oracle query count — including
+// TestBlackBoxSerialBatchedBitParity locks the generation-batched evaluator
+// to its reference: TrainBlackBox (one fused oracle call per generation)
+// must be bit-identical to sep-CMA-ES run on serialObjective (one oracle
+// call per candidate) — same learned θ, same oracle query count — including
 // when MaxQueries truncates the final generation mid-population.
 func TestBlackBoxSerialBatchedBitParity(t *testing.T) {
 	ctx := context.Background()
 	model, src := trainSourceModel(t, 61)
 	tgtGen := data.NewGenerator(data.MustSpec(data.STL10), 65)
 	tgtTrain, _ := tgtGen.GenerateSplit(10, 4, rng.New(66))
+
+	// trainSerial is TrainBlackBox's CMA-ES path with the fused evaluator
+	// swapped for the per-candidate objective: same RNG splits in the same
+	// order, same optimizer options.
+	trainSerial := func(o oracle.Oracle, p *Prompt, cfg BlackBoxConfig, r *rng.RNG) error {
+		cfg.defaults()
+		batchRNG := r.Split("batches")
+		k := cfg.BatchSize
+		if n := tgtTrain.Len(); k > n {
+			k = n
+		}
+		opt := cmaes.Options{Sigma0: cfg.Sigma0, PopSize: cfg.PopSize, MaxIters: cfg.Iterations, Lo: 0, Hi: 1}
+		if cfg.MaxQueries > 0 {
+			opt.MaxEvals = cfg.MaxQueries / cfg.BatchSize
+		}
+		var oracleErr error
+		obj := serialObjective(ctx, o, p.Clone(), tgtTrain, k, batchRNG, &oracleErr)
+		res, err := cmaes.MinimizeSep(obj, p.Theta, opt, r.Split("cmaes"))
+		if err != nil {
+			return err
+		}
+		if oracleErr != nil {
+			return oracleErr
+		}
+		copy(p.Theta, res.Best)
+		p.clampTheta()
+		return nil
+	}
 
 	cases := []struct {
 		name string
@@ -278,10 +307,13 @@ func TestBlackBoxSerialBatchedBitParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := tc.cfg
-				cfg.SerialEval = serial
 				o := oracle.NewCounter(oracle.NewModelOracle(model))
-				if err := TrainBlackBox(ctx, o, p, tgtTrain, cfg, rng.New(67)); err != nil {
+				if serial {
+					err = trainSerial(o, p, tc.cfg, rng.New(67))
+				} else {
+					err = TrainBlackBox(ctx, o, p, tgtTrain, tc.cfg, rng.New(67))
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				return p, o.Queries()
