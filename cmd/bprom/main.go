@@ -173,7 +173,7 @@ func runAudit(args []string) error {
 		sus = oracle.NewModelOracle(m)
 		target = *modelPath
 	} else {
-		c, err := mlaas.Dial(ctx, *url, mlaas.ClientConfig{APIKey: *key, RequestTimeout: *timeout})
+		c, err := mlaas.Dial(ctx, *url, mlaas.ClientConfig{APIKey: *key, Timeout: *timeout})
 		if err != nil {
 			return err
 		}
@@ -246,7 +246,7 @@ type fleetResult struct {
 // the server runs the inspections in-process on its bounded audit worker
 // pool, and the CLI only polls job state and renders the verdict table.
 func auditFleet(ctx context.Context, url, key string, timeout time.Duration) error {
-	cfg := mlaas.ClientConfig{APIKey: key, RequestTimeout: timeout}
+	cfg := mlaas.ClientConfig{APIKey: key, Timeout: timeout}
 	h, err := mlaas.Healthz(ctx, url, cfg)
 	if err != nil {
 		return fmt.Errorf("endpoint health check: %w", err)

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"bprom/internal/binio"
 	"bprom/internal/bprom"
 	"bprom/internal/jobstore"
 	"bprom/internal/oracle"
@@ -353,7 +354,7 @@ func (m *Manager) ExportCheckpoint(id string) (*bprom.Checkpoint, error) {
 }
 
 // SubmitResume is the one enqueue path. Beyond Submit it takes a
-// wire-shipped checkpoint to resume from (a jobstore CRC frame around an
+// wire-shipped checkpoint to resume from (a binio CRC frame around an
 // encoded bprom.Checkpoint; nil starts at generation zero) and source, the
 // job this one continues (the gateway's namespaced id of a migrated job,
 // landing in the snapshot's MigratedFrom; "" for a fresh submission).
@@ -370,7 +371,7 @@ func (m *Manager) SubmitResume(modelID, tenant string, sus oracle.Oracle, inspec
 	var ckpt *bprom.Checkpoint
 	var decErr error
 	if len(frame) > 0 {
-		if payload, err := jobstore.DecodeFrame(frame); err != nil {
+		if payload, err := binio.DecodeFrame(frame); err != nil {
 			decErr = err
 		} else if c, err := bprom.DecodeCheckpoint(payload); err != nil {
 			decErr = err

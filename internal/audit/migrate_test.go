@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"bprom/internal/binio"
 	"bprom/internal/bprom"
-	"bprom/internal/jobstore"
 	"bprom/internal/oracle"
 	"bprom/internal/tensor"
 )
@@ -90,7 +90,7 @@ func captureCheckpoint(t *testing.T, inspectID int) ([]byte, bprom.Verdict) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := jobstore.EncodeFrame(blob)
+	frame, err := binio.EncodeFrame(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

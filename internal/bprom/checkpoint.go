@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 
 	"bprom/internal/binio"
 	"bprom/internal/oracle"
@@ -20,7 +19,7 @@ import (
 // carries the optimizer state and both RNG streams, and the query counter is
 // pre-charged with the checkpointed spend.
 
-// checkpointMagic guards against feeding an arbitrary blob to LoadCheckpoint;
+// checkpointMagic guards against feeding an arbitrary blob to DecodeCheckpoint;
 // the version allows the layout to evolve without silent misreads.
 const (
 	checkpointMagic   = 0x4250_434b // "BPCK"
@@ -38,54 +37,37 @@ type Checkpoint struct {
 	Search *vp.SearchState
 }
 
-// Save writes the checkpoint to w.
-func (c *Checkpoint) Save(w io.Writer) error {
-	if c.Search == nil {
-		return fmt.Errorf("bprom: checkpoint has no search state")
-	}
-	for _, v := range []uint64{checkpointMagic, checkpointVersion, uint64(c.Generation), uint64(c.Queries)} {
-		if err := binio.WriteU64(w, v); err != nil {
-			return err
-		}
-	}
-	return c.Search.Save(w)
-}
-
 // Encode returns the checkpoint in its wire form.
 func (c *Checkpoint) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return nil, err
+	if c.Search == nil {
+		return nil, fmt.Errorf("bprom: checkpoint has no search state")
 	}
-	return buf.Bytes(), nil
+	var w binio.Writer
+	for _, v := range []uint64{checkpointMagic, checkpointVersion, uint64(c.Generation), uint64(c.Queries)} {
+		w.U64(v)
+	}
+	c.Search.Save(&w)
+	return w.Bytes(), w.Err()
 }
 
-// LoadCheckpoint reads a checkpoint previously written by Save.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var hdr [4]uint64
-	for i := range hdr {
-		v, err := binio.ReadU64(r)
-		if err != nil {
-			return nil, fmt.Errorf("bprom: reading checkpoint header: %w", err)
-		}
-		hdr[i] = v
+// DecodeCheckpoint parses a checkpoint from its wire form.
+func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+	r := binio.NewReader(bytes.NewReader(b))
+	magic, version, generation, queries := r.U64(), r.U64(), r.U64(), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bprom: reading checkpoint header: %w", err)
 	}
-	if hdr[0] != checkpointMagic {
-		return nil, fmt.Errorf("bprom: not a checkpoint blob (magic %#x)", hdr[0])
+	if magic != checkpointMagic {
+		return nil, fmt.Errorf("bprom: not a checkpoint blob (magic %#x)", magic)
 	}
-	if hdr[1] != checkpointVersion {
-		return nil, fmt.Errorf("bprom: unsupported checkpoint version %d", hdr[1])
+	if version != checkpointVersion {
+		return nil, fmt.Errorf("bprom: unsupported checkpoint version %d", version)
 	}
 	search, err := vp.LoadSearchState(r)
 	if err != nil {
 		return nil, fmt.Errorf("bprom: reading checkpoint search state: %w", err)
 	}
-	return &Checkpoint{Generation: int(hdr[2]), Queries: int64(hdr[3]), Search: search}, nil
-}
-
-// DecodeCheckpoint parses a checkpoint from its wire form.
-func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	return LoadCheckpoint(bytes.NewReader(b))
+	return &Checkpoint{Generation: int(generation), Queries: int64(queries), Search: search}, nil
 }
 
 // InspectResumable is InspectProgress with checkpoint support: onCheckpoint

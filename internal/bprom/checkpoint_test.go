@@ -1,11 +1,21 @@
 package bprom
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"bprom/internal/attack"
+	"bprom/internal/binio"
+	"bprom/internal/cmaes"
 	"bprom/internal/oracle"
+	"bprom/internal/vp"
 )
 
 // TestInspectResumableBitExact interrupts an inspection at a mid-run
@@ -106,4 +116,121 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := DecodeCheckpoint(nil); err == nil {
 		t.Fatal("expected error for empty blob")
 	}
+}
+
+// goldenCheckpointFile pins the BPCK wire layout the way golden_v1.bpd pins
+// the detector artifact. Regenerate (after an INTENTIONAL, versioned format
+// change) with:
+//
+//	go test ./internal/bprom -run TestGoldenCheckpoint -update
+const goldenCheckpointFile = "checkpoint_v1.bpck"
+
+// goldenCheckpoint hand-assembles a checkpoint whose every field holds a
+// distinct value, so a reordered or re-sized field changes the bytes.
+func goldenCheckpoint() *Checkpoint {
+	ramp := func(n int, scale float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = scale * float64(i+1) / 7
+		}
+		return out
+	}
+	st := &vp.SearchState{BatchRNG: [6]uint64{11, 12, 13, 14, 15, 1 << 63}}
+	st.CMA = cmaes.SepState{
+		Iter: 17, Evals: 289, Sigma: 0.3125,
+		Mean: ramp(5, 1), Diag: ramp(5, 2), Ps: ramp(5, -3), Pc: ramp(5, 4), Best: ramp(5, -5),
+		BestValue: -1.75, PrevBest: math.Inf(1), Stale: 2,
+		RNG: [6]uint64{1, 2, 3, 4, 5, 0xfeedface},
+	}
+	return &Checkpoint{Generation: 17, Queries: 6576, Search: st}
+}
+
+// TestGoldenCheckpoint pins the BPCK bytes: encoding the hand-assembled
+// checkpoint, and re-encoding the decoded golden, must both reproduce the
+// committed file exactly — journals and in-flight migrations written by an
+// older build stay resumable.
+func TestGoldenCheckpoint(t *testing.T) {
+	path := filepath.Join("testdata", goldenCheckpointFile)
+	enc, err := goldenCheckpoint().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden checkpoint (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(enc, raw) {
+		t.Fatalf("encoded checkpoint differs from golden bytes (%d vs %d bytes): encoder drifted", len(enc), len(raw))
+	}
+	c, err := DecodeCheckpoint(raw)
+	if err != nil {
+		t.Fatalf("golden checkpoint no longer decodes: %v", err)
+	}
+	if !reflect.DeepEqual(c, goldenCheckpoint()) {
+		t.Fatalf("golden checkpoint decoded to %+v", c)
+	}
+	re, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, raw) {
+		t.Fatal("re-encoded golden checkpoint differs from golden bytes")
+	}
+}
+
+// FuzzDecodeCheckpoint drives the path a network caller reaches through
+// resume.checkpoint — binio.DecodeFrame, then DecodeCheckpoint — with
+// arbitrary bytes: it must never panic, never allocate beyond a small
+// multiple of what it was sent (length prefixes are attacker-chosen), and
+// whatever it accepts must re-encode to the bytes it was decoded from.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	blob, err := goldenCheckpoint().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame, err := binio.EncodeFrame(blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(frame[:len(frame)-5])
+	f.Add(blob)
+	f.Add([]byte{})
+	// A valid header whose first vector claims 2^27 floats (1 GiB, exactly
+	// the format cap) with nothing behind the claim.
+	greedy := append(append([]byte(nil), blob[:80]...), 0, 0, 0, 8)
+	f.Add(greedy)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		payload, err := binio.DecodeFrame(in)
+		if err != nil {
+			if !errors.Is(err, binio.ErrCorrupt) {
+				t.Fatalf("non-corruption error from DecodeFrame: %v", err)
+			}
+			// Most mutations die on the CRC; a caller who wants to reach the
+			// decoder computes it. Do the same so the decoder is fuzzed too.
+			payload = in
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := DecodeCheckpoint(payload)
+		runtime.ReadMemStats(&after)
+		if grown, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(payload)+64<<10); grown > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(payload), grown, limit)
+		}
+		if err != nil {
+			return
+		}
+		re, err := c.Encode()
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(payload, re) {
+			t.Fatalf("re-encoding an accepted checkpoint changed its %d bytes", len(re))
+		}
+	})
 }

@@ -1,10 +1,8 @@
 package bprom
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
 
 	"bprom/internal/binio"
 	"bprom/internal/data"
@@ -13,8 +11,8 @@ import (
 )
 
 // Detector artifact format (.bpd): the persistent form of a trained BPROM
-// detector, in the same magic + version discipline as the nn checkpoint
-// format. It holds everything Inspect needs — the meta-classifier forest,
+// detector, opened by the same binio prelude (magic + version) as the nn
+// checkpoint format. It holds everything Inspect needs — the meta-classifier forest,
 // the OOB-calibrated threshold, the DQ query-sample indices, the embedded
 // external dataset DT (both splits, bit-exact), the prompt geometry, the
 // black-box prompting configuration, and the detector seed — plus the
@@ -34,157 +32,73 @@ const (
 
 // Save writes the detector artifact to w.
 func (d *Detector) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(detectorMagic); err != nil {
-		return fmt.Errorf("bprom: write magic: %w", err)
-	}
-	if err := binio.WriteU32(bw, detectorVersion); err != nil {
-		return err
-	}
-	if err := binio.WriteU64(bw, d.seed); err != nil {
-		return err
-	}
-	if err := binio.WriteF64(bw, d.threshold); err != nil {
-		return err
-	}
-	for _, v := range []int{d.prompt.source.C, d.prompt.source.H, d.prompt.source.W} {
-		if err := binio.WriteU32(bw, uint32(v)); err != nil {
-			return err
-		}
-	}
-	if err := binio.WriteF64(bw, d.prompt.frac); err != nil {
-		return err
-	}
-	// Negative config values mean "use the default" (like zero); clamp them
-	// so they cannot wrap into huge budgets on load.
-	for _, v := range []int{d.blackBox.Iterations, d.blackBox.PopSize, d.blackBox.BatchSize, d.blackBox.MaxQueries} {
-		if v < 0 {
-			v = 0
-		}
-		if err := binio.WriteU32(bw, uint32(v)); err != nil {
-			return err
-		}
-	}
-	if err := binio.WriteF64(bw, d.blackBox.Sigma0); err != nil {
-		return err
-	}
-	if err := binio.WriteBool(bw, d.blackBox.UseSPSA); err != nil {
-		return err
-	}
-	if err := binio.WriteInts(bw, d.queryIdx); err != nil {
-		return err
-	}
-	if err := d.extTrain.Save(bw); err != nil {
-		return fmt.Errorf("bprom: save DT train split: %w", err)
-	}
-	if err := d.external.Save(bw); err != nil {
-		return fmt.Errorf("bprom: save DT test split: %w", err)
-	}
-	if err := d.forest.Save(bw); err != nil {
-		return fmt.Errorf("bprom: save forest: %w", err)
-	}
-	if err := binio.WriteU32(bw, uint32(len(d.Shadows))); err != nil {
-		return err
-	}
-	for i, s := range d.Shadows {
-		if err := binio.WriteBool(bw, s.Backdoor); err != nil {
-			return err
-		}
-		if err := binio.WriteF64(bw, s.PromptedAcc); err != nil {
-			return err
-		}
-		if err := binio.WriteFloats(bw, s.Features); err != nil {
-			return err
-		}
-		if err := binio.WriteBool(bw, s.Prompt != nil); err != nil {
-			return err
-		}
-		if s.Prompt != nil {
-			if err := s.Prompt.Save(bw); err != nil {
-				return fmt.Errorf("bprom: save shadow %d prompt: %w", i, err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("bprom: flush detector: %w", err)
-	}
-	return nil
+	bw := binio.NewWriter(w)
+	d.encode(bw)
+	return bw.Flush()
 }
 
 // SaveFile writes the detector artifact to path, creating or truncating it.
-func (d *Detector) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("bprom: create %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("bprom: close %s: %w", path, cerr)
-		}
-	}()
-	return d.Save(f)
-}
+func (d *Detector) SaveFile(path string) error { return binio.SaveFile(path, d.encode) }
 
 // Load reads a detector artifact previously written by Save.
-func Load(r io.Reader) (*Detector, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(detectorMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("bprom: read magic: %w", err)
+func Load(r io.Reader) (*Detector, error) { return decode(binio.NewReader(r)) }
+
+// LoadFile reads a detector artifact from path.
+func LoadFile(path string) (*Detector, error) { return binio.LoadFile(path, decode) }
+
+func (d *Detector) encode(w *binio.Writer) {
+	w.Prelude(detectorMagic, detectorVersion)
+	w.U64(d.seed)
+	w.F64(d.threshold)
+	for _, v := range []int{d.prompt.source.C, d.prompt.source.H, d.prompt.source.W} {
+		w.U32(uint32(v))
 	}
-	if string(magic) != detectorMagic {
-		return nil, fmt.Errorf("bprom: bad magic %q (not a detector artifact)", magic)
+	w.F64(d.prompt.frac)
+	// Negative config values mean "use the default" (like zero); clamp them
+	// so they cannot wrap into huge budgets on load.
+	for _, v := range []int{d.blackBox.Iterations, d.blackBox.PopSize, d.blackBox.BatchSize, d.blackBox.MaxQueries} {
+		w.U32(uint32(max(v, 0)))
 	}
-	ver, err := binio.ReadU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if ver != detectorVersion {
-		return nil, fmt.Errorf("bprom: unsupported detector format version %d", ver)
-	}
-	d := &Detector{}
-	if d.seed, err = binio.ReadU64(br); err != nil {
-		return nil, err
-	}
-	if d.threshold, err = binio.ReadF64(br); err != nil {
-		return nil, err
-	}
-	var shape [3]uint32
-	for i := range shape {
-		if shape[i], err = binio.ReadU32(br); err != nil {
-			return nil, err
+	w.F64(d.blackBox.Sigma0)
+	w.Bool(d.blackBox.UseSPSA)
+	w.Ints(d.queryIdx)
+	d.extTrain.Save(w)
+	d.external.Save(w)
+	d.forest.Save(w)
+	w.U32(uint32(len(d.Shadows)))
+	for _, s := range d.Shadows {
+		w.Bool(s.Backdoor)
+		w.F64(s.PromptedAcc)
+		w.Floats(s.Features)
+		w.Bool(s.Prompt != nil)
+		if s.Prompt != nil {
+			s.Prompt.Save(w)
 		}
 	}
-	d.prompt.source = data.Shape{C: int(shape[0]), H: int(shape[1]), W: int(shape[2])}
+}
+
+func decode(r *binio.Reader) (*Detector, error) {
+	r.Prelude(detectorMagic, detectorVersion)
+	d := &Detector{seed: r.U64(), threshold: r.F64()}
+	d.prompt.source = data.Shape{C: int(r.U32()), H: int(r.U32()), W: int(r.U32())}
 	if !d.prompt.source.Valid() {
-		return nil, fmt.Errorf("bprom: invalid prompt canvas %+v", d.prompt.source)
+		r.Failf("bprom: invalid prompt canvas %+v", d.prompt.source)
 	}
-	if d.prompt.frac, err = binio.ReadF64(br); err != nil {
+	d.prompt.frac = r.F64()
+	for _, dst := range []*int{&d.blackBox.Iterations, &d.blackBox.PopSize, &d.blackBox.BatchSize, &d.blackBox.MaxQueries} {
+		*dst = int(r.U32())
+	}
+	d.blackBox.Sigma0 = r.F64()
+	d.blackBox.UseSPSA = r.Bool()
+	d.queryIdx = r.Ints()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	var bb [4]uint32
-	for i := range bb {
-		if bb[i], err = binio.ReadU32(br); err != nil {
-			return nil, err
-		}
-	}
-	d.blackBox.Iterations = int(bb[0])
-	d.blackBox.PopSize = int(bb[1])
-	d.blackBox.BatchSize = int(bb[2])
-	d.blackBox.MaxQueries = int(bb[3])
-	if d.blackBox.Sigma0, err = binio.ReadF64(br); err != nil {
-		return nil, err
-	}
-	if d.blackBox.UseSPSA, err = binio.ReadBool(br); err != nil {
-		return nil, err
-	}
-	if d.queryIdx, err = binio.ReadInts(br); err != nil {
-		return nil, err
-	}
-	if d.extTrain, err = data.LoadDataset(br); err != nil {
+	var err error
+	if d.extTrain, err = data.LoadDataset(r); err != nil {
 		return nil, fmt.Errorf("bprom: load DT train split: %w", err)
 	}
-	if d.external, err = data.LoadDataset(br); err != nil {
+	if d.external, err = data.LoadDataset(r); err != nil {
 		return nil, fmt.Errorf("bprom: load DT test split: %w", err)
 	}
 	for _, qi := range d.queryIdx {
@@ -192,51 +106,28 @@ func Load(r io.Reader) (*Detector, error) {
 			return nil, fmt.Errorf("bprom: query index %d outside DT test split of %d samples", qi, d.external.Len())
 		}
 	}
-	if d.forest, err = meta.Load(br); err != nil {
+	if d.forest, err = meta.Load(r); err != nil {
 		return nil, fmt.Errorf("bprom: load forest: %w", err)
 	}
-	nShadows, err := binio.ReadU32(br)
-	if err != nil {
-		return nil, err
-	}
+	nShadows := r.U32()
 	if nShadows > 1<<16 {
-		return nil, fmt.Errorf("bprom: implausible shadow count %d", nShadows)
+		r.Failf("bprom: implausible shadow count %d", nShadows)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	d.Shadows = make([]Shadow, nShadows)
 	for i := range d.Shadows {
 		s := &d.Shadows[i]
-		if s.Backdoor, err = binio.ReadBool(br); err != nil {
-			return nil, err
-		}
-		if s.PromptedAcc, err = binio.ReadF64(br); err != nil {
-			return nil, err
-		}
-		if s.Features, err = binio.ReadFloats(br); err != nil {
-			return nil, err
-		}
-		hasPrompt, err := binio.ReadBool(br)
-		if err != nil {
-			return nil, err
-		}
-		if hasPrompt {
-			if s.Prompt, err = vp.LoadPrompt(br); err != nil {
+		s.Backdoor, s.PromptedAcc, s.Features = r.Bool(), r.F64(), r.Floats()
+		if r.Bool() {
+			if s.Prompt, err = vp.LoadPrompt(r); err != nil {
 				return nil, fmt.Errorf("bprom: load shadow %d prompt: %w", i, err)
 			}
 		}
-	}
-	return d, nil
-}
-
-// LoadFile reads a detector artifact from path.
-func LoadFile(path string) (*Detector, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("bprom: open %s: %w", path, err)
-	}
-	defer f.Close()
-	d, err := Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("bprom: %s: %w", path, err)
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
 	}
 	return d, nil
 }

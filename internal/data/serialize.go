@@ -1,11 +1,6 @@
 package data
 
-import (
-	"fmt"
-	"io"
-
-	"bprom/internal/binio"
-)
+import "bprom/internal/binio"
 
 // Binary dataset section of the detector artifact. A detector is only as
 // portable as its external dataset DT: prompting and the DQ query samples
@@ -15,57 +10,38 @@ import (
 // magic and version.
 
 // Save writes the dataset section to w.
-func (d *Dataset) Save(w io.Writer) error {
-	if err := binio.WriteString(w, d.Name); err != nil {
-		return err
-	}
+func (d *Dataset) Save(w *binio.Writer) {
+	w.String(d.Name)
 	for _, v := range []int{d.Shape.C, d.Shape.H, d.Shape.W, d.Classes} {
-		if err := binio.WriteU32(w, uint32(v)); err != nil {
-			return err
-		}
+		w.U32(uint32(v))
 	}
-	if err := binio.WriteFloats(w, d.X); err != nil {
-		return err
-	}
-	return binio.WriteInts(w, d.Y)
+	w.Floats(d.X)
+	w.Ints(d.Y)
 }
 
 // LoadDataset reads a dataset section previously written by Save and
 // validates its internal consistency.
-func LoadDataset(r io.Reader) (*Dataset, error) {
-	name, err := binio.ReadString(r)
-	if err != nil {
-		return nil, err
-	}
-	var vals [4]uint32
-	for i := range vals {
-		v, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
+func LoadDataset(r *binio.Reader) (*Dataset, error) {
 	d := &Dataset{
-		Name:    name,
-		Shape:   Shape{C: int(vals[0]), H: int(vals[1]), W: int(vals[2])},
-		Classes: int(vals[3]),
+		Name:    r.String(),
+		Shape:   Shape{C: int(r.U32()), H: int(r.U32()), W: int(r.U32())},
+		Classes: int(r.U32()),
 	}
 	if !d.Shape.Valid() || d.Classes < 1 {
-		return nil, fmt.Errorf("data: invalid dataset geometry %+v classes=%d", d.Shape, d.Classes)
+		r.Failf("data: invalid dataset geometry %+v classes=%d", d.Shape, d.Classes)
 	}
-	if d.X, err = binio.ReadFloats(r); err != nil {
-		return nil, err
-	}
-	if d.Y, err = binio.ReadInts(r); err != nil {
-		return nil, err
-	}
+	d.X, d.Y = r.Floats(), r.Ints()
 	if len(d.X) != len(d.Y)*d.Shape.Dim() {
-		return nil, fmt.Errorf("data: %d pixel values for %d samples of dim %d", len(d.X), len(d.Y), d.Shape.Dim())
+		r.Failf("data: %d pixel values for %d samples of dim %d", len(d.X), len(d.Y), d.Shape.Dim())
 	}
 	for i, y := range d.Y {
 		if y < 0 || y >= d.Classes {
-			return nil, fmt.Errorf("data: sample %d has label %d outside %d classes", i, y, d.Classes)
+			r.Failf("data: sample %d has label %d outside %d classes", i, y, d.Classes)
+			break
 		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -4,175 +4,100 @@
 // oracle-query quotas, and a re-audit scheduler).
 //
 // Jobs append state transitions (create/start/checkpoint/done/failed/
-// cancelled) to an append-only journal of CRC-framed binio records. On boot
-// the journal is replayed: a partial final frame is a crash artifact and is
-// silently truncated away, while a CRC mismatch anywhere else is real
-// corruption and fails loudly with the offending offset. Checkpoint records
-// carry opaque detector search state (internal/bprom.Checkpoint), so a
-// rebooted server resumes every interrupted audit from its last completed
-// CMA-ES generation — bit-exactly, queries and verdict alike.
+// cancelled) to an append-only journal, one record per internal/binio frame.
+// A transition is acknowledged only after its record is written and fsynced,
+// and folded into memory only after that, so memory never runs ahead of the
+// file. On boot the journal is replayed: a partial final frame is a crash
+// artifact and is silently truncated away, while a CRC mismatch anywhere
+// else is real corruption and fails loudly (binio.ErrCorrupt) with the
+// offending offset. Replay ends with a compaction down to the minimal record
+// set; a journal that outgrows a size threshold mid-run is compacted live.
+// Checkpoint records carry opaque detector search state
+// (internal/bprom.Checkpoint), so a rebooted server resumes every
+// interrupted audit from its last completed CMA-ES generation — bit-exactly,
+// queries and verdict alike.
 package jobstore
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
+
+	"bprom/internal/binio"
 )
 
-// Frame layout: u32 payload length, u32 CRC-32 (IEEE) of the payload, then
-// the payload bytes. Both header words are little-endian, matching
-// internal/binio. A frame is the atomicity unit: a crash can only ever leave
-// a partial frame at the tail, never a torn earlier record, because frames
-// are written with a single Write call and the file is append-only.
-
+// Record kinds, one per job state transition. The numeric values are part of
+// the on-disk format; append only.
 const (
-	frameHeaderSize = 8
-	// maxFramePayload bounds a single record; checkpoints for even very
-	// high-dimensional prompts are far below this.
-	maxFramePayload = 1 << 26
+	recCreate     = uint32(1)
+	recStart      = uint32(2)
+	recCheckpoint = uint32(3)
+	recDone       = uint32(4)
+	recFailed     = uint32(5)
+	recCancelled  = uint32(6)
 )
 
-// ErrCorrupt reports a journal record whose CRC does not match its payload —
-// real corruption, as opposed to a truncated crash tail. Errors carry the
-// byte offset of the bad frame; match with errors.Is.
-var ErrCorrupt = errors.New("jobstore: journal corrupt")
-
-// EncodeFrame wraps payload in the journal's CRC frame (length + CRC-32
-// header, then the bytes) and returns the framed record. It is the wire
-// format for checkpoint export: a node ships a job's search state as one
-// frame so transit corruption is detected by the same CRC that guards the
-// journal on disk.
-func EncodeFrame(payload []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, payload); err != nil {
-		return nil, err
+// encodeRecord is the one encoder of every record kind: kind and job ID,
+// then the kind's fields taken from j. A transition method passes a
+// JobRecord holding its arguments, compaction the replayed record itself.
+// Store.apply is the matching decoder.
+func encodeRecord(kind uint32, j *JobRecord) ([]byte, error) {
+	var w binio.Writer
+	w.U32(kind)
+	w.U64(j.ID)
+	switch kind {
+	case recCreate:
+		w.String(j.ModelID)
+		w.String(j.Tenant)
+		w.U64(uint64(int64(j.InspectID)))
+		w.U64(uint64(j.Created.UnixNano()))
+	case recCheckpoint:
+		w.U64(uint64(j.Generation))
+		w.U64(uint64(j.Queries))
+		w.Blob(j.Checkpoint)
+	case recDone:
+		w.F64(j.Verdict.Score)
+		w.F64(j.Verdict.Threshold)
+		w.Bool(j.Verdict.Backdoored)
+		w.F64(j.Verdict.PromptedAcc)
+		w.U64(uint64(j.Verdict.Queries))
+		w.U64(uint64(j.Finished.UnixNano()))
+	case recFailed:
+		w.String(j.Error)
+		w.String(j.ErrorCode)
+		w.U64(uint64(j.Queries))
+		w.U64(uint64(j.Finished.UnixNano()))
+	case recCancelled:
+		w.U64(uint64(j.Finished.UnixNano()))
 	}
-	return buf.Bytes(), nil
+	return w.Bytes(), w.Err()
 }
 
-// DecodeFrame verifies and unwraps a single CRC frame produced by
-// EncodeFrame. Truncated, oversized, trailing-garbage, or CRC-mismatched
-// input fails with ErrCorrupt.
-func DecodeFrame(frame []byte) ([]byte, error) {
-	if len(frame) < frameHeaderSize {
-		return nil, fmt.Errorf("%w: %d-byte frame is shorter than its header", ErrCorrupt, len(frame))
-	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	sum := binary.LittleEndian.Uint32(frame[4:8])
-	if length > maxFramePayload {
-		return nil, fmt.Errorf("%w: frame claims %d-byte payload", ErrCorrupt, length)
-	}
-	if int64(len(frame)) != frameHeaderSize+int64(length) {
-		return nil, fmt.Errorf("%w: frame holds %d payload bytes, header claims %d", ErrCorrupt, len(frame)-frameHeaderSize, length)
-	}
-	payload := frame[frameHeaderSize:]
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("%w: frame has CRC %#08x, payload hashes to %#08x", ErrCorrupt, sum, got)
-	}
-	return payload, nil
-}
-
-// appendFrame writes one CRC-framed record to w as a single Write call.
-func appendFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("jobstore: record of %d bytes exceeds frame limit", len(payload))
-	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeaderSize:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-// scanResult is what replaying a journal stream yields: the decoded payloads,
-// and the byte offset of the first incomplete frame (the "good length" of the
-// file — everything past it is a crash artifact to truncate away).
-type scanResult struct {
-	payloads [][]byte
-	goodLen  int64
-}
-
-// scanFrames reads frames until EOF. A clean EOF at a frame boundary or a
-// partial frame at the tail both terminate the scan normally (the tail is
-// reported via goodLen, not an error); a CRC mismatch returns ErrCorrupt with
-// the frame's offset.
-func scanFrames(r io.Reader) (scanResult, error) {
-	res := scanResult{}
-	var offset int64
-	hdr := make([]byte, frameHeaderSize)
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// EOF at a boundary is a clean end; a partial header is a
-				// crash artifact. Either way the good prefix ends here.
-				res.goodLen = offset
-				return res, nil
-			}
-			return res, fmt.Errorf("jobstore: reading journal at offset %d: %w", offset, err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxFramePayload {
-			// An absurd length word means the header bytes themselves are
-			// damaged — not distinguishable from a torn tail by framing
-			// alone, but a length this large cannot have been written by
-			// appendFrame, so treat it as corruption.
-			return res, fmt.Errorf("%w: frame at offset %d claims %d-byte payload", ErrCorrupt, offset, length)
-		}
-		payload := make([]byte, int(length))
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// Partial payload: crash artifact.
-				res.goodLen = offset
-				return res, nil
-			}
-			return res, fmt.Errorf("jobstore: reading journal at offset %d: %w", offset, err)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			return res, fmt.Errorf("%w: frame at offset %d has CRC %#08x, payload hashes to %#08x", ErrCorrupt, offset, sum, got)
-		}
-		res.payloads = append(res.payloads, payload)
-		offset += frameHeaderSize + int64(length)
-	}
-}
-
-// replayFile scans path, truncating a crash-damaged tail in place. Missing
-// files yield an empty result: a fresh store boots clean.
-func replayFile(path string) (scanResult, error) {
+// replayFile scans the journal at path into record payloads, truncating a
+// crash-damaged tail in place. A missing file yields none: a fresh store
+// boots clean.
+func replayFile(path string) ([][]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return scanResult{}, nil
+			return nil, nil
 		}
-		return scanResult{}, err
+		return nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return scanResult{}, err
+		return nil, err
 	}
-	res, err := scanFrames(f)
+	payloads, goodLen, err := binio.ScanFrames(f)
 	if err != nil {
-		return res, err
+		return nil, fmt.Errorf("jobstore: journal: %w", err)
 	}
-	if res.goodLen < fi.Size() {
+	if goodLen < fi.Size() {
 		// Drop the partial tail so the next append starts at a frame
 		// boundary. This is the normal post-crash path, not an error.
-		if err := os.Truncate(path, res.goodLen); err != nil {
-			return res, fmt.Errorf("jobstore: truncating crash tail: %w", err)
+		if err := os.Truncate(path, goodLen); err != nil {
+			return nil, fmt.Errorf("jobstore: truncating crash tail: %w", err)
 		}
 	}
-	return res, nil
-}
-
-// decodeAll is a convenience for tests and fuzzing: replay a journal image
-// from memory without touching the filesystem.
-func decodeAll(image []byte) ([][]byte, int64, error) {
-	res, err := scanFrames(bytes.NewReader(image))
-	return res.payloads, res.goodLen, err
+	return payloads, nil
 }

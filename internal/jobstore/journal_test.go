@@ -3,10 +3,13 @@ package jobstore
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"bprom/internal/binio"
 )
 
 func openT(t *testing.T, dir string) *Store {
@@ -113,7 +116,7 @@ func TestTruncatedTailSilentlyDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chop the file mid-way through the final frame — a crash artifact.
-	for _, cut := range []int{1, 3, frameHeaderSize - 1, frameHeaderSize + 2} {
+	for _, cut := range []int{1, 3, binio.FrameHeaderSize - 1, binio.FrameHeaderSize + 2} {
 		trimmed := img[:len(img)-cut]
 		if err := os.WriteFile(path, trimmed, 0o644); err != nil {
 			t.Fatal(err)
@@ -148,7 +151,7 @@ func TestFlippedCRCByteRejectsRecord(t *testing.T) {
 	}
 	// Flip one byte in the middle of the first frame's payload.
 	corrupt := append([]byte(nil), img...)
-	corrupt[frameHeaderSize+4] ^= 0xff
+	corrupt[binio.FrameHeaderSize+4] ^= 0xff
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestFlippedCRCByteRejectsRecord(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupt journal opened without error")
 	}
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 	// The error names the bad offset so operators can find the damage.
@@ -202,7 +205,7 @@ func TestCompactionDropsCheckpointChurn(t *testing.T) {
 func TestLiveCompactionOnThreshold(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.SetCompactThreshold(16 << 10)
+	s.compactEvery = 16 << 10
 	now := time.Now()
 	if err := s.Create(1, "m", "t", 1, now); err != nil {
 		t.Fatal(err)
@@ -237,34 +240,37 @@ func TestLiveCompactionOnThreshold(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip pins the exported wire framing used for checkpoint
-// migration: EncodeFrame/DecodeFrame round-trip exactly, and any damage —
-// truncation or a flipped payload byte — surfaces as ErrCorrupt instead of
-// garbage bytes.
-func TestFrameRoundTrip(t *testing.T) {
-	payload := []byte("checkpoint bytes travel inside one CRC frame")
-	frame, err := EncodeFrame(payload)
+// TestFailedAppendLeavesNothingBehind pins the append order — check, write +
+// fsync, and only then fold into memory: a transition whose write fails must
+// not exist in memory either, so the caller's retry (after the disk
+// recovers) is not refused as a duplicate, and it replays.
+func TestFailedAppendLeavesNothingBehind(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	readOnly, err := os.Open(s.path) // every write to this handle fails
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
+	defer readOnly.Close()
+	journal := s.f
+	s.f = readOnly
+	now := time.Unix(1700000000, 0)
+	if err := s.Create(1, "m", "t", 1, now); err == nil {
+		t.Fatal("create on an unwritable journal was acknowledged")
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round-trip: %q", got)
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("failed append left %d jobs in memory", n)
 	}
-	for name, bad := range map[string][]byte{
-		"truncated header":  frame[:frameHeaderSize-1],
-		"truncated payload": frame[:len(frame)-3],
-		"flipped byte":      append(append([]byte(nil), frame[:frameHeaderSize]...), append([]byte(nil), frame[frameHeaderSize:]...)...),
-	} {
-		if name == "flipped byte" {
-			bad[frameHeaderSize] ^= 0x01
-		}
-		if _, err := DecodeFrame(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: want ErrCorrupt, got %v", name, err)
-		}
+	if got := s.Stats().JournalBytes; got != 0 {
+		t.Fatalf("failed append counted %d journal bytes", got)
+	}
+	s.f = journal
+	if err := s.Create(1, "m", "t", 1, now); err != nil {
+		t.Fatalf("retry after the journal recovered: %v", err)
+	}
+	s.Close()
+	if jobs := openT(t, dir).Jobs(); len(jobs) != 1 || jobs[0].ID != 1 || jobs[0].State != StateQueued {
+		t.Fatalf("retried create did not replay: %+v", jobs)
 	}
 }
 
@@ -302,18 +308,18 @@ func TestCancelAndFailReplay(t *testing.T) {
 // re-encoding a scanned journal reproduces the accepted prefix).
 func FuzzJournalReplay(f *testing.F) {
 	var seed bytes.Buffer
-	_ = appendFrame(&seed, []byte("hello"))
-	_ = appendFrame(&seed, bytes.Repeat([]byte{0xab}, 300))
+	_ = binio.AppendFrame(&seed, []byte("hello"))
+	_ = binio.AppendFrame(&seed, bytes.Repeat([]byte{0xab}, 300))
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add(seed.Bytes()[:seed.Len()-3])
 	corrupted := append([]byte(nil), seed.Bytes()...)
-	corrupted[frameHeaderSize] ^= 1
+	corrupted[binio.FrameHeaderSize] ^= 1
 	f.Add(corrupted)
 	f.Fuzz(func(t *testing.T, image []byte) {
-		payloads, goodLen, err := decodeAll(image)
+		payloads, goodLen, err := binio.ScanFrames(bytes.NewReader(image))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, binio.ErrCorrupt) {
 				t.Fatalf("non-corruption error from scanner: %v", err)
 			}
 			return
@@ -324,7 +330,7 @@ func FuzzJournalReplay(f *testing.F) {
 		// Re-encoding the accepted records must reproduce the good prefix.
 		var re bytes.Buffer
 		for _, p := range payloads {
-			if err := appendFrame(&re, p); err != nil {
+			if err := binio.AppendFrame(&re, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -332,4 +338,104 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("re-encoded prefix diverges: %d vs %d bytes", re.Len(), goodLen)
 		}
 	})
+}
+
+// The golden journal pins every record layout on disk. Regenerate (after an
+// INTENTIONAL, versioned format change) with:
+//
+//	go test ./internal/jobstore -run TestGoldenJournal -update
+var updateGolden = flag.Bool("update", false, "rewrite golden journal testdata")
+
+const goldenJournalFile = "journal_v1.golden"
+
+// writeGoldenJournal drives one store through all six record kinds with
+// fixed timestamps. Each job's records are contiguous and minimal, so the
+// image is also its own compaction.
+func writeGoldenJournal(t *testing.T, dir string) {
+	t.Helper()
+	s := openT(t, dir)
+	at := func(sec int64) time.Time { return time.Unix(1700000000+sec, 123456789) }
+	steps := []error{
+		s.Create(1, "m-clean", "acme", 1, at(0)),
+		s.Done(1, VerdictRecord{Score: 0.125, Threshold: 0.4375, Backdoored: false, PromptedAcc: 0.75, Queries: 6576}, at(60)),
+		s.Create(2, "m-broke", "globex", -1, at(1)),
+		s.Fail(2, "tenant globex exhausted its quota", "quota_exhausted", 25, at(61)),
+		s.Create(3, "m-gone", "", 3, at(2)),
+		s.Cancel(3, at(62)),
+		s.Create(4, "m-sus", "acme", 4, at(3)),
+		s.Start(4),
+		s.Checkpoint(4, 9, 1944, []byte("opaque \x00 search state")),
+		s.Create(5, "m-queued", "acme", 5, at(4)),
+	}
+	for i, err := range steps {
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoldenJournal pins the journal bytes from both sides: the transition
+// methods must write the committed image, and opening the committed image
+// (replay, then compaction re-encoding every record from memory) must leave
+// the same bytes behind and the committed job states in memory.
+func TestGoldenJournal(t *testing.T) {
+	goldenPath := filepath.Join("testdata", goldenJournalFile)
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	writeGoldenJournal(t, dir)
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, written, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden journal (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("transitions wrote %d bytes that differ from the %d golden bytes: record encoder drifted", len(written), len(golden))
+	}
+
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openT(t, dir)
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compacted, golden) {
+		t.Fatalf("compaction rewrote the golden image to %d different bytes: compaction encoder drifted", len(compacted))
+	}
+	jobs := s.Jobs()
+	if len(jobs) != 5 {
+		t.Fatalf("golden journal replayed %d jobs, want 5", len(jobs))
+	}
+	wantStates := []State{StateDone, StateFailed, StateCancelled, StateRunning, StateQueued}
+	for i, j := range jobs {
+		if j.ID != uint64(i+1) || j.State != wantStates[i] {
+			t.Fatalf("job %d replayed as %+v, want state %s", i+1, j, wantStates[i])
+		}
+	}
+	if v := jobs[0].Verdict; v == nil || *v != (VerdictRecord{Score: 0.125, Threshold: 0.4375, PromptedAcc: 0.75, Queries: 6576}) ||
+		!jobs[0].Finished.Equal(time.Unix(1700000060, 123456789)) {
+		t.Fatalf("done record drifted: %+v", jobs[0])
+	}
+	if j := jobs[1]; j.InspectID != -1 || j.Error != "tenant globex exhausted its quota" || j.ErrorCode != "quota_exhausted" || j.Queries != 25 {
+		t.Fatalf("create/failed records drifted: %+v", j)
+	}
+	if j := jobs[3]; j.Generation != 9 || j.Queries != 1944 || string(j.Checkpoint) != "opaque \x00 search state" ||
+		j.ModelID != "m-sus" || j.Tenant != "acme" || !j.Created.Equal(time.Unix(1700000003, 123456789)) {
+		t.Fatalf("checkpoint record drifted: %+v", j)
+	}
 }

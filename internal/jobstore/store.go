@@ -12,17 +12,6 @@ import (
 	"bprom/internal/binio"
 )
 
-// Record kinds, one per job state transition. The numeric values are part of
-// the on-disk format; append only.
-const (
-	recCreate     = uint32(1)
-	recStart      = uint32(2)
-	recCheckpoint = uint32(3)
-	recDone       = uint32(4)
-	recFailed     = uint32(5)
-	recCancelled  = uint32(6)
-)
-
 // journalName is the journal file inside the jobs directory.
 const journalName = "jobs.journal"
 
@@ -116,30 +105,35 @@ type Store struct {
 	resumed int
 	compact time.Time
 
-	// Size-triggered live compaction (SetCompactThreshold): compactEvery is
-	// the byte threshold (0: boot-time compaction only), compactFloor the
-	// journal size right after the last live compaction (the hysteresis
-	// base, so a live state near the threshold cannot thrash), compactions
-	// the live-compaction counter surfaced in Stats.
+	// Size-triggered live compaction: once an append pushes the journal past
+	// compactEvery bytes AND past twice compactFloor (its size right after
+	// the last live compaction — the hysteresis that keeps a live state near
+	// the threshold from thrashing), it is rewritten to its live prefix in
+	// place, so a long-lived server churning checkpoints for months cannot
+	// grow the journal without bound. compactions feeds Stats.
 	compactEvery int64
 	compactFloor int64
 	compactions  int
 }
 
+// minCompactBytes is the journal size below which live compaction never
+// runs; boot-time compaction handles anything smaller.
+const minCompactBytes = 64 << 20
+
 // Open replays (and compacts) the journal in dir, creating it if needed. A
 // missing or empty journal boots clean; a crash-truncated tail is dropped
-// silently; a CRC mismatch fails with ErrCorrupt.
+// silently; a CRC mismatch fails with binio.ErrCorrupt.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	path := filepath.Join(dir, journalName)
-	res, err := replayFile(path)
+	payloads, err := replayFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{path: path, jobs: make(map[uint64]*JobRecord)}
-	for i, payload := range res.payloads {
+	s := &Store{path: path, jobs: make(map[uint64]*JobRecord), compactEvery: minCompactBytes}
+	for i, payload := range payloads {
 		if err := s.apply(payload); err != nil {
 			return nil, fmt.Errorf("jobstore: journal record %d: %w", i, err)
 		}
@@ -193,20 +187,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// SetCompactThreshold enables size-triggered compaction: whenever an append
-// pushes the journal past n bytes, the journal is rewritten to its live
-// prefix in place (tmp + rename, exactly the boot-time compaction) so a
-// long-lived server — a re-audit scheduler churning checkpoints for months —
-// cannot grow the journal without bound. Hysteresis keeps it from
-// thrashing when the live state itself is near n: after a live compaction
-// the next one does not trigger until the journal doubles from its
-// post-compaction size. n <= 0 disables live compaction (the default).
-func (s *Store) SetCompactThreshold(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactEvery = n
-}
-
 // NextSeq returns the smallest job ID larger than every journaled ID, so a
 // rebooted manager continues the ID sequence instead of colliding.
 func (s *Store) NextSeq() uint64 {
@@ -253,100 +233,70 @@ func (s *Store) TenantSpend() map[string]int64 {
 
 // Create journals a new job in StateQueued.
 func (s *Store) Create(id uint64, modelID, tenant string, inspectID int, created time.Time) error {
-	var buf bytes.Buffer
-	must(binio.WriteU32(&buf, recCreate))
-	must(binio.WriteU64(&buf, id))
-	must(binio.WriteString(&buf, modelID))
-	must(binio.WriteString(&buf, tenant))
-	must(binio.WriteU64(&buf, uint64(int64(inspectID))))
-	must(binio.WriteU64(&buf, uint64(created.UnixNano())))
-	return s.append(buf.Bytes())
+	return s.append(recCreate, &JobRecord{ID: id, ModelID: modelID, Tenant: tenant, InspectID: inspectID, Created: created})
 }
 
 // Start journals the queued→running transition.
 func (s *Store) Start(id uint64) error {
-	var buf bytes.Buffer
-	must(binio.WriteU32(&buf, recStart))
-	must(binio.WriteU64(&buf, id))
-	return s.append(buf.Bytes())
+	return s.append(recStart, &JobRecord{ID: id})
 }
 
 // Checkpoint journals a completed-generation snapshot: the generation count,
 // the oracle spend so far, and an opaque resumable search-state blob.
 func (s *Store) Checkpoint(id uint64, generation int, queries int64, blob []byte) error {
-	var buf bytes.Buffer
-	must(binio.WriteU32(&buf, recCheckpoint))
-	must(binio.WriteU64(&buf, id))
-	must(binio.WriteU64(&buf, uint64(generation)))
-	must(binio.WriteU64(&buf, uint64(queries)))
-	must(binio.WriteU32(&buf, uint32(len(blob))))
-	buf.Write(blob)
-	return s.append(buf.Bytes())
+	return s.append(recCheckpoint, &JobRecord{ID: id, Generation: generation, Queries: queries, Checkpoint: blob})
 }
 
 // Done journals successful completion with the verdict.
 func (s *Store) Done(id uint64, v VerdictRecord, finished time.Time) error {
-	var buf bytes.Buffer
-	must(binio.WriteU32(&buf, recDone))
-	must(binio.WriteU64(&buf, id))
-	must(binio.WriteF64(&buf, v.Score))
-	must(binio.WriteF64(&buf, v.Threshold))
-	must(binio.WriteBool(&buf, v.Backdoored))
-	must(binio.WriteF64(&buf, v.PromptedAcc))
-	must(binio.WriteU64(&buf, uint64(v.Queries)))
-	must(binio.WriteU64(&buf, uint64(finished.UnixNano())))
-	return s.append(buf.Bytes())
+	return s.append(recDone, &JobRecord{ID: id, Verdict: &v, Finished: finished})
 }
 
 // Fail journals failure with a message, a machine-readable code (may be
 // empty), and the queries spent before failing.
 func (s *Store) Fail(id uint64, msg, code string, queries int64, finished time.Time) error {
-	var buf bytes.Buffer
-	must(binio.WriteU32(&buf, recFailed))
-	must(binio.WriteU64(&buf, id))
-	must(binio.WriteString(&buf, msg))
-	must(binio.WriteString(&buf, code))
-	must(binio.WriteU64(&buf, uint64(queries)))
-	must(binio.WriteU64(&buf, uint64(finished.UnixNano())))
-	return s.append(buf.Bytes())
+	return s.append(recFailed, &JobRecord{ID: id, Error: msg, ErrorCode: code, Queries: queries, Finished: finished})
 }
 
 // Cancel journals user cancellation.
 func (s *Store) Cancel(id uint64, finished time.Time) error {
-	var buf bytes.Buffer
-	must(binio.WriteU32(&buf, recCancelled))
-	must(binio.WriteU64(&buf, id))
-	must(binio.WriteU64(&buf, uint64(finished.UnixNano())))
-	return s.append(buf.Bytes())
+	return s.append(recCancelled, &JobRecord{ID: id, Finished: finished})
 }
 
-// must panics on a bytes.Buffer write error, which cannot happen short of
-// OOM; it keeps the encoders readable.
-func must(err error) {
+// append journals one transition: check it against the in-memory state,
+// write and fsync the record, and only then fold it in — memory never runs
+// ahead of the file, so a failed append can simply be retried.
+func (s *Store) append(kind uint32, rec *JobRecord) error {
+	payload, err := encodeRecord(kind, rec)
 	if err != nil {
-		panic(err)
+		return err
 	}
-}
-
-// append applies the record to the in-memory state and appends it to the
-// journal, fsyncing before returning.
-func (s *Store) append(payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return fmt.Errorf("jobstore: store is closed")
 	}
+	if err := s.check(kind, rec.ID); err != nil {
+		return err
+	}
+	err = binio.AppendFrame(s.f, payload)
+	if err == nil {
+		err = s.f.Sync()
+	}
+	if err != nil {
+		// A short write leaves a torn frame that the next append would bury
+		// mid-file, where replay reports corruption: cut back to the last
+		// good length.
+		if terr := s.f.Truncate(s.bytes); terr != nil {
+			err = fmt.Errorf("%w (truncating the torn record: %v)", err, terr)
+		}
+		return fmt.Errorf("jobstore: appending journal record: %w", err)
+	}
+	s.bytes += binio.FrameHeaderSize + int64(len(payload))
 	if err := s.apply(payload); err != nil {
 		return err
 	}
-	if err := appendFrame(s.f, payload); err != nil {
-		return fmt.Errorf("jobstore: appending journal record: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("jobstore: syncing journal: %w", err)
-	}
-	s.bytes += frameHeaderSize + int64(len(payload))
-	if s.compactEvery > 0 && s.bytes >= s.compactEvery && s.bytes >= 2*s.compactFloor {
+	if s.bytes >= s.compactEvery && s.bytes >= 2*s.compactFloor {
 		return s.compactLive()
 	}
 	return nil
@@ -380,230 +330,126 @@ func (s *Store) compactLive() error {
 	return nil
 }
 
-// apply folds one decoded record payload into the in-memory state. It is
-// used both on replay and on live append, so replay(journal) == live state
-// by construction.
-func (s *Store) apply(payload []byte) error {
-	r := bytes.NewReader(payload)
-	kind, err := binio.ReadU32(r)
-	if err != nil {
-		return err
-	}
-	if kind == recCreate {
-		id, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		modelID, err := binio.ReadString(r)
-		if err != nil {
-			return err
-		}
-		tenant, err := binio.ReadString(r)
-		if err != nil {
-			return err
-		}
-		inspectID, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		created, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		if _, exists := s.jobs[id]; exists {
-			return fmt.Errorf("duplicate create for job %d", id)
-		}
-		s.jobs[id] = &JobRecord{
-			ID: id, ModelID: modelID, Tenant: tenant,
-			InspectID: int(int64(inspectID)), State: StateQueued,
-			Created: time.Unix(0, int64(created)),
-		}
-		s.order = append(s.order, id)
-		return nil
-	}
-	id, err := binio.ReadU64(r)
-	if err != nil {
-		return err
-	}
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("transition %d for unknown job %d", kind, id)
-	}
-	switch kind {
-	case recStart:
-		j.State = StateRunning
-	case recCheckpoint:
-		gen, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		queries, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		blobLen, err := binio.ReadU32(r)
-		if err != nil {
-			return err
-		}
-		blob := make([]byte, int(blobLen))
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return err
-		}
-		j.Generation = int(gen)
-		j.Queries = int64(queries)
-		j.Checkpoint = blob
-	case recDone:
-		v := VerdictRecord{}
-		if v.Score, err = binio.ReadF64(r); err != nil {
-			return err
-		}
-		if v.Threshold, err = binio.ReadF64(r); err != nil {
-			return err
-		}
-		if v.Backdoored, err = binio.ReadBool(r); err != nil {
-			return err
-		}
-		if v.PromptedAcc, err = binio.ReadF64(r); err != nil {
-			return err
-		}
-		q, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		fin, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		v.Queries = int64(q)
-		j.Verdict = &v
-		j.Queries = v.Queries
-		j.State = StateDone
-		j.Finished = time.Unix(0, int64(fin))
-		j.Checkpoint = nil
-	case recFailed:
-		msg, err := binio.ReadString(r)
-		if err != nil {
-			return err
-		}
-		code, err := binio.ReadString(r)
-		if err != nil {
-			return err
-		}
-		q, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		fin, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		j.Error = msg
-		j.ErrorCode = code
-		j.Queries = int64(q)
-		j.State = StateFailed
-		j.Finished = time.Unix(0, int64(fin))
-		j.Checkpoint = nil
-	case recCancelled:
-		fin, err := binio.ReadU64(r)
-		if err != nil {
-			return err
-		}
-		j.State = StateCancelled
-		j.Finished = time.Unix(0, int64(fin))
-		j.Checkpoint = nil
-	default:
+// check refuses a record the in-memory state cannot take.
+func (s *Store) check(kind uint32, id uint64) error {
+	_, exists := s.jobs[id]
+	switch {
+	case kind < recCreate || kind > recCancelled:
 		return fmt.Errorf("unknown record kind %d", kind)
+	case kind == recCreate && exists:
+		return fmt.Errorf("duplicate create for job %d", id)
+	case kind != recCreate && !exists:
+		return fmt.Errorf("transition %d for unknown job %d", kind, id)
 	}
 	return nil
 }
 
-// compactLocked rewrites the journal to the minimal record sequence that
-// replays to the current state: create (+start +latest checkpoint) for live
-// jobs, create + terminal for finished ones. Atomic via tmp + rename.
+// apply is the one decoder: it folds one record payload into the in-memory
+// state. Replay and live append both go through it, so replay(journal) ==
+// live state by construction. A record that fails to decode changes nothing.
+func (s *Store) apply(payload []byte) error {
+	r := binio.NewReader(bytes.NewReader(payload))
+	unixNano := func() time.Time { return time.Unix(0, int64(r.U64())) }
+	kind, id := r.U32(), r.U64()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if err := s.check(kind, id); err != nil {
+		return err
+	}
+	if kind == recCreate {
+		j := &JobRecord{
+			ID: id, ModelID: r.String(), Tenant: r.String(),
+			InspectID: int(int64(r.U64())), State: StateQueued, Created: unixNano(),
+		}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		s.jobs[id] = j
+		s.order = append(s.order, id)
+		return nil
+	}
+	next := *s.jobs[id]
+	switch kind {
+	case recStart:
+		next.State = StateRunning
+	case recCheckpoint:
+		next.Generation, next.Queries, next.Checkpoint = int(r.U64()), int64(r.U64()), r.Blob()
+	case recDone:
+		v := &VerdictRecord{Score: r.F64(), Threshold: r.F64(), Backdoored: r.Bool(), PromptedAcc: r.F64(), Queries: int64(r.U64())}
+		next.Verdict, next.Queries = v, v.Queries
+		next.State, next.Finished, next.Checkpoint = StateDone, unixNano(), nil
+	case recFailed:
+		next.Error, next.ErrorCode, next.Queries = r.String(), r.String(), int64(r.U64())
+		next.State, next.Finished, next.Checkpoint = StateFailed, unixNano(), nil
+	case recCancelled:
+		next.State, next.Finished, next.Checkpoint = StateCancelled, unixNano(), nil
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	*s.jobs[id] = next
+	return nil
+}
+
+// liveKinds lists the minimal record sequence that replays to j's state:
+// create (+start +latest checkpoint) for a live job, create + terminal for
+// a finished one.
+func liveKinds(j *JobRecord) []uint32 {
+	kinds := []uint32{recCreate}
+	if j.State == StateRunning {
+		kinds = append(kinds, recStart)
+	}
+	if !j.State.Terminal() && j.Checkpoint != nil {
+		kinds = append(kinds, recCheckpoint)
+	}
+	switch j.State {
+	case StateDone:
+		kinds = append(kinds, recDone)
+	case StateFailed:
+		kinds = append(kinds, recFailed)
+	case StateCancelled:
+		kinds = append(kinds, recCancelled)
+	}
+	return kinds
+}
+
+// writeLive appends every job's liveKinds, re-encoded from memory, to w.
+func (s *Store) writeLive(w io.Writer) error {
+	for _, id := range s.order {
+		j := s.jobs[id]
+		for _, kind := range liveKinds(j) {
+			payload, err := encodeRecord(kind, j)
+			if err != nil {
+				return err
+			}
+			if err := binio.AppendFrame(w, payload); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// compactLocked rewrites the journal to writeLive's minimal record set.
+// Atomic via tmp + rename.
 func (s *Store) compactLocked() error {
 	tmp := s.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobstore: compacting: %w", err)
 	}
-	write := func(encode func(*bytes.Buffer)) error {
-		var buf bytes.Buffer
-		encode(&buf)
-		return appendFrame(f, buf.Bytes())
+	err = s.writeLive(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		err := write(func(buf *bytes.Buffer) {
-			must(binio.WriteU32(buf, recCreate))
-			must(binio.WriteU64(buf, j.ID))
-			must(binio.WriteString(buf, j.ModelID))
-			must(binio.WriteString(buf, j.Tenant))
-			must(binio.WriteU64(buf, uint64(int64(j.InspectID))))
-			must(binio.WriteU64(buf, uint64(j.Created.UnixNano())))
-		})
-		if err == nil && j.State == StateRunning {
-			err = write(func(buf *bytes.Buffer) {
-				must(binio.WriteU32(buf, recStart))
-				must(binio.WriteU64(buf, j.ID))
-			})
-		}
-		if err == nil && !j.State.Terminal() && j.Checkpoint != nil {
-			err = write(func(buf *bytes.Buffer) {
-				must(binio.WriteU32(buf, recCheckpoint))
-				must(binio.WriteU64(buf, j.ID))
-				must(binio.WriteU64(buf, uint64(j.Generation)))
-				must(binio.WriteU64(buf, uint64(j.Queries)))
-				must(binio.WriteU32(buf, uint32(len(j.Checkpoint))))
-				buf.Write(j.Checkpoint)
-			})
-		}
-		if err == nil {
-			switch j.State {
-			case StateDone:
-				err = write(func(buf *bytes.Buffer) {
-					v := j.Verdict
-					must(binio.WriteU32(buf, recDone))
-					must(binio.WriteU64(buf, j.ID))
-					must(binio.WriteF64(buf, v.Score))
-					must(binio.WriteF64(buf, v.Threshold))
-					must(binio.WriteBool(buf, v.Backdoored))
-					must(binio.WriteF64(buf, v.PromptedAcc))
-					must(binio.WriteU64(buf, uint64(v.Queries)))
-					must(binio.WriteU64(buf, uint64(j.Finished.UnixNano())))
-				})
-			case StateFailed:
-				err = write(func(buf *bytes.Buffer) {
-					must(binio.WriteU32(buf, recFailed))
-					must(binio.WriteU64(buf, j.ID))
-					must(binio.WriteString(buf, j.Error))
-					must(binio.WriteString(buf, j.ErrorCode))
-					must(binio.WriteU64(buf, uint64(j.Queries)))
-					must(binio.WriteU64(buf, uint64(j.Finished.UnixNano())))
-				})
-			case StateCancelled:
-				err = write(func(buf *bytes.Buffer) {
-					must(binio.WriteU32(buf, recCancelled))
-					must(binio.WriteU64(buf, j.ID))
-					must(binio.WriteU64(buf, uint64(j.Finished.UnixNano())))
-				})
-			}
-		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("jobstore: compacting: %w", err)
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("jobstore: compacting: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, s.path)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobstore: compacting: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("jobstore: compacting: %w", err)
 	}

@@ -1,11 +1,6 @@
 package meta
 
-import (
-	"fmt"
-	"io"
-
-	"bprom/internal/binio"
-)
+import "bprom/internal/binio"
 
 // Binary forest section of the detector artifact: feature count, ensemble
 // size, the in-bag bootstrap matrix (so OOBScores keeps working on a loaded
@@ -21,141 +16,88 @@ const (
 )
 
 // Save writes the forest section to w.
-func (f *Forest) Save(w io.Writer) error {
-	if err := binio.WriteU32(w, uint32(f.NumFeatures)); err != nil {
-		return err
-	}
-	if err := binio.WriteU32(w, uint32(len(f.Trees))); err != nil {
-		return err
-	}
+func (f *Forest) Save(w *binio.Writer) {
+	w.U32(uint32(f.NumFeatures))
+	w.U32(uint32(len(f.Trees)))
 	rows := 0
 	if len(f.inBag) > 0 {
 		rows = len(f.inBag[0])
 	}
-	if err := binio.WriteU32(w, uint32(rows)); err != nil {
-		return err
-	}
+	w.U32(uint32(rows))
 	for t, tree := range f.Trees {
 		for i := 0; i < rows; i++ {
-			if err := binio.WriteBool(w, f.inBag[t][i]); err != nil {
-				return err
-			}
+			w.Bool(f.inBag[t][i])
 		}
-		if err := writeNode(w, tree); err != nil {
-			return fmt.Errorf("meta: tree %d: %w", t, err)
-		}
+		writeNode(w, tree)
 	}
-	return nil
 }
 
 // Load reads a forest section previously written by Save.
-func Load(r io.Reader) (*Forest, error) {
-	numFeatures, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
-	trees, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
-	}
+func Load(r *binio.Reader) (*Forest, error) {
+	numFeatures, trees, rows := r.U32(), r.U32(), r.U32()
 	if trees > 1<<20 {
-		return nil, fmt.Errorf("meta: implausible tree count %d", trees)
-	}
-	rows, err := binio.ReadU32(r)
-	if err != nil {
-		return nil, err
+		r.Failf("meta: implausible tree count %d", trees)
 	}
 	if rows > 1<<20 {
-		return nil, fmt.Errorf("meta: implausible training-row count %d", rows)
+		r.Failf("meta: implausible training-row count %d", rows)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	f := &Forest{
 		NumFeatures: int(numFeatures),
 		Trees:       make([]*node, trees),
 		inBag:       make([][]bool, trees),
 	}
-	for t := range f.Trees {
+	for t := 0; t < len(f.Trees) && r.Err() == nil; t++ {
 		f.inBag[t] = make([]bool, rows)
 		for i := range f.inBag[t] {
-			b, err := binio.ReadBool(r)
-			if err != nil {
-				return nil, err
-			}
-			f.inBag[t][i] = b
+			f.inBag[t][i] = r.Bool()
 		}
-		tree, err := readNode(r, 0, int(numFeatures))
-		if err != nil {
-			return nil, fmt.Errorf("meta: tree %d: %w", t, err)
-		}
-		f.Trees[t] = tree
+		f.Trees[t] = readNode(r, 0, int(numFeatures))
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-func writeNode(w io.Writer, n *node) error {
+func writeNode(w *binio.Writer, n *node) {
 	if n.feature < 0 {
-		if _, err := w.Write([]byte{tagLeaf}); err != nil {
-			return err
-		}
-		return binio.WriteF64(w, n.prob)
+		w.U8(tagLeaf)
+		w.F64(n.prob)
+		return
 	}
-	if _, err := w.Write([]byte{tagSplit}); err != nil {
-		return err
-	}
-	if err := binio.WriteU32(w, uint32(n.feature)); err != nil {
-		return err
-	}
-	if err := binio.WriteF64(w, n.threshold); err != nil {
-		return err
-	}
-	if err := writeNode(w, n.left); err != nil {
-		return err
-	}
-	return writeNode(w, n.right)
+	w.U8(tagSplit)
+	w.U32(uint32(n.feature))
+	w.F64(n.threshold)
+	writeNode(w, n.left)
+	writeNode(w, n.right)
 }
 
 // maxTreeDepth caps decode recursion; trained trees are depth-bounded by
 // TrainConfig.MaxDepth, so anything deeper is a corrupt artifact.
 const maxTreeDepth = 64
 
-func readNode(r io.Reader, depth, numFeatures int) (*node, error) {
+func readNode(r *binio.Reader, depth, numFeatures int) *node {
 	if depth > maxTreeDepth {
-		return nil, fmt.Errorf("tree deeper than %d: corrupt artifact", maxTreeDepth)
+		r.Failf("meta: tree deeper than %d: corrupt artifact", maxTreeDepth)
+		return nil
 	}
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
-		return nil, fmt.Errorf("read node tag: %w", err)
-	}
-	switch tag[0] {
+	switch tag := r.U8(); tag {
 	case tagLeaf:
-		prob, err := binio.ReadF64(r)
-		if err != nil {
-			return nil, err
-		}
-		return &node{feature: -1, prob: prob}, nil
+		return &node{feature: -1, prob: r.F64()}
 	case tagSplit:
-		feature, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
+		feature := int(r.U32())
 		// An out-of-range split feature would panic Score mid-audit;
 		// reject it at load time like every other corruption.
-		if int(feature) >= numFeatures {
-			return nil, fmt.Errorf("split on feature %d of %d: corrupt artifact", feature, numFeatures)
+		if feature >= numFeatures {
+			r.Failf("meta: split on feature %d of %d: corrupt artifact", feature, numFeatures)
+			return nil
 		}
-		threshold, err := binio.ReadF64(r)
-		if err != nil {
-			return nil, err
-		}
-		left, err := readNode(r, depth+1, numFeatures)
-		if err != nil {
-			return nil, err
-		}
-		right, err := readNode(r, depth+1, numFeatures)
-		if err != nil {
-			return nil, err
-		}
-		return &node{feature: int(feature), threshold: threshold, left: left, right: right}, nil
+		return &node{feature: feature, threshold: r.F64(), left: readNode(r, depth+1, numFeatures), right: readNode(r, depth+1, numFeatures)}
 	default:
-		return nil, fmt.Errorf("unknown node tag %d", tag[0])
+		r.Failf("meta: unknown node tag %d", tag)
+		return nil
 	}
 }

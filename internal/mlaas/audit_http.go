@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"bprom/internal/audit"
+	"bprom/internal/binio"
 	"bprom/internal/bprom"
 	"bprom/internal/jobstore"
 	"bprom/internal/oracle"
@@ -214,7 +215,7 @@ func (l *localAudits) exportAuditCheckpoint(_ context.Context, jobID string) (Ch
 	if err != nil {
 		return CheckpointExport{}, err
 	}
-	frame, err := jobstore.EncodeFrame(blob)
+	frame, err := binio.EncodeFrame(blob)
 	if err != nil {
 		return CheckpointExport{}, err
 	}

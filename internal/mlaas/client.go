@@ -30,14 +30,9 @@ const maxInflightChunks = 4
 
 // ClientConfig tunes the HTTP oracle.
 type ClientConfig struct {
-	// Timeout per request. Default 30s.
+	// Timeout is the per-request deadline. Default 30s; a fleet scan
+	// (`bprom audit -timeout`) tightens it so a hung node is cut off sooner.
 	Timeout time.Duration
-	// RequestTimeout, when positive, overrides Timeout as the per-request
-	// deadline. It exists so callers that share a ClientConfig can tighten
-	// the hang bound without disturbing the rest of the defaults: a fleet
-	// scan (`bprom audit -timeout`) or a gateway's health probes must never
-	// wait the full 30s default on a hung node.
-	RequestTimeout time.Duration
 	// Retries is the number of retry attempts after the first failure, for
 	// transient failures only (network errors, 5xx, and 429 backpressure).
 	// Zero means "use the default" (2); pass NoRetries (or any negative
@@ -151,15 +146,6 @@ func ListModels(ctx context.Context, baseURL string, cfg ClientConfig) (ModelLis
 		return ModelList{}, err
 	}
 	return list, nil
-}
-
-// reqTimeout is the effective per-request deadline: RequestTimeout when
-// set, else Timeout.
-func (c *Client) reqTimeout() time.Duration {
-	if c.cfg.RequestTimeout > 0 {
-		return c.cfg.RequestTimeout
-	}
-	return c.cfg.Timeout
 }
 
 // route builds the endpoint path for this client's model: the legacy
@@ -577,7 +563,7 @@ type CheckpointExport struct {
 // a finished job is a 409 *StatusError (nothing to resume), an unknown one
 // a 404.
 func (c *Client) ExportCheckpoint(ctx context.Context, jobID string) (CheckpointExport, error) {
-	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
+	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	u := c.base + "/v1/audits/" + url.PathEscape(jobID) + "/checkpoint"
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, u, nil)
@@ -669,7 +655,7 @@ func transientStatus(err error) bool {
 // are cheap to re-issue, and submissions are not idempotent from the
 // caller's viewpoint.
 func (c *Client) sendJSON(ctx context.Context, method, u string, payload []byte, v any) error {
-	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
+	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	var body io.Reader
 	if payload != nil {
@@ -730,7 +716,7 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 // last two cases may name its own recovery horizon via Retry-After (which
 // the backoff honors as a floor).
 func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *tensor.Tensor, _ []Screening, retryable bool, retryAfter time.Duration, _ error) {
-	reqCtx, cancel := context.WithTimeout(ctx, c.reqTimeout())
+	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.route("predict"), bytes.NewReader(payload))
 	if err != nil {

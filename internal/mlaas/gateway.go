@@ -637,11 +637,13 @@ func (g *Gateway) predictOn(ctx context.Context, n *gatewayNode, id string, x *t
 
 // nodeRouteErr classifies a failed node-level route (audit submit/poll):
 // a node's own non-2xx passes through as nodeError; transport-level
-// failures strike the node's health and become a structured 503.
+// failures strike the node's health and become a structured 503. So does a
+// node's 5xx — except 501, its deliberate "not enabled here", which says
+// nothing about its health.
 func (g *Gateway) nodeRouteErr(n *gatewayNode, err error) error {
 	var se *StatusError
 	if errors.As(err, &se) {
-		if se.Code >= 500 {
+		if se.Code >= 500 && se.Code != http.StatusNotImplemented {
 			n.recordFailure(g.cfg.MarkDownAfter, err)
 		}
 		return &nodeError{node: n.name, code: se.Code, msg: se.Msg, retryAfter: se.RetryAfter}
@@ -758,21 +760,29 @@ func (g *Gateway) cancelAudit(ctx context.Context, jobID string) (audit.Job, err
 
 // listAudits merges every healthy node's job list (best-effort: a node
 // failing mid-list is skipped and takes a health strike), ordered by
-// submission time then id.
+// submission time then id. A fleet whose every healthy node answers 501
+// answers ErrAuditsDisabled, as each of them would.
 func (g *Gateway) listAudits(ctx context.Context) ([]audit.Job, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var jobs []audit.Job
+	var asked int
+	var disabled atomic.Int32
 	for _, n := range g.nodes {
 		if !n.isHealthy() {
 			continue
 		}
+		asked++
 		wg.Add(1)
 		go func(n *gatewayNode) {
 			defer wg.Done()
 			nodeJobs, err := n.api.ListAudits(ctx)
 			if err != nil {
 				g.nodeRouteErr(n, err) // strike bookkeeping only
+				var se *StatusError
+				if errors.As(err, &se) && se.Code == http.StatusNotImplemented {
+					disabled.Add(1)
+				}
 				return
 			}
 			mu.Lock()
@@ -783,6 +793,9 @@ func (g *Gateway) listAudits(ctx context.Context) ([]audit.Job, error) {
 		}(n)
 	}
 	wg.Wait()
+	if asked > 0 && int(disabled.Load()) == asked {
+		return nil, ErrAuditsDisabled
+	}
 	sort.Slice(jobs, func(i, j int) bool {
 		if !jobs[i].Created.Equal(jobs[j].Created) {
 			return jobs[i].Created.Before(jobs[j].Created)
@@ -855,14 +868,7 @@ func (g *Gateway) tenantUsage(ctx context.Context, name string) (TenantUsage, er
 		}
 		var u TenantUsage
 		if err := n.api.getJSON(ctx, n.base+"/v1/tenants/"+url.PathEscape(name)+"/usage", &u); err != nil {
-			// A 501 is the node's deliberate "no tenancy here" — skip it
-			// without a health strike; anything else classifies normally.
-			var se *StatusError
-			if errors.As(err, &se) && se.Code == http.StatusNotImplemented {
-				lastErr = &nodeError{node: n.name, code: se.Code, msg: se.Msg}
-			} else {
-				lastErr = g.nodeRouteErr(n, err)
-			}
+			lastErr = g.nodeRouteErr(n, err)
 			continue
 		}
 		answered = true

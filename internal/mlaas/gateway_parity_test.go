@@ -303,19 +303,16 @@ func fetchEnvelope(t *testing.T, method, url, key string) wireEnvelope {
 // TestGatewayAuditEnvelopeParity pins the audit-job and usage routes' wire
 // envelopes across the routing hop: the same request against a bare node
 // and against a gateway over that node must answer with the same status,
-// the same envelope code, and the same Retry-After. (Listing on an
-// audits-disabled fleet is left out on purpose: the gateway's best-effort
-// merge answers an empty 200 there, the node a 501.)
+// the same envelope code, and the same Retry-After — at the default
+// MarkDownAfter, so a node's 501s must not count as health strikes.
 func TestGatewayAuditEnvelopeParity(t *testing.T) {
 	env := sharedAuditEnv(t)
 	ctx := context.Background()
 	const key = "ka"
 
-	// front puts a one-node gateway over node. MarkDownAfter is out of
-	// reach so the node's 501s (counted as strikes) cannot reorder routing
-	// mid-test.
+	// front puts a one-node gateway over node.
 	front := func(node *httptest.Server) *httptest.Server {
-		g, err := NewGateway(ctx, GatewayConfig{Nodes: []string{node.URL}, HealthInterval: time.Hour, MarkDownAfter: 1000})
+		g, err := NewGateway(ctx, GatewayConfig{Nodes: []string{node.URL}, HealthInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,6 +428,7 @@ func TestGatewayAuditEnvelopeParity(t *testing.T) {
 		{"poll, audits disabled", http.MethodGet, "/v1/audits/a1", "/v1/audits/n0.a1", 501},
 		{"cancel, audits disabled", http.MethodDelete, "/v1/audits/a1", "/v1/audits/n0.a1", 501},
 		{"checkpoint, audits disabled", http.MethodGet, "/v1/audits/a1/checkpoint", "/v1/audits/n0.a1/checkpoint", 501},
+		{"list, audits disabled", http.MethodGet, "/v1/audits", "/v1/audits", 501},
 		{"usage, tenancy disabled", http.MethodGet, "/v1/tenants/acme/usage", "/v1/tenants/acme/usage", 501},
 	})
 }

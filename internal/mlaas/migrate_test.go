@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"bprom/internal/binio"
 	"bprom/internal/bprom"
 	"bprom/internal/jobstore"
 	"bprom/internal/nn"
@@ -185,7 +186,7 @@ func encodeTestFrame(t *testing.T, ckpt *bprom.Checkpoint) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := jobstore.EncodeFrame(blob)
+	frame, err := binio.EncodeFrame(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,16 +588,16 @@ func TestMigrationBadCheckpointFailsClean(t *testing.T) {
 	}
 }
 
-// TestChaosHangRequestTimeout pins the RequestTimeout escape hatch: against
-// a node that accepts connections and then freezes, a client with a tight
-// per-request deadline fails fast instead of waiting the 30s default.
+// TestChaosHangRequestTimeout pins the per-request deadline: against a node
+// that accepts connections and then freezes, a client with a tight Timeout
+// fails fast instead of waiting the 30s default.
 func TestChaosHangRequestTimeout(t *testing.T) {
 	node := fakeFleetNode(t, `{"id":"a1","model_id":"m","state":"running","created":"2026-01-01T00:00:00Z"}`, nil, nil)
 	chaos := NewChaosTransport(nil)
 	c := &Client{base: node.URL, cfg: ClientConfig{
-		RequestTimeout: 100 * time.Millisecond,
-		Retries:        NoRetries,
-		HTTPClient:     &http.Client{Transport: chaos},
+		Timeout:    100 * time.Millisecond,
+		Retries:    NoRetries,
+		HTTPClient: &http.Client{Transport: chaos},
 	}}
 	c.cfg.defaults()
 
@@ -608,7 +609,7 @@ func TestChaosHangRequestTimeout(t *testing.T) {
 		t.Fatal("hung node: want error")
 	}
 	if elapsed > 2*time.Second {
-		t.Fatalf("request against hung node took %s; RequestTimeout=100ms must cut it off", elapsed)
+		t.Fatalf("request against hung node took %s; Timeout=100ms must cut it off", elapsed)
 	}
 	chaos.Clear(hostOf(node.URL))
 	if _, err := c.GetAudit(context.Background(), "a1"); err != nil {

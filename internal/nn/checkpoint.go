@@ -1,13 +1,13 @@
 package nn
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
+
+	"bprom/internal/binio"
 )
 
 // Checkpoint metadata. A saved model is two files: the binary weights
@@ -33,59 +33,19 @@ type Header struct {
 	NumClasses int
 }
 
-// ReadHeader reads the format prelude from r without touching the layer
-// list or weights. The reader is left positioned at the first layer tag.
-func ReadHeader(r io.Reader) (Header, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	return readHeader(br)
-}
-
 // ReadHeaderFile reads just the checkpoint prelude from path. It is the
 // cheap way to identify a model file: no weights are read.
 func ReadHeaderFile(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, fmt.Errorf("nn: open %s: %w", path, err)
-	}
-	defer f.Close()
-	h, err := ReadHeader(f)
-	if err != nil {
-		return Header{}, fmt.Errorf("nn: %s: %w", path, err)
-	}
-	return h, nil
+	return binio.LoadFile(path, func(r *binio.Reader) (Header, error) {
+		return decodeHeader(r), r.Err()
+	})
 }
 
-func readHeader(br *bufio.Reader) (Header, error) {
-	magic := make([]byte, len(formatMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return Header{}, fmt.Errorf("nn: read magic: %w", err)
-	}
-	if string(magic) != formatMagic {
-		return Header{}, fmt.Errorf("nn: bad magic %q", magic)
-	}
-	ver, err := readU32(br)
-	if err != nil {
-		return Header{}, err
-	}
-	if ver != formatVersion {
-		return Header{}, fmt.Errorf("nn: unsupported format version %d", ver)
-	}
-	arch, err := readString(br)
-	if err != nil {
-		return Header{}, err
-	}
-	inDim, err := readU32(br)
-	if err != nil {
-		return Header{}, err
-	}
-	classes, err := readU32(br)
-	if err != nil {
-		return Header{}, err
-	}
-	return Header{Version: ver, Arch: Arch(arch), InputDim: int(inDim), NumClasses: int(classes)}, nil
+// decodeHeader reads everything Save writes before the layer list, leaving r
+// at the first layer tag.
+func decodeHeader(r *binio.Reader) Header {
+	r.Prelude(formatMagic, formatVersion)
+	return Header{Version: formatVersion, Arch: Arch(r.String()), InputDim: int(r.U32()), NumClasses: int(r.U32())}
 }
 
 // Sidecar is the JSON metadata file written next to a checkpoint

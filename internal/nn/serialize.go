@@ -1,20 +1,18 @@
 package nn
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
 
 	"bprom/internal/binio"
 	"bprom/internal/rng"
 	"bprom/internal/tensor"
 )
 
-// Binary model format: magic, version, arch, input dim, class count, then a
-// recursive layer list with one byte-tag per layer type. Weights are raw
-// little-endian float64. The format is versioned so saved shadow models
-// remain loadable across releases.
+// Binary model format: the binio prelude (magic, version), arch, input dim,
+// class count, then a recursive layer list with one byte-tag per layer type.
+// Weights are raw little-endian float64. The format is versioned so saved
+// shadow models remain loadable across releases.
 
 const (
 	formatMagic   = "BPROMNN"
@@ -39,296 +37,187 @@ const (
 // representation is derived state, re-created at load time from the full-
 // precision weights, and persisting it would silently lose precision.
 func (m *Model) Save(w io.Writer) error {
-	if m.quantized {
-		return fmt.Errorf("nn: cannot serialize a quantized model (quantization is derived at load, not persisted)")
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(formatMagic); err != nil {
-		return fmt.Errorf("nn: write magic: %w", err)
-	}
-	if err := writeU32(bw, formatVersion); err != nil {
-		return err
-	}
-	if err := writeString(bw, string(m.Arch)); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(m.InputDim)); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(m.NumClasses)); err != nil {
-		return err
-	}
-	if err := writeLayers(bw, m.Layers); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("nn: flush model: %w", err)
-	}
-	return nil
+	bw := binio.NewWriter(w)
+	m.encode(bw)
+	return bw.Flush()
 }
 
 // SaveFile writes the model to path, creating or truncating it.
-func (m *Model) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("nn: create %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("nn: close %s: %w", path, cerr)
-		}
-	}()
-	return m.Save(f)
-}
+func (m *Model) SaveFile(path string) error { return binio.SaveFile(path, m.encode) }
 
 // Load reads a model previously written by Save.
-func Load(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	h, err := readHeader(br)
-	if err != nil {
+func Load(r io.Reader) (*Model, error) { return decode(binio.NewReader(r)) }
+
+// LoadFile reads a model from path.
+func LoadFile(path string) (*Model, error) { return binio.LoadFile(path, decode) }
+
+func (m *Model) encode(w *binio.Writer) {
+	if m.quantized {
+		w.Failf("nn: cannot serialize a quantized model (quantization is derived at load, not persisted)")
+		return
+	}
+	w.Prelude(formatMagic, formatVersion)
+	w.String(string(m.Arch))
+	w.U32(uint32(m.InputDim))
+	w.U32(uint32(m.NumClasses))
+	encodeLayers(w, m.Layers)
+}
+
+func decode(r *binio.Reader) (*Model, error) {
+	h := decodeHeader(r)
+	m := &Model{Arch: h.Arch, InputDim: h.InputDim, NumClasses: h.NumClasses, Layers: decodeLayers(r)}
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	layers, err := readLayers(br)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{Arch: h.Arch, InputDim: h.InputDim, NumClasses: h.NumClasses, Layers: layers}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("nn: loaded model invalid: %w", err)
 	}
 	return m, nil
 }
 
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-func writeLayers(w *bufio.Writer, layers []Layer) error {
-	if err := writeU32(w, uint32(len(layers))); err != nil {
-		return err
-	}
+func encodeLayers(w *binio.Writer, layers []Layer) {
+	w.U32(uint32(len(layers)))
 	for _, l := range layers {
-		if err := writeLayer(w, l); err != nil {
-			return err
-		}
+		encodeLayer(w, l)
 	}
-	return nil
 }
 
-func writeLayer(w *bufio.Writer, l Layer) error {
+func encodeLayer(w *binio.Writer, l Layer) {
 	switch v := l.(type) {
 	case *Dense:
-		if err := w.WriteByte(tagDense); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(v.In)); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(v.Out)); err != nil {
-			return err
-		}
-		if err := writeFloats(w, v.W.Value.Data); err != nil {
-			return err
-		}
-		return writeFloats(w, v.B.Value.Data)
+		w.U8(tagDense)
+		w.U32(uint32(v.In))
+		w.U32(uint32(v.Out))
+		w.Floats(v.W.Value.Data)
+		w.Floats(v.B.Value.Data)
 	case *ReLU:
-		return w.WriteByte(tagReLU)
+		w.U8(tagReLU)
 	case *Tanh:
-		return w.WriteByte(tagTanh)
+		w.U8(tagTanh)
 	case *Dropout:
-		if err := w.WriteByte(tagDropout); err != nil {
-			return err
-		}
-		return writeFloats(w, []float64{v.Rate})
+		w.U8(tagDropout)
+		w.Floats([]float64{v.Rate})
 	case *LayerNorm:
-		if err := w.WriteByte(tagLayerNorm); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(v.F)); err != nil {
-			return err
-		}
-		if err := writeFloats(w, v.Gamma.Value.Data); err != nil {
-			return err
-		}
-		return writeFloats(w, v.Beta.Value.Data)
+		w.U8(tagLayerNorm)
+		w.U32(uint32(v.F))
+		w.Floats(v.Gamma.Value.Data)
+		w.Floats(v.Beta.Value.Data)
 	case *Residual:
-		if err := w.WriteByte(tagResidual); err != nil {
-			return err
-		}
-		return writeLayers(w, v.Body)
+		w.U8(tagResidual)
+		encodeLayers(w, v.Body)
 	case *Conv2D:
-		if err := w.WriteByte(tagConv2D); err != nil {
-			return err
-		}
+		w.U8(tagConv2D)
 		d := v.Dims
 		for _, x := range []int{d.InC, d.InH, d.InW, d.OutC, d.KH, d.KW, d.Stride, d.Pad} {
-			if err := writeU32(w, uint32(x)); err != nil {
-				return err
-			}
+			w.U32(uint32(x))
 		}
-		if err := writeFloats(w, v.W.Value.Data); err != nil {
-			return err
-		}
-		return writeFloats(w, v.B.Value.Data)
+		w.Floats(v.W.Value.Data)
+		w.Floats(v.B.Value.Data)
 	case *Flatten:
-		return w.WriteByte(tagFlatten)
+		w.U8(tagFlatten)
 	case *ToImage:
-		if err := w.WriteByte(tagToImage); err != nil {
-			return err
-		}
+		w.U8(tagToImage)
 		for _, x := range []int{v.C, v.H, v.W} {
-			if err := writeU32(w, uint32(x)); err != nil {
-				return err
-			}
+			w.U32(uint32(x))
 		}
-		return nil
 	case *GlobalAvgPool:
-		return w.WriteByte(tagGlobalAvgPool)
+		w.U8(tagGlobalAvgPool)
 	default:
-		return fmt.Errorf("nn: cannot serialize layer type %T", l)
+		w.Failf("nn: cannot serialize layer type %T", l)
 	}
 }
 
-func readLayers(r *bufio.Reader) ([]Layer, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
+func decodeLayers(r *binio.Reader) []Layer {
+	n := r.U32()
 	if n > 1<<16 {
-		return nil, fmt.Errorf("nn: implausible layer count %d", n)
+		r.Failf("nn: implausible layer count %d", n)
+		return nil
 	}
 	layers := make([]Layer, 0, n)
-	for i := uint32(0); i < n; i++ {
-		l, err := readLayer(r)
-		if err != nil {
-			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-		layers = append(layers, l)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		layers = append(layers, decodeLayer(r))
 	}
-	return layers, nil
+	return layers
 }
 
-func readLayer(r *bufio.Reader) (Layer, error) {
-	tag, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("read layer tag: %w", err)
-	}
-	switch tag {
-	case tagDense:
-		in, err := readU32(r)
-		if err != nil {
-			return nil, err
+// sized reports whether every decoded dimension is positive, latching an
+// error otherwise: the tensor constructors panic on a zero, which is what a
+// corrupt checkpoint — or a reader that already failed — hands out.
+func sized(r *binio.Reader, dims ...int) bool {
+	for _, d := range dims {
+		if d <= 0 {
+			r.Failf("nn: layer dimension %d, want a positive one", d)
 		}
-		out, err := readU32(r)
-		if err != nil {
-			return nil, err
+	}
+	return r.Err() == nil
+}
+
+func decodeLayer(r *binio.Reader) Layer {
+	switch tag := r.U8(); tag {
+	case tagDense:
+		in, out := int(r.U32()), int(r.U32())
+		if !sized(r, in, out) {
+			return nil
 		}
 		d := &Dense{
-			In:  int(in),
-			Out: int(out),
-			W:   &Param{Name: "dense.w", Value: tensor.New(int(in), int(out)), Grad: tensor.New(int(in), int(out))},
-			B:   &Param{Name: "dense.b", Value: tensor.New(1, int(out)), Grad: tensor.New(1, int(out))},
+			In:  in,
+			Out: out,
+			W:   &Param{Name: "dense.w", Value: tensor.New(in, out), Grad: tensor.New(in, out)},
+			B:   &Param{Name: "dense.b", Value: tensor.New(1, out), Grad: tensor.New(1, out)},
 		}
-		if err := readFloats(r, d.W.Value.Data); err != nil {
-			return nil, err
-		}
-		if err := readFloats(r, d.B.Value.Data); err != nil {
-			return nil, err
-		}
-		return d, nil
+		r.FloatsInto(d.W.Value.Data)
+		r.FloatsInto(d.B.Value.Data)
+		return d
 	case tagReLU:
-		return &ReLU{}, nil
+		return &ReLU{}
 	case tagTanh:
-		return &Tanh{}, nil
+		return &Tanh{}
 	case tagDropout:
 		rate := make([]float64, 1)
-		if err := readFloats(r, rate); err != nil {
-			return nil, err
-		}
+		r.FloatsInto(rate)
 		// The dropout RNG is not part of the persisted state; inference does
 		// not use it, and resumed training reseeds deterministically.
-		return NewDropout(rate[0], rng.New(0xd06)), nil
+		return NewDropout(rate[0], rng.New(0xd06))
 	case tagLayerNorm:
-		f, err := readU32(r)
-		if err != nil {
-			return nil, err
+		f := int(r.U32())
+		if !sized(r, f) {
+			return nil
 		}
-		ln := NewLayerNorm(int(f))
-		if err := readFloats(r, ln.Gamma.Value.Data); err != nil {
-			return nil, err
-		}
-		if err := readFloats(r, ln.Beta.Value.Data); err != nil {
-			return nil, err
-		}
-		return ln, nil
+		ln := NewLayerNorm(f)
+		r.FloatsInto(ln.Gamma.Value.Data)
+		r.FloatsInto(ln.Beta.Value.Data)
+		return ln
 	case tagResidual:
-		body, err := readLayers(r)
-		if err != nil {
-			return nil, err
-		}
-		return &Residual{Body: body}, nil
+		return &Residual{Body: decodeLayers(r)}
 	case tagConv2D:
-		var vals [8]uint32
+		var vals [8]int
 		for i := range vals {
-			v, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
+			vals[i] = int(r.U32())
 		}
 		dims := tensor.ConvDims{
-			InC: int(vals[0]), InH: int(vals[1]), InW: int(vals[2]),
-			OutC: int(vals[3]), KH: int(vals[4]), KW: int(vals[5]),
-			Stride: int(vals[6]), Pad: int(vals[7]),
+			InC: vals[0], InH: vals[1], InW: vals[2],
+			OutC: vals[3], KH: vals[4], KW: vals[5],
+			Stride: vals[6], Pad: vals[7],
+		}
+		if !sized(r, dims.InC, dims.OutC, dims.KH, dims.KW) {
+			return nil
 		}
 		if err := dims.Resolve(); err != nil {
-			return nil, err
+			r.Failf("nn: %v", err)
+			return nil
 		}
 		c := NewConv2D(dims, rng.New(0)) // weights overwritten below
-		if err := readFloats(r, c.W.Value.Data); err != nil {
-			return nil, err
-		}
-		if err := readFloats(r, c.B.Value.Data); err != nil {
-			return nil, err
-		}
-		return c, nil
+		r.FloatsInto(c.W.Value.Data)
+		r.FloatsInto(c.B.Value.Data)
+		return c
 	case tagFlatten:
-		return &Flatten{}, nil
+		return &Flatten{}
 	case tagToImage:
-		var vals [3]uint32
-		for i := range vals {
-			v, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return &ToImage{C: int(vals[0]), H: int(vals[1]), W: int(vals[2])}, nil
+		return &ToImage{C: int(r.U32()), H: int(r.U32()), W: int(r.U32())}
 	case tagGlobalAvgPool:
-		return &GlobalAvgPool{}, nil
+		return &GlobalAvgPool{}
 	default:
-		return nil, fmt.Errorf("unknown layer tag %d", tag)
+		r.Failf("nn: unknown layer tag %d", tag)
+		return nil
 	}
 }
-
-// The encoding primitives live in internal/binio (shared with the detector
-// artifact format, which mirrors this checkpoint format's conventions);
-// these wrappers only keep the historical call sites short.
-
-func writeU32(w *bufio.Writer, v uint32) error { return binio.WriteU32(w, v) }
-
-func readU32(r *bufio.Reader) (uint32, error) { return binio.ReadU32(r) }
-
-func writeString(w *bufio.Writer, s string) error { return binio.WriteString(w, s) }
-
-func readString(r *bufio.Reader) (string, error) { return binio.ReadString(r) }
-
-func writeFloats(w *bufio.Writer, data []float64) error { return binio.WriteFloats(w, data) }
-
-func readFloats(r *bufio.Reader, dst []float64) error { return binio.ReadFloatsInto(r, dst) }

@@ -1,9 +1,6 @@
 package vp
 
 import (
-	"fmt"
-	"io"
-
 	"bprom/internal/binio"
 	"bprom/internal/cmaes"
 )
@@ -31,73 +28,49 @@ func (st *SearchState) Clone() *SearchState {
 	return c
 }
 
-// Save writes the search state to w in the binio wire format.
-func (st *SearchState) Save(w io.Writer) error {
-	for _, v := range []uint64{uint64(st.CMA.Iter), uint64(st.CMA.Evals), uint64(st.CMA.Stale)} {
-		if err := binio.WriteU64(w, v); err != nil {
-			return err
-		}
+// Save writes the search state to w.
+func (st *SearchState) Save(w *binio.Writer) {
+	for _, v := range []int{st.CMA.Iter, st.CMA.Evals, st.CMA.Stale} {
+		w.U64(uint64(v))
 	}
 	for _, v := range []float64{st.CMA.Sigma, st.CMA.BestValue, st.CMA.PrevBest} {
-		if err := binio.WriteF64(w, v); err != nil {
-			return err
-		}
+		w.F64(v)
 	}
 	for _, s := range [][]float64{st.CMA.Mean, st.CMA.Diag, st.CMA.Ps, st.CMA.Pc, st.CMA.Best} {
-		if err := binio.WriteFloats(w, s); err != nil {
-			return err
-		}
+		w.Floats(s)
 	}
 	for _, words := range [][6]uint64{st.CMA.RNG, st.BatchRNG} {
 		for _, v := range words {
-			if err := binio.WriteU64(w, v); err != nil {
-				return err
-			}
+			w.U64(v)
 		}
 	}
-	return nil
 }
 
 // LoadSearchState reads a state previously written by Save.
-func LoadSearchState(r io.Reader) (*SearchState, error) {
+func LoadSearchState(r *binio.Reader) (*SearchState, error) {
 	st := &SearchState{}
-	var words [3]uint64
-	for i := range words {
-		v, err := binio.ReadU64(r)
-		if err != nil {
-			return nil, err
-		}
-		words[i] = v
+	for _, dst := range []*int{&st.CMA.Iter, &st.CMA.Evals, &st.CMA.Stale} {
+		*dst = int(r.U64())
 	}
-	st.CMA.Iter, st.CMA.Evals, st.CMA.Stale = int(words[0]), int(words[1]), int(words[2])
 	for _, dst := range []*float64{&st.CMA.Sigma, &st.CMA.BestValue, &st.CMA.PrevBest} {
-		v, err := binio.ReadF64(r)
-		if err != nil {
-			return nil, err
-		}
-		*dst = v
+		*dst = r.F64()
 	}
-	for _, dst := range []*[]float64{&st.CMA.Mean, &st.CMA.Diag, &st.CMA.Ps, &st.CMA.Pc, &st.CMA.Best} {
-		s, err := binio.ReadFloats(r)
-		if err != nil {
-			return nil, err
-		}
-		*dst = s
+	vectors := []*[]float64{&st.CMA.Mean, &st.CMA.Diag, &st.CMA.Ps, &st.CMA.Pc, &st.CMA.Best}
+	for _, dst := range vectors {
+		*dst = r.Floats()
 	}
 	for _, dst := range []*[6]uint64{&st.CMA.RNG, &st.BatchRNG} {
 		for i := range dst {
-			v, err := binio.ReadU64(r)
-			if err != nil {
-				return nil, err
-			}
-			dst[i] = v
+			dst[i] = r.U64()
 		}
 	}
-	n := len(st.CMA.Mean)
-	for _, s := range [][]float64{st.CMA.Diag, st.CMA.Ps, st.CMA.Pc, st.CMA.Best} {
-		if len(s) != n {
-			return nil, fmt.Errorf("vp: search state vectors disagree on dimension (%d vs %d)", len(s), n)
+	for _, v := range vectors {
+		if len(*v) != len(st.CMA.Mean) {
+			r.Failf("vp: search state vectors disagree on dimension (%d vs %d)", len(*v), len(st.CMA.Mean))
 		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

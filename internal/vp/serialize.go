@@ -1,9 +1,6 @@
 package vp
 
 import (
-	"fmt"
-	"io"
-
 	"bprom/internal/binio"
 	"bprom/internal/data"
 )
@@ -16,41 +13,31 @@ import (
 // (internal/bprom/serialize.go) carries magic and version.
 
 // Save writes the prompt section to w.
-func (p *Prompt) Save(w io.Writer) error {
+func (p *Prompt) Save(w *binio.Writer) {
 	for _, v := range []int{p.Source.C, p.Source.H, p.Source.W, p.Inner} {
-		if err := binio.WriteU32(w, uint32(v)); err != nil {
-			return err
-		}
+		w.U32(uint32(v))
 	}
-	return binio.WriteFloats(w, p.Theta)
+	w.Floats(p.Theta)
 }
 
 // LoadPrompt reads a prompt section previously written by Save and rebuilds
 // the border geometry.
-func LoadPrompt(r io.Reader) (*Prompt, error) {
-	var vals [4]uint32
-	for i := range vals {
-		v, err := binio.ReadU32(r)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	source := data.Shape{C: int(vals[0]), H: int(vals[1]), W: int(vals[2])}
+func LoadPrompt(r *binio.Reader) (*Prompt, error) {
+	source := data.Shape{C: int(r.U32()), H: int(r.U32()), W: int(r.U32())}
+	inner := int(r.U32())
 	if !source.Valid() {
-		return nil, fmt.Errorf("vp: invalid prompt canvas %+v", source)
+		r.Failf("vp: invalid prompt canvas %+v", source)
 	}
-	p, err := newPromptGeometry(source, int(vals[3]))
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	p, err := newPromptGeometry(source, inner)
 	if err != nil {
 		return nil, err
 	}
-	theta, err := binio.ReadFloats(r)
-	if err != nil {
-		return nil, err
+	// The geometry dictates the border size; θ must match it exactly.
+	if r.FloatsInto(p.Theta); r.Err() != nil {
+		return nil, r.Err()
 	}
-	if len(theta) != len(p.Theta) {
-		return nil, fmt.Errorf("vp: prompt has %d border values, geometry needs %d", len(theta), len(p.Theta))
-	}
-	p.Theta = theta
 	return p, nil
 }
