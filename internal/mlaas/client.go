@@ -65,9 +65,20 @@ func (c *ClientConfig) defaults() {
 		c.AuditPoll = 250 * time.Millisecond
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		c.HTTPClient = defaultHTTPClient
 	}
 }
+
+// defaultHTTPClient is what every client without a ClientConfig.HTTPClient
+// shares: http.DefaultTransport's settings, except that a host may keep as
+// many idle connections as Predict opens against it at once. With the
+// stock limit of 2, each chunked generation closed two of its four
+// connections on completion and dialled them again for the next one.
+var defaultHTTPClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxInflightChunks
+	return &http.Client{Transport: t}
+}()
 
 // Client is an oracle.Oracle backed by one model on a remote MLaaS
 // endpoint. It is safe for concurrent use; batches larger than the
@@ -314,22 +325,6 @@ func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 	return out, screening, nil
 }
 
-// Encoding/decoding scratch for the predict hot path. Generation-batched
-// audits push hundreds of chunked predict calls through one client, and
-// each call used to marshal a fresh multi-megabyte payload and decode into
-// fresh confidence rows; pooling the encode buffer, the row-header slice,
-// and the decode target keeps the steady-state allocation rate of the
-// batched path below the serial one instead of above it.
-var (
-	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	reqPool    = sync.Pool{New: func() any { return new(predictRequest) }}
-	respPool   = sync.Pool{New: func() any { return new(predictResponse) }}
-)
-
-// screenOptOut is the encoded "screen": false request field Predict sends
-// to screened endpoints (a shared target for the pooled request's pointer).
-var screenOptOut = false
-
 // Retry backoff bounds: exponential from retryBaseBackoff, never above
 // retryMaxBackoff. The old backoff was pure 1<<attempt * 100ms — uncapped
 // (attempt 10 slept 51s) and jitterless, so a fleet of clients bounced off
@@ -373,35 +368,15 @@ func parseRetryAfter(h string) time.Duration {
 // predictBatch sends one already-sized batch with the retry loop.
 func (c *Client) predictBatch(ctx context.Context, x *tensor.Tensor, screen bool) (*tensor.Tensor, []Screening, error) {
 	n := x.Dim(0)
-	req := reqPool.Get().(*predictRequest)
-	if cap(req.Inputs) < n {
-		req.Inputs = make([][]float64, n)
-	}
-	req.Inputs = req.Inputs[:n]
-	for i := 0; i < n; i++ {
-		req.Inputs[i] = x.Row(i)
-	}
+	buf := wireBufPool.Get().(*[]byte)
+	defer wireBufPool.Put(buf)
 	// Screening is server-default-on, so the only flag worth bytes is the
 	// opt-out — and only against endpoints that actually screen.
-	req.Screen = nil
-	if !screen && c.screened {
-		req.Screen = &screenOptOut
-	}
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer encBufPool.Put(buf)
-	err := json.NewEncoder(buf).Encode(req)
-	// Drop the row views before pooling so the scratch never pins the
-	// caller's tensor beyond this call.
-	for i := range req.Inputs {
-		req.Inputs[i] = nil
-	}
-	req.Screen = nil
-	reqPool.Put(req)
+	payload, err := appendPredictRequest((*buf)[:0], x.Data, c.inputDim, !screen && c.screened)
+	*buf = payload
 	if err != nil {
 		return nil, nil, fmt.Errorf("mlaas: encode batch: %w", err)
 	}
-	payload := buf.Bytes()
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
@@ -733,37 +708,15 @@ func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *ten
 		return nil, nil, transient, time.Duration(se.RetryAfter) * time.Second, err
 	}
 	defer resp.Body.Close()
-	// Decode into a pooled response: encoding/json reuses both the outer
-	// slice and the per-row []float64 backing arrays across calls, and the
-	// rows are copied into the caller's tensor before the scratch goes back.
-	// Screening is optional on the wire, so its pooled slice must be
-	// truncated first — a stale block from a previous screened response
-	// would otherwise survive an unscreened decode untouched.
-	pr := respPool.Get().(*predictResponse)
-	pr.Screening = pr.Screening[:0]
-	defer respPool.Put(pr)
-	if err := json.NewDecoder(resp.Body).Decode(pr); err != nil {
-		return nil, nil, true, 0, fmt.Errorf("decode response: %w", err)
+	// Presize from Content-Length, but never past what n rows can need: the
+	// header is the server's word, the bound is ours.
+	buf := wireBufPool.Get().(*[]byte)
+	defer wireBufPool.Put(buf)
+	body, err := readBody(*buf, resp.Body, min(resp.ContentLength, int64(n*c.classes*25+1024)))
+	*buf = body
+	if err != nil {
+		return nil, nil, true, 0, fmt.Errorf("read response: %w", err)
 	}
-	if len(pr.Confidences) != n {
-		return nil, nil, false, 0, fmt.Errorf("endpoint returned %d rows for %d inputs", len(pr.Confidences), n)
-	}
-	var screening []Screening
-	if len(pr.Screening) > 0 {
-		if len(pr.Screening) != n {
-			return nil, nil, false, 0, fmt.Errorf("endpoint returned %d screening entries for %d inputs", len(pr.Screening), n)
-		}
-		screening = append([]Screening(nil), pr.Screening...)
-	}
-	out := tensor.New(n, c.classes)
-	for i, row := range pr.Confidences {
-		if len(row) == 0 && screening != nil && screening[i].Rejected {
-			continue // withheld by the reject policy: confidences stay zero
-		}
-		if len(row) != c.classes {
-			return nil, nil, false, 0, fmt.Errorf("row %d has %d classes, want %d", i, len(row), c.classes)
-		}
-		copy(out.Data[i*c.classes:(i+1)*c.classes], row)
-	}
-	return out, screening, false, 0, nil
+	out, screening, malformed, err := parsePredictResponse(body, n, c.classes)
+	return out, screening, malformed, 0, err
 }

@@ -51,6 +51,14 @@
 // process-wide shared worker pool. The client adds timeouts, bounded
 // retries with exponential backoff, and transparent chunking of batches
 // larger than the endpoint's advertised max_batch.
+//
+// The two predict messages — all the bytes a black-box audit moves — have
+// their own codec (wire.go): node, gateway and client write them with
+// append-style encoders whose output is byte-identical to encoding/json's,
+// and read the canonical spelling with a strict tokenizer straight into
+// flat tensor data, through pooled buffers. Any other valid JSON of the
+// same shape still goes through encoding/json, which remains the arbiter of
+// what is accepted; every other route uses encoding/json throughout.
 package mlaas
 
 import (
@@ -58,9 +66,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -454,7 +462,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	// Bound the request body: MaxBatch samples of InputDim float64s encoded
 	// as JSON need at most ~25 bytes per number.
 	limit := int64(maxBatch*info.InputDim*25 + 1024)
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	// One pooled buffer carries the request body in and, once the rows are
+	// in the tensor, the response body out.
+	buf := wireBufPool.Get().(*[]byte)
+	defer wireBufPool.Put(buf)
+	body, err := readCapped(*buf, r.Body, r.ContentLength, limit)
+	*buf = body
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "read body: " + err.Error()})
 		return
@@ -463,61 +476,48 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "request too large"})
 		return
 	}
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decode: " + err.Error()})
-		return
-	}
-	n := len(req.Inputs)
-	if n == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
-		return
-	}
-	if n > maxBatch {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("batch %d exceeds limit %d", n, maxBatch)})
-		return
-	}
-	x := tensor.New(n, info.InputDim)
-	for i, row := range req.Inputs {
-		if len(row) != info.InputDim {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("sample %d has %d values, want %d", i, len(row), info.InputDim),
-			})
-			return
-		}
-		copy(x.Data[i*info.InputDim:(i+1)*info.InputDim], row)
-	}
-
 	// Screening defaults ON for screened models; a request may opt out
 	// ("screen": false) and pay nothing. Unscreened models ignore the flag.
-	screen := req.Screen == nil || *req.Screen
+	x, screen, err := parsePredictRequest(body, maxBatch, info.InputDim)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
 	probs, scores, err := s.prov.Predict(r.Context(), id, x, screen)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	resp := predictResponse{Confidences: make([][]float64, n)}
+	var screening []Screening
 	if scores != nil {
-		resp.Screening = make([]Screening, n)
+		reject := s.screenPolicy == ScreenReject
+		screening = make([]Screening, len(scores))
 		for i, sc := range scores {
-			resp.Screening[i] = Screening{Score: sc.Score, Flagged: sc.Flagged, Threshold: sc.Threshold}
+			screening[i] = Screening{Score: sc.Score, Flagged: sc.Flagged, Threshold: sc.Threshold}
+			if reject && sc.Flagged {
+				// A structured 403-style error row: confidences withheld (null
+				// in the JSON), the screening block says why. The batch itself
+				// still succeeds — unflagged rows are served normally.
+				screening[i].Rejected = true
+				screening[i].Error = fmt.Sprintf("input flagged by backdoor screening (score %.3f >= threshold %.3f)",
+					sc.Score, sc.Threshold)
+			}
 		}
 	}
-	reject := scores != nil && s.screenPolicy == ScreenReject
-	k := info.Classes
-	for i := 0; i < n; i++ {
-		if reject && scores[i].Flagged {
-			// A structured 403-style error row: confidences withheld (null
-			// in the JSON), the screening block says why. The batch itself
-			// still succeeds — unflagged rows are served normally.
-			resp.Screening[i].Rejected = true
-			resp.Screening[i].Error = fmt.Sprintf("input flagged by backdoor screening (score %.3f >= threshold %.3f)",
-				scores[i].Score, scores[i].Threshold)
-			continue
-		}
-		resp.Confidences[i] = probs.Data[i*k : (i+1)*k]
+	// The body is complete before the status line goes out, so a model that
+	// emits NaN or ±Inf — which JSON cannot spell — is a clean 500, never a
+	// 200 with half a document behind it.
+	body, err = appendPredictResponse(body[:0], probs.Data, info.Classes, screening)
+	*buf = body
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "model produced a non-finite confidence: " + err.Error()})
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; there is nobody to tell.
+	_, _ = w.Write(body)
 }
 
 // writeError maps provider and audit-backend errors onto the wire error
