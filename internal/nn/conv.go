@@ -23,7 +23,8 @@ type Conv2D struct {
 	// colPool recycles [OutH*OutW, InC*KH*KW] im2col matrices between a
 	// recording Forward and the Backward that consumes them, keeping the
 	// training loop's per-step allocations flat without giving up
-	// reentrancy (sync.Pool is concurrency-safe).
+	// reentrancy (sync.Pool is concurrency-safe). Inference scratch comes
+	// from the pass's workspace instead.
 	colPool sync.Pool
 }
 
@@ -57,17 +58,18 @@ func NewConv2D(dims tensor.ConvDims, r *rng.RNG) *Conv2D {
 	return c
 }
 
-// forward runs the convolution. When cols is non-nil it receives one im2col
-// matrix per image (kept for Backward); otherwise scratch matrices are
-// recycled through the layer's pool.
+// forward runs the convolution, drawing the output and scratch from ws.
+// When cols is non-nil it receives one im2col matrix per image (kept for
+// Backward) from the layer's pool.
 //
-// The batch is partitioned across the shared tensor worker pool: every image
-// writes a disjoint slice of the output (and its own cols entry), so chunks
-// are race-free, and each chunk carries its own scratch tensors. The nested
-// Im2Col/MatMul calls dispatch onto the same shared pool, which bounds total
-// parallelism at the pool size instead of multiplying batch-level by
-// kernel-level workers.
-func (c *Conv2D) forward(x *tensor.Tensor, cols []*tensor.Tensor) *tensor.Tensor {
+// Outside a serial block the batch is partitioned across the shared tensor
+// worker pool: every image writes a disjoint slice of the output (and its
+// own cols entry), so chunks are race-free. The split into chunks is fixed
+// here rather than left to ParallelFor because each chunk needs scratch of
+// its own and ws belongs to this goroutine. The nested Im2Col/MatMul calls
+// dispatch onto the same shared pool, which bounds total parallelism at the
+// pool size instead of multiplying batch-level by kernel-level workers.
+func (c *Conv2D) forward(ws *workspace, x *tensor.Tensor, cols []*tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: Conv2D expects [N,C,H,W], got shape %v", x.Shape()))
 	}
@@ -75,55 +77,87 @@ func (c *Conv2D) forward(x *tensor.Tensor, cols []*tensor.Tensor) *tensor.Tensor
 	d := c.Dims
 	k := d.InC * d.KH * d.KW
 	spatial := d.OutH * d.OutW
-	out := tensor.New(n, d.OutC, d.OutH, d.OutW)
-	img := d.InC * d.InH * d.InW
-	runImages := func(lo, hi int) {
-		tmp := tensor.New(spatial, d.OutC)
-		var scratch *tensor.Tensor
+	// scratch draws one chunk's [spatial, OutC] product buffer and, unless
+	// cols keeps them, its im2col matrix.
+	scratch := func() (tmp, col *tensor.Tensor) {
+		tmp = ws.tensor(spatial, d.OutC)
 		if cols == nil {
-			scratch = c.getCol(spatial, k)
-			defer c.colPool.Put(scratch)
+			col = ws.tensor(spatial, k)
 		}
-		for i := lo; i < hi; i++ {
-			col := scratch
-			if cols != nil {
-				cols[i] = c.getCol(spatial, k)
-				col = cols[i]
-			}
-			tensor.Im2Col(x.Data[i*img:(i+1)*img], d, col)
-			// tmp[pos, oc] = col[pos, :] · W[oc, :]
-			if c.Q != nil {
-				tensor.QMatMulInto(tmp, col, c.Q) // Q holds Wᵀ [k, OutC]
-			} else {
-				tensor.MatMulTransBInto(tmp, col, c.W.Value)
-			}
-			// transpose into [OutC, OutH*OutW] layout of the output image
-			dst := out.Data[i*d.OutC*spatial : (i+1)*d.OutC*spatial]
-			for pos := 0; pos < spatial; pos++ {
-				row := tmp.Row(pos)
-				for oc, v := range row {
-					dst[oc*spatial+pos] = v + c.B.Value.Data[oc]
-				}
-			}
+		return tmp, col
+	}
+	// Per-image cost ≈ spatial*k*OutC multiplies; stay on this goroutine when
+	// the whole batch is cheaper than a few goroutine handoffs.
+	serial := ws.isSerial()
+	if serial || n == 1 || !tensor.WorthParallel(n*spatial*k*d.OutC) {
+		tmp, col := scratch()
+		out := ws.tensor(n, d.OutC, d.OutH, d.OutW)
+		c.convImages(out, x, 0, n, tmp, col, cols, serial)
+		return out
+	}
+	chunks := make([]struct{ tmp, col *tensor.Tensor }, min(n, 2*tensor.Workers()))
+	for ch := range chunks {
+		chunks[ch].tmp, chunks[ch].col = scratch()
+	}
+	out := ws.tensor(n, d.OutC, d.OutH, d.OutW)
+	tensor.ParallelFor(len(chunks), 1, func(lo, hi int) {
+		for ch := lo; ch < hi; ch++ {
+			c.convImages(out, x, ch*n/len(chunks), (ch+1)*n/len(chunks), chunks[ch].tmp, chunks[ch].col, cols, false)
 		}
-	}
-	// Per-image cost ≈ spatial*k*OutC multiplies; stay serial when the whole
-	// batch is cheaper than a few goroutine handoffs.
-	if n == 1 || !tensor.WorthParallel(n*spatial*k*d.OutC) {
-		runImages(0, n)
-	} else {
-		tensor.ParallelFor(n, 1, runImages)
-	}
+	})
 	return out
 }
 
-func (c *Conv2D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return c.forward(x, nil)
+// convImages convolves images [lo, hi) of x into out with one chunk's
+// scratch: tmp holds an image's [spatial, OutC] product; its im2col matrix
+// goes to a pooled cols[i] when cols is non-nil and to col otherwise.
+func (c *Conv2D) convImages(out, x *tensor.Tensor, lo, hi int, tmp, col *tensor.Tensor, cols []*tensor.Tensor, serial bool) {
+	d := c.Dims
+	k := d.InC * d.KH * d.KW
+	spatial := d.OutH * d.OutW
+	img := d.InC * d.InH * d.InW
+	for i := lo; i < hi; i++ {
+		if cols != nil {
+			cols[i] = c.getCol(spatial, k)
+			col = cols[i]
+		}
+		src := x.Data[i*img : (i+1)*img]
+		// tmp[pos, oc] = col[pos, :] · W[oc, :]
+		if serial {
+			tensor.SerialIm2Col(src, d, col)
+			if c.Q != nil {
+				tensor.SerialQMatMulInto(tmp, col, c.Q) // Q holds Wᵀ [k, OutC]
+			} else {
+				tensor.SerialMatMulTransBInto(tmp, col, c.W.Value)
+			}
+		} else {
+			tensor.Im2Col(src, d, col)
+			if c.Q != nil {
+				tensor.QMatMulInto(tmp, col, c.Q)
+			} else {
+				tensor.MatMulTransBInto(tmp, col, c.W.Value)
+			}
+		}
+		// transpose into [OutC, OutH*OutW] layout of the output image
+		dst := out.Data[i*d.OutC*spatial : (i+1)*d.OutC*spatial]
+		for pos := 0; pos < spatial; pos++ {
+			row := tmp.Row(pos)
+			for oc, v := range row {
+				dst[oc*spatial+pos] = v + c.B.Value.Data[oc]
+			}
+		}
+	}
+}
+
+func (c *Conv2D) Infer(x *tensor.Tensor) *tensor.Tensor { return c.forward(nil, x, nil) }
+
+func (c *Conv2D) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	return c.forward(ws, x, nil)
 }
 
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
 	cc := &conv2DCache{cols: make([]*tensor.Tensor, x.Dim(0))}
-	return c.forward(x, cc.cols), cc
+	return c.forward(nil, x, cc.cols), cc
 }
 
 func (c *Conv2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
@@ -173,12 +207,14 @@ type Flatten struct{}
 
 var _ Layer = (*Flatten)(nil)
 
-func (f *Flatten) Infer(x *tensor.Tensor) *tensor.Tensor {
+func (f *Flatten) Infer(x *tensor.Tensor) *tensor.Tensor { return f.infer(nil, x) }
+
+func (f *Flatten) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() == 2 {
 		return x
 	}
 	n := x.Dim(0)
-	return x.Reshape(n, x.Len()/n)
+	return ws.reshape(x, n, x.Len()/n)
 }
 
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
@@ -199,9 +235,10 @@ type ToImage struct {
 
 var _ Layer = (*ToImage)(nil)
 
-func (t *ToImage) Infer(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	return x.Reshape(n, t.C, t.H, t.W)
+func (t *ToImage) Infer(x *tensor.Tensor) *tensor.Tensor { return t.infer(nil, x) }
+
+func (t *ToImage) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	return ws.reshape(x, x.Dim(0), t.C, t.H, t.W)
 }
 
 func (t *ToImage) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {

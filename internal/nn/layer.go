@@ -20,13 +20,20 @@
 // race on the shared parameter-gradient accumulators, so gradient work
 // for a single model should stay single-flight (or synchronize steps).
 //
-// Intra-op parallelism comes from the tensor package's shared worker pool:
-// matmuls, im2col and the Conv2D batch loop all partition row blocks onto
-// one bounded pool (sized by GOMAXPROCS, see tensor.SetWorkers), so any
-// number of concurrent Infer/Predict callers compose with the parallel
-// kernels without oversubscribing the machine. Callers add concurrency for
-// throughput (many models, many requests), never per-op speed — the kernels
-// already use every core.
+// Parallelism has one level. The inference entry points run a batch as
+// independent row blocks (see predictBlock): a batch wider than one block is
+// spread over the tensor package's shared worker pool block by block, and
+// every layer inside a block runs its kernel serially on the block's
+// goroutine; a batch of at most one block stays on the caller and there the
+// matmuls, im2col and the Conv2D batch loop partition their own rows onto
+// the pool instead — the only parallelism a narrow request can have. The
+// pool is bounded (sized by GOMAXPROCS, see tensor.SetWorkers), so any
+// number of concurrent callers compose without oversubscribing the machine.
+// Callers add concurrency for throughput (many models, many requests), never
+// per-op speed. Each block draws its activations from a pooled arena
+// (workspace.go), so a warm pass allocates only the tensor it returns. The
+// recording Forward/Backward path allocates per call and always uses the
+// pool-dispatching kernels.
 package nn
 
 import (
@@ -94,14 +101,23 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 	return d
 }
 
-func (d *Dense) Infer(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	out := tensor.New(n, d.Out)
-	if d.Q != nil {
+func (d *Dense) Infer(x *tensor.Tensor) *tensor.Tensor { return d.infer(nil, x) }
+
+func (d *Dense) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	out := ws.tensor(x.Dim(0), d.Out)
+	switch {
+	case d.Q != nil && ws.isSerial():
+		tensor.SerialQMatMulInto(out, x, d.Q)
+	case d.Q != nil:
 		tensor.QMatMulInto(out, x, d.Q)
-	} else {
+	case ws.isSerial():
+		tensor.SerialMatMulInto(out, x, d.W.Value)
+	default:
 		tensor.MatMulInto(out, x, d.W.Value)
 	}
+	// Elementwise tails stay on the shared entry points: they run inline
+	// below 32Ki elements, which a predictBlock-row block of this package's
+	// widths never reaches.
 	tensor.AddRowVecInto(out, out, d.B.Value.Data)
 	return out
 }
@@ -143,12 +159,14 @@ type ReLU struct{}
 
 var _ Layer = (*ReLU)(nil)
 
-func (a *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
+func (a *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor { return a.infer(nil, x) }
+
+func (a *ReLU) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	out := ws.writable(x)
 	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-		}
+		// Same bits as "if v <= 0 { v = 0 }" (NaN stays, -0 becomes +0)
+		// without a branch that activations mispredict half the time.
+		out.Data[i] = max(v, 0)
 	}
 	return out
 }
@@ -175,8 +193,10 @@ type Tanh struct{}
 
 var _ Layer = (*Tanh)(nil)
 
-func (a *Tanh) Infer(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
+func (a *Tanh) Infer(x *tensor.Tensor) *tensor.Tensor { return a.infer(nil, x) }
+
+func (a *Tanh) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	out := ws.writable(x)
 	out.Apply(tanh)
 	return out
 }
@@ -186,8 +206,15 @@ func (a *Tanh) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
 	return out, out
 }
 
+// tanh is (e²ᵛ−1)/(e²ᵛ+1), saturated where the quotient has already rounded
+// to exactly ±1: past v ≈ 354.9 e²ᵛ overflows and the formula is Inf/Inf.
 func tanh(v float64) float64 {
-	// math.Tanh is fine; inlined name keeps Apply call sites tidy.
+	if v >= 20 {
+		return 1
+	}
+	if v <= -20 {
+		return -1
+	}
 	e2 := exp(2 * v)
 	return (e2 - 1) / (e2 + 1)
 }
@@ -293,9 +320,9 @@ func NewLayerNorm(f int) *LayerNorm {
 	return ln
 }
 
-// forward computes the output; when cc is non-nil it also records the
-// normalized activations and inverse stddevs Backward needs.
-func (l *LayerNorm) forward(x *tensor.Tensor, cc *layerNormCache) *tensor.Tensor {
+// forward computes the output into a tensor from ws; when cc is non-nil it
+// also records the normalized activations and inverse stddevs Backward needs.
+func (l *LayerNorm) forward(ws *workspace, x *tensor.Tensor, cc *layerNormCache) *tensor.Tensor {
 	n := x.Dim(0)
 	var norm *tensor.Tensor
 	var invStd []float64
@@ -304,7 +331,7 @@ func (l *LayerNorm) forward(x *tensor.Tensor, cc *layerNormCache) *tensor.Tensor
 		invStd = make([]float64, n)
 		cc.norm, cc.invStd = norm, invStd
 	}
-	out := tensor.New(n, l.F)
+	out := ws.tensor(n, l.F)
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		mean := 0.0
@@ -335,13 +362,15 @@ func (l *LayerNorm) forward(x *tensor.Tensor, cc *layerNormCache) *tensor.Tensor
 	return out
 }
 
-func (l *LayerNorm) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return l.forward(x, nil)
+func (l *LayerNorm) Infer(x *tensor.Tensor) *tensor.Tensor { return l.forward(nil, x, nil) }
+
+func (l *LayerNorm) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	return l.forward(ws, x, nil)
 }
 
 func (l *LayerNorm) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
 	cc := &layerNormCache{}
-	return l.forward(x, cc), cc
+	return l.forward(nil, x, cc), cc
 }
 
 func (l *LayerNorm) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
@@ -383,12 +412,11 @@ type Residual struct {
 
 var _ Layer = (*Residual)(nil)
 
-func (r *Residual) Infer(x *tensor.Tensor) *tensor.Tensor {
-	h := x
-	for _, l := range r.Body {
-		h = l.Infer(h)
-	}
-	return r.join(x, h)
+func (r *Residual) Infer(x *tensor.Tensor) *tensor.Tensor { return r.infer(nil, x) }
+
+func (r *Residual) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
+	ws.keep() // the join reads x after the body has run
+	return r.join(ws, x, ws.run(r.Body, x))
 }
 
 func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
@@ -397,14 +425,14 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache)
 	for i, l := range r.Body {
 		h, caches[i] = l.Forward(h, train)
 	}
-	return r.join(x, h), caches
+	return r.join(nil, x, h), caches
 }
 
-func (r *Residual) join(x, h *tensor.Tensor) *tensor.Tensor {
+func (r *Residual) join(ws *workspace, x, h *tensor.Tensor) *tensor.Tensor {
 	if !h.SameShape(x) {
 		panic(fmt.Sprintf("nn: residual body changed shape %v -> %v", x.Shape(), h.Shape()))
 	}
-	out := tensor.New(x.Shape()...)
+	out := ws.tensor(x.Shape()...)
 	tensor.AddInto(out, x, h)
 	return out
 }

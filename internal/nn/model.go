@@ -28,8 +28,10 @@ type Model struct {
 	NumClasses int
 	Layers     []Layer
 
-	// passes pools training workspaces; the zero value is ready to use.
-	passes sync.Pool
+	// passes pools the recording Pass workspaces and workspaces the
+	// inference arenas (workspace.go); the zero values are ready to use.
+	passes     sync.Pool
+	workspaces sync.Pool
 
 	// quantized is set by Quantize once any layer holds int8 weights; the
 	// model is then inference-only (NewPass panics, Save errors).
@@ -38,13 +40,10 @@ type Model struct {
 
 // Infer runs the pure inference pass and returns logits of shape
 // [N, NumClasses]. It never mutates the model, so a frozen model serves
-// concurrent Infer calls.
+// concurrent Infer calls. Like Predict, PredictClasses and Features it runs
+// as row blocks (see predictBlock) and returns a caller-owned tensor.
 func (m *Model) Infer(x *tensor.Tensor) *tensor.Tensor {
-	h := x
-	for _, l := range m.Layers {
-		h = l.Infer(h)
-	}
-	return h
+	return m.gather(m.Layers, x)
 }
 
 // Pass is a caller-owned workspace for one recording forward/backward pair.
@@ -115,74 +114,37 @@ func (p *Pass) Release() {
 // head) of shape [N, F]. Baseline defenses that analyze latent
 // representations use this; BPROM itself never does. Pure, like Infer.
 func (m *Model) Features(x *tensor.Tensor) *tensor.Tensor {
-	h := x
-	for _, l := range m.Layers[:len(m.Layers)-1] {
-		h = l.Infer(h)
-	}
-	if h.Rank() != 2 {
-		n := h.Dim(0)
-		h = h.Reshape(n, h.Len()/n)
-	}
-	return h
+	return m.gather(m.Layers[:len(m.Layers)-1], x)
 }
 
-// predictBlock bounds the rows of one inference pass inside Predict. Wide
-// batches (fused CMA-ES generations, coalesced micro-batches) are split
-// into row blocks that run on the shared worker pool: each block's
-// intermediate activations stay cache-resident instead of streaming a
-// whole generation's worth of feature maps through memory, and the blocks
-// parallelize across workers on top of the kernels' own chunking. Every
-// layer is row-independent in inference mode (the micro-batch engine
-// already coalesces unrelated requests into one pass), so the split is
-// bitwise invisible.
-const predictBlock = 16
-
 // Predict returns softmax probabilities of shape [N, NumClasses]. Pure,
-// like Infer. Batches wider than predictBlock rows are processed as
-// independent row blocks on the shared worker pool; results are bitwise
-// identical to a single pass.
+// like Infer; results are bitwise identical to a single unblocked pass.
 func (m *Model) Predict(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	if n <= predictBlock || x.Rank() != 2 {
-		logits := m.Infer(x)
-		SoftmaxInPlace(logits)
-		return logits
-	}
-	dim := x.Dim(1)
-	out := tensor.New(n, m.NumClasses)
-	blocks := (n + predictBlock - 1) / predictBlock
-	tensor.ParallelFor(blocks, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			r0 := b * predictBlock
-			r1 := r0 + predictBlock
-			if r1 > n {
-				r1 = n
-			}
-			sub := tensor.FromSlice(x.Data[r0*dim:r1*dim], r1-r0, dim)
-			logits := m.Infer(sub)
-			SoftmaxInPlace(logits)
-			copy(out.Data[r0*m.NumClasses:r1*m.NumClasses], logits.Data)
-		}
-	})
+	out := m.gather(m.Layers, x)
+	SoftmaxInPlace(out)
 	return out
 }
 
 // PredictClasses returns the argmax class for each sample. Pure, like Infer.
 func (m *Model) PredictClasses(x *tensor.Tensor) []int {
-	logits := m.Infer(x)
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
-		best, bi := math.Inf(-1), 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
-			}
+	out := make([]int, x.Dim(0))
+	m.forBlocks(m.Layers, x, func(r0 int, logits *tensor.Tensor) {
+		for i := 0; i < logits.Dim(0); i++ {
+			out[r0+i] = argmax(logits.Row(i))
 		}
-		out[i] = bi
-	}
+	})
 	return out
+}
+
+// argmax returns the index of the largest value (first on ties).
+func argmax(row []float64) int {
+	best, bi := math.Inf(-1), 0
+	for j, v := range row {
+		if v > best {
+			best, bi = v, j
+		}
+	}
+	return bi
 }
 
 // Params returns all trainable parameters in layer order.
@@ -294,14 +256,7 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	}
 	correct := 0
 	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
-		best, bi := math.Inf(-1), 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
-			}
-		}
-		if bi == labels[i] {
+		if argmax(logits.Data[i*k:(i+1)*k]) == labels[i] {
 			correct++
 		}
 	}

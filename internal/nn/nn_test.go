@@ -82,6 +82,42 @@ func TestTanhGradients(t *testing.T) {
 	checkLayerGradients(t, &Tanh{}, []int{4, 6}, 4)
 }
 
+// TestTanhSaturates: the closed form overflows to Inf/Inf past v ≈ 354.9,
+// so tanh saturates where the quotient has already rounded to ±1 — and
+// agrees with math.Tanh everywhere else.
+func TestTanhSaturates(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{
+		{0, 0},
+		{math.Copysign(0, -1), 0},
+		{19.5, 1}, {-19.5, -1}, // the formula itself has rounded to ±1 here
+		{20, 1}, {-20, -1},
+		{354, 1}, {355, 1}, {-355, -1},
+		{400, 1}, {-400, -1},
+		{math.MaxFloat64, 1}, {-math.MaxFloat64, -1},
+		{math.Inf(1), 1}, {math.Inf(-1), -1},
+	} {
+		if got := tanh(c.in); got != c.want {
+			t.Errorf("tanh(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	if got := tanh(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("tanh(NaN) = %v, want NaN", got)
+	}
+	for v := -25.0; v <= 25; v += 0.37 {
+		if got, want := tanh(v), math.Tanh(v); math.Abs(got-want) > 1e-15 {
+			t.Errorf("tanh(%v) = %v, math.Tanh = %v", v, got, want)
+		}
+	}
+	// Through the layer, which is how a model meets it.
+	x := tensor.FromSlice([]float64{-400, -1, 0, 1, 400}, 1, 5)
+	y := (&Tanh{}).Infer(x)
+	for i, want := range []float64{-1, math.Tanh(-1), 0, math.Tanh(1), 1} {
+		if math.Abs(y.Data[i]-want) > 1e-15 {
+			t.Errorf("Tanh.Infer(%v) = %v, want %v", x.Data[i], y.Data[i], want)
+		}
+	}
+}
+
 func TestLayerNormGradients(t *testing.T) {
 	checkLayerGradients(t, NewLayerNorm(6), []int{3, 6}, 5)
 }

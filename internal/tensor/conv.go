@@ -54,6 +54,12 @@ func Im2Col(x []float64, d ConvDims, cols *Tensor) {
 	ParallelFor(d.OutH, 1, func(lo, hi int) { im2colRows(x, d, cols, lo, hi) })
 }
 
+// SerialIm2Col is Im2Col run entirely on the calling goroutine (see
+// SerialMatMulInto).
+func SerialIm2Col(x []float64, d ConvDims, cols *Tensor) {
+	im2colRows(x, d, cols, 0, d.OutH)
+}
+
 // im2colRows unrolls output rows oy in [oy0, oy1): each writes the disjoint
 // cols rows [oy*OutW, (oy+1)*OutW).
 func im2colRows(x []float64, d ConvDims, cols *Tensor, oy0, oy1 int) {

@@ -35,6 +35,8 @@ func FuzzMatMulInto(f *testing.F) {
 	f.Add(uint8(1), uint8(130), uint8(1), uint64(7), []byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(65), uint8(128), uint8(33), uint64(9), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(255), uint8(255), uint8(255), uint64(3), []byte{0xff, 0xff})
+	f.Add(uint8(143), uint8(26), uint8(7), uint64(11), []byte{}) // conv1's im2col product: k 27, 8 columns
+	f.Add(uint8(35), uint8(71), uint8(4), uint64(12), []byte{})  // k 72, 5 columns: one sweep and a remainder
 	f.Fuzz(func(t *testing.T, rm, rk, rn uint8, seed uint64, raw []byte) {
 		m := int(rm)%66 + 1
 		k := int(rk)%140 + 1 // straddles tileK via k near 128 with m*n*k over the threshold
@@ -67,14 +69,19 @@ func FuzzMatMulInto(f *testing.F) {
 					m, k, n, i, gotA.Data[i], want.Data[i])
 			}
 		}
+		// TransB is one dot product per element, summed p ascending in the
+		// register-blocked kernel exactly as in its own naive form, so this
+		// leg is held to the bits (an overflowed Inf − Inf is NaN on both
+		// sides).
 		bt := FromSlice(append([]float64(nil), b.Data...), k, n).Transpose() // [n,k]
-		gotB := New(m, n)
+		gotB, wantB := New(m, n), New(m, n)
 		MatMulTransBInto(gotB, a, bt)
+		NaiveMatMulTransBInto(wantB, a, bt)
 		for i := range gotB.Data {
-			diff := math.Abs(gotB.Data[i] - want.Data[i])
-			if diff > 1e-9*math.Max(1, math.Abs(want.Data[i])) {
-				t.Fatalf("TransB != naive at [%d,%d,%d] element %d: got %v, want %v",
-					m, k, n, i, gotB.Data[i], want.Data[i])
+			g, w := gotB.Data[i], wantB.Data[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("TransB != naive TransB at [%d,%d,%d] element %d: got %v, want %v",
+					m, k, n, i, g, w)
 			}
 		}
 	})

@@ -17,7 +17,7 @@ import (
 
 // matMulShapes exercises 1×N, N×1, tile-boundary and odd non-multiple dims.
 // tileK is 128 and tileJ is 64, so 127/128/129 and 63/64/65 straddle both.
-var matMulShapes = [][3]int{
+var matMulShapes = append(convBlockShapes(), [][3]int{
 	{1, 1, 1},
 	{1, 7, 1},
 	{1, 1, 300},
@@ -34,6 +34,20 @@ var matMulShapes = [][3]int{
 	{33, 2, 129},
 	{1, 300, 257}, // column-partitioned dispatch (skinny, wide)
 	{2, 513, 129},
+}...)
+
+// convBlockShapes are the bench zoo's conv reductions (k = InC·KH·KW = 27
+// and 72, plus the degenerate 1) at every output width from 1 to 9: the
+// TransB kernel sweeps four columns at a time, so these cover zero, one and
+// two full sweeps with every remainder.
+func convBlockShapes() [][3]int {
+	var shapes [][3]int
+	for _, k := range []int{1, 27, 72} {
+		for n := 1; n <= 9; n++ {
+			shapes = append(shapes, [3]int{5, k, n})
+		}
+	}
+	return shapes
 }
 
 func fillRandom(r *rng.RNG, ts ...*Tensor) {
@@ -252,5 +266,49 @@ func TestMatMulRandomizedParity(t *testing.T) {
 		MatMulInto(got, a, b)
 		NaiveMatMulInto(want, a, b)
 		requireClose(t, fmt.Sprintf("random [%d,%d,%d]", m, k, n), got, want, 1e-12)
+	}
+}
+
+// TestSerialEntryPointsMatchDispatching: the Serial* forms are the same
+// kernels minus the pool, so on shapes the dispatching forms would split
+// (and on the small ones) they must produce the same bits, with the pool
+// forced wide so the dispatching side really dispatches.
+func TestSerialEntryPointsMatchDispatching(t *testing.T) {
+	SetWorkers(8)
+	defer SetWorkers(0)
+	root := rng.New(21)
+	for si, s := range matMulShapes {
+		m, k, n := s[0], s[1], s[2]
+		r := root.Split("serial", si)
+		a, b, bt := New(m, k), New(k, n), New(n, k)
+		fillRandom(r, a, b, bt)
+		got, want := New(m, n), New(m, n)
+		got.Fill(math.NaN()) // Serial* callers hand in unzeroed arena memory
+
+		SerialMatMulInto(got, a, b)
+		MatMulInto(want, a, b)
+		requireEqual(t, fmt.Sprintf("SerialMatMulInto %v", s), got, want)
+
+		SerialMatMulTransBInto(got, a, bt)
+		MatMulTransBInto(want, a, bt)
+		requireEqual(t, fmt.Sprintf("SerialMatMulTransBInto %v", s), got, want)
+
+		q := QuantizePerCol(b)
+		SerialQMatMulInto(got, a, q)
+		QMatMulInto(want, a, q)
+		requireEqual(t, fmt.Sprintf("SerialQMatMulInto %v", s), got, want)
+	}
+	for gi, d := range convGeometries {
+		if err := d.Resolve(); err != nil {
+			t.Fatalf("geometry %d: %v", gi, err)
+		}
+		k := d.InC * d.KH * d.KW
+		x := make([]float64, d.InC*d.InH*d.InW)
+		root.Split("im2col", gi).Gaussian(x, 0, 1)
+		got, want := New(d.OutH*d.OutW, k), New(d.OutH*d.OutW, k)
+		got.Fill(math.NaN())
+		SerialIm2Col(x, d, got)
+		Im2Col(x, d, want)
+		requireEqual(t, fmt.Sprintf("SerialIm2Col %+v", d), got, want)
 	}
 }

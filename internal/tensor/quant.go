@@ -289,9 +289,10 @@ type qActs struct {
 var qActsPool = sync.Pool{New: func() any { return new(qActs) }}
 
 // quantizeActs quantizes every row of x (shape [m,k]) into a pooled
-// scratch. Rows are independent, so the pass parallelizes on the shared
-// pool without affecting bits. Callers release() the scratch when done.
-func quantizeActs(x *Tensor) *qActs {
+// scratch. Rows are independent, so unless serial is set the pass
+// parallelizes on the shared pool without affecting bits. Callers release()
+// the scratch when done.
+func quantizeActs(x *Tensor, serial bool) *qActs {
 	m, k := x.shape[0], x.shape[1]
 	a := qActsPool.Get().(*qActs)
 	if cap(a.data) < m*k {
@@ -304,12 +305,20 @@ func quantizeActs(x *Tensor) *qActs {
 		a.sums = make([]int32, m)
 	}
 	a.scales, a.zps, a.sums = a.scales[:m], a.zps[:m], a.sums[:m]
-	forEachScaled(m, k, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.scales[i], a.zps[i], a.sums[i] = quantizeRow(a.data[i*k:(i+1)*k], x.Data[i*k:(i+1)*k])
-		}
-	})
+	if serial {
+		a.quantizeRows(x, 0, m)
+	} else {
+		forEachScaled(m, k, func(lo, hi int) { a.quantizeRows(x, lo, hi) })
+	}
 	return a
+}
+
+// quantizeRows fills rows [lo, hi) of the scratch from x.
+func (a *qActs) quantizeRows(x *Tensor, lo, hi int) {
+	k := x.shape[1]
+	for i := lo; i < hi; i++ {
+		a.scales[i], a.zps[i], a.sums[i] = quantizeRow(a.data[i*k:(i+1)*k], x.Data[i*k:(i+1)*k])
+	}
 }
 
 func (a *qActs) release() { qActsPool.Put(a) }
@@ -378,13 +387,22 @@ func checkQMatMulTransBShapes(op string, dst, x *Tensor, q *QTensor) (m, k, n in
 // the pool size and identical to NaiveQMatMulInto.
 func QMatMulInto(dst, x *Tensor, q *QTensor) {
 	m, k, n := checkQMatMulShapes("QMatMulInto", dst, x, q)
-	acts := quantizeActs(x)
+	acts := quantizeActs(x, false)
 	defer acts.release()
 	if m*n*k < matMulParMin {
 		qMatMulRange(dst, acts, q, 0, m, 0, n)
 		return
 	}
 	dispatchMatMul(m, n, func(i0, i1, j0, j1 int) { qMatMulRange(dst, acts, q, i0, i1, j0, j1) })
+}
+
+// SerialQMatMulInto is QMatMulInto run entirely on the calling goroutine,
+// activation quantization included (see SerialMatMulInto).
+func SerialQMatMulInto(dst, x *Tensor, q *QTensor) {
+	m, _, n := checkQMatMulShapes("SerialQMatMulInto", dst, x, q)
+	acts := quantizeActs(x, true)
+	defer acts.release()
+	qMatMulRange(dst, acts, q, 0, m, 0, n)
 }
 
 // qLaneMask selects the even 16-bit lanes of a uint64, giving two 32-bit
@@ -485,7 +503,7 @@ func qMatMulRange(dst *Tensor, acts *qActs, q *QTensor, i0, i1, j0, j1 int) {
 // identical to NaiveQMatMulTransBInto.
 func QMatMulTransBInto(dst, x *Tensor, q *QTensor) {
 	m, k, n := checkQMatMulTransBShapes("QMatMulTransBInto", dst, x, q)
-	acts := quantizeActs(x)
+	acts := quantizeActs(x, false)
 	defer acts.release()
 	if m*n*k < matMulParMin {
 		qMatMulTransBRange(dst, acts, q, 0, m, 0, n)

@@ -55,14 +55,15 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
+	own := append([]int(nil), shape...) // messages below print the copy so shape never escapes
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in shape %v", d, own))
 		}
 		n *= d
 	}
-	return &Tensor{Data: make([]float64, n), shape: append([]int(nil), shape...)}
+	return &Tensor{Data: make([]float64, n), shape: own}
 }
 
 // FromSlice wraps data with the given shape without copying. The product of
@@ -76,6 +77,21 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: shape %v does not match data length %d", shape, len(data)))
 	}
 	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
+}
+
+// Rebind points t at data under shape without copying, reusing t's header
+// and shape storage: FromSlice for a header that is recycled between passes
+// (nn's activation arena). The product of the shape must equal len(data).
+func (t *Tensor) Rebind(data []float64, shape ...int) {
+	t.shape = append(t.shape[:0], shape...)
+	n := 1
+	for _, d := range t.shape {
+		n *= d
+	}
+	if n != len(data) {
+		panic(fmt.Sprintf("tensor: shape %v does not match data length %d", t.shape, len(data)))
+	}
+	t.Data = data
 }
 
 // Shape returns the tensor's dimensions. Callers must not mutate the result.
@@ -100,14 +116,15 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a view of the same data under a new shape. The element
 // count must match. The returned tensor shares the backing slice.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
+	own := append([]int(nil), shape...) // the message prints the copy so shape never escapes
 	n := 1
-	for _, d := range shape {
+	for _, d := range own {
 		n *= d
 	}
 	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, own))
 	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...)}
+	return &Tensor{Data: t.Data, shape: own}
 }
 
 // At returns the element at the given multi-index (2-D fast path only where
@@ -189,12 +206,19 @@ func forEachScaled(count, width int, f func(lo, hi int)) {
 // AddInto computes dst = a + b elementwise. All three must share a length.
 func AddInto(dst, a, b *Tensor) {
 	checkSameLen("AddInto", dst, a, b)
-	forEachRange(len(dst.Data), func(lo, hi int) {
-		ad, bd, dd := a.Data[lo:hi], b.Data[lo:hi], dst.Data[lo:hi]
-		for i := range dd {
-			dd[i] = ad[i] + bd[i]
-		}
-	})
+	n := len(dst.Data)
+	if n < elemParMin { // decided before the closure exists, so small calls allocate nothing
+		addRange(dst, a, b, 0, n)
+		return
+	}
+	ParallelFor(n, elemGrain, func(lo, hi int) { addRange(dst, a, b, lo, hi) })
+}
+
+func addRange(dst, a, b *Tensor, lo, hi int) {
+	ad, bd, dd := a.Data[lo:hi], b.Data[lo:hi], dst.Data[lo:hi]
+	for i := range dd {
+		dd[i] = ad[i] + bd[i]
+	}
 }
 
 // SubInto computes dst = a - b elementwise.
@@ -438,6 +462,16 @@ func MatMulInto(dst, a, b *Tensor) {
 	dispatchMatMul(m, n, func(i0, i1, j0, j1 int) { matMulRange(dst, a, b, i0, i1, j0, j1) })
 }
 
+// SerialMatMulInto is MatMulInto run entirely on the calling goroutine. The
+// Serial* entry points are for callers that already hold one task per worker
+// (nn's row-block inference driver): a second level of dispatch from inside
+// a pool task buys no cores and pays for the handoffs. Same kernel, same
+// bits.
+func SerialMatMulInto(dst, a, b *Tensor) {
+	m, _, n := checkMatMulShapes("SerialMatMulInto", dst, a, b)
+	matMulRange(dst, a, b, 0, m, 0, n)
+}
+
 // matMulRange computes the dst block rows [i0, i1) × columns [j0, j1) of
 // a @ b.
 func matMulRange(dst, a, b *Tensor, i0, i1, j0, j1 int) {
@@ -528,8 +562,19 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	dispatchMatMul(m, n, func(i0, i1, j0, j1 int) { matMulTransBRange(dst, a, b, i0, i1, j0, j1) })
 }
 
+// SerialMatMulTransBInto is MatMulTransBInto run entirely on the calling
+// goroutine (see SerialMatMulInto).
+func SerialMatMulTransBInto(dst, a, b *Tensor) {
+	m, _, n := checkMatMulTransBShapes("SerialMatMulTransBInto", dst, a, b)
+	matMulTransBRange(dst, a, b, 0, m, 0, n)
+}
+
 // matMulTransBRange computes the dst block rows [i0, i1) × columns [j0, j1)
-// of a @ bᵀ.
+// of a @ bᵀ. Each output element is one dot product, and a single running
+// sum makes every multiply-add wait for the previous one; so four output
+// columns are swept together, giving the core four independent dependency
+// chains per pass over the a row. Each sum still adds p ascending into its
+// own accumulator, so every element keeps the naive kernel's bits.
 func matMulTransBRange(dst, a, b *Tensor, i0, i1, j0, j1 int) {
 	k := a.shape[1]
 	n := b.shape[0]
@@ -538,8 +583,25 @@ func matMulTransBRange(dst, a, b *Tensor, i0, i1, j0, j1 int) {
 		for i := i0; i < i1; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			di := dst.Data[i*n : (i+1)*n]
-			for j := jb; j < je; j++ {
-				bj := b.Data[j*k : (j+1)*k]
+			j := jb
+			for ; j+4 <= je; j += 4 {
+				// The [:len(ai)] reslices let the compiler drop the bounds
+				// checks inside the reduction.
+				b0 := b.Data[j*k : (j+1)*k][:len(ai)]
+				b1 := b.Data[(j+1)*k : (j+2)*k][:len(ai)]
+				b2 := b.Data[(j+2)*k : (j+3)*k][:len(ai)]
+				b3 := b.Data[(j+3)*k : (j+4)*k][:len(ai)]
+				var s0, s1, s2, s3 float64
+				for p, av := range ai {
+					s0 += av * b0[p]
+					s1 += av * b1[p]
+					s2 += av * b2[p]
+					s3 += av * b3[p]
+				}
+				di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
+			}
+			for ; j < je; j++ {
+				bj := b.Data[j*k : (j+1)*k][:len(ai)]
 				s := 0.0
 				for p, av := range ai {
 					s += av * bj[p]
@@ -571,15 +633,22 @@ func AddRowVecInto(dst, a *Tensor, v []float64) {
 	if len(v) != n || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: AddRowVecInto shape mismatch: a %v, dst %v, vector length %d", a.shape, dst.shape, len(v)))
 	}
-	forEachScaled(m, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*n : (i+1)*n]
-			di := dst.Data[i*n : (i+1)*n]
-			for j := range di {
-				di[j] = ai[j] + v[j]
-			}
+	if m*n < elemParMin { // decided before the closure exists, so small calls allocate nothing
+		addRowVecRows(dst, a, v, 0, m)
+		return
+	}
+	ParallelFor(m, max(1, elemGrain/n), func(lo, hi int) { addRowVecRows(dst, a, v, lo, hi) })
+}
+
+func addRowVecRows(dst, a *Tensor, v []float64, lo, hi int) {
+	n := len(v)
+	for i := lo; i < hi; i++ {
+		ai := a.Data[i*n : (i+1)*n]
+		di := dst.Data[i*n : (i+1)*n]
+		for j := range di {
+			di[j] = ai[j] + v[j]
 		}
-	})
+	}
 }
 
 // ColSumsInto writes the per-column sums of an [m,n] matrix into dst (len n).

@@ -35,6 +35,33 @@ func TestFromSliceSharesData(t *testing.T) {
 	}
 }
 
+func TestRebindReusesHeader(t *testing.T) {
+	tt := New(2, 3)
+	data := []float64{1, 2, 3, 4}
+	tt.Rebind(data, 4, 1)
+	if tt.Rank() != 2 || tt.Dim(0) != 4 || tt.Dim(1) != 1 || tt.Len() != 4 {
+		t.Fatalf("shape after Rebind = %v", tt.Shape())
+	}
+	tt.Data[3] = 9
+	if data[3] != 9 {
+		t.Fatal("Rebind should share the backing slice")
+	}
+	var zero Tensor
+	zero.Rebind(data, 2, 2)
+	if zero.At(1, 1) != 9 {
+		t.Fatalf("zero-value header after Rebind: %v %v", zero.Shape(), zero.Data)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tt.Rebind(data, 2, 2) }); allocs != 0 {
+		t.Fatalf("Rebind on a warm header allocates %v times", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on shape mismatch")
+		}
+	}()
+	tt.Rebind(data, 3, 2)
+}
+
 func TestFromSliceShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
