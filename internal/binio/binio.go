@@ -15,7 +15,11 @@
 //   - The prelude (Writer.Prelude / Reader.Prelude, SaveFile / LoadFile):
 //     the raw magic string and u32 format version that open a file artifact.
 //   - The frame (frame.go): u32 length + CRC-32 + payload, the atomicity and
-//     integrity unit of the job journal and of checkpoints on the wire.
+//     integrity unit of the job journal, of checkpoints on the wire and of
+//     the binary predict messages. EncodeFrame copies a payload into a new
+//     frame; ReserveFrame / SealFrame build one in place in the caller's
+//     buffer, and are what EncodeFrame itself is written over, so the header
+//     layout has one writer.
 //
 // Which artifact uses what:
 //
@@ -28,6 +32,10 @@
 //	                           resume.checkpoint)
 //	job journal (jobs.journal) a sequence of frames, one codec-encoded
 //	                           record each
+//	predict request / response one frame each, under Content-Type
+//	(internal/mlaas)           application/x-bprom-predict: counts, a flag
+//	                           byte and raw float64 rows, written in place
+//	                           in a pooled buffer
 package binio
 
 import (

@@ -328,6 +328,33 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameInPlace pins the reserve/seal pair the copying EncodeFrame is
+// written over: a frame built behind other bytes in the caller's buffer is
+// byte-identical to EncodeFrame's, leaves what precedes it alone, and the
+// payload-size refusal is the same one.
+func TestFrameInPlace(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0x5a, 0xa5}, 700)} {
+		want, err := EncodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("prefix")
+		buf := append(ReserveFrame(append([]byte(nil), prefix...)), payload...)
+		if err := SealFrame(buf[len(prefix):]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[:len(prefix)], prefix) || !bytes.Equal(buf[len(prefix):], want) {
+			t.Fatalf("in-place frame %x, EncodeFrame %x", buf, want)
+		}
+		if got, err := DecodeFrame(buf[len(prefix):]); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("in-place frame does not decode: %v", err)
+		}
+	}
+	if err := SealFrame(make([]byte, FrameHeaderSize+MaxFramePayload+1)); err == nil {
+		t.Fatal("SealFrame sealed a payload DecodeFrame rejects")
+	}
+}
+
 // TestScanFrames pins the append-only file reading: whole frames are
 // returned, a partial tail ends the scan at goodLen without an error, and a
 // damaged frame fails with ErrCorrupt naming its offset.

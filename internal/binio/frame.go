@@ -13,8 +13,10 @@ import (
 // frame is the atomicity unit of an append-only file: AppendFrame issues a
 // single Write, so a crash can only ever leave a partial frame at the tail,
 // never a torn earlier one. It is also the wire form of an exported audit
-// checkpoint, so transit corruption is caught by the same CRC that guards
-// the journal on disk.
+// checkpoint and of the binary predict messages (internal/mlaas), so transit
+// corruption is caught by the same CRC that guards the journal on disk.
+// ReserveFrame / SealFrame build a frame in place in the caller's buffer;
+// EncodeFrame is the copying form over the same pair.
 
 const (
 	// FrameHeaderSize is the length + CRC prefix of every frame.
@@ -30,15 +32,44 @@ const (
 // match with errors.Is.
 var ErrCorrupt = errors.New("binio: frame corrupt")
 
-// EncodeFrame returns payload wrapped in one frame.
-func EncodeFrame(payload []byte) ([]byte, error) {
-	if len(payload) > MaxFramePayload {
-		return nil, fmt.Errorf("binio: payload of %d bytes exceeds the frame limit", len(payload))
+// ReserveFrame appends the header of a frame that is not written yet. The
+// caller appends the payload after it and hands the whole frame — header
+// first — to SealFrame: a frame built in place, in the caller's own buffer.
+func ReserveFrame(dst []byte) []byte {
+	return append(dst, make([]byte, FrameHeaderSize)...)
+}
+
+// SealFrame fills in the header ReserveFrame left open at the start of frame
+// for the payload that now follows it. It is the one writer of the header
+// layout.
+func SealFrame(frame []byte) error {
+	payload := frame[FrameHeaderSize:]
+	if err := checkPayloadSize(len(payload)); err != nil {
+		return err
 	}
-	frame := make([]byte, FrameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[FrameHeaderSize:], payload)
+	return nil
+}
+
+// checkPayloadSize refuses a payload DecodeFrame and ScanFrames would refuse.
+func checkPayloadSize(n int) error {
+	if n > MaxFramePayload {
+		return fmt.Errorf("binio: payload of %d bytes exceeds the frame limit", n)
+	}
+	return nil
+}
+
+// EncodeFrame returns payload wrapped in one frame.
+func EncodeFrame(payload []byte) ([]byte, error) {
+	// Checked here too, so an oversized payload is refused before it is copied.
+	if err := checkPayloadSize(len(payload)); err != nil {
+		return nil, err
+	}
+	frame := append(ReserveFrame(make([]byte, 0, FrameHeaderSize+len(payload))), payload...)
+	if err := SealFrame(frame); err != nil {
+		return nil, err
+	}
 	return frame, nil
 }
 

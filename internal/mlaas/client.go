@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -96,6 +97,7 @@ type Client struct {
 	precision    string
 	screened     bool
 	screenPolicy string
+	contentType  string // spelling of predict requests: binary where advertised, else JSON
 }
 
 var (
@@ -135,6 +137,12 @@ func dial(ctx context.Context, baseURL, modelID string, cfg ClientConfig) (*Clie
 	c.precision = info.Precision // "" for endpoints that predate the field
 	c.screened = info.Screened
 	c.screenPolicy = info.ScreenPolicy
+	// Endpoints that list the binary predict frame get it; anything else —
+	// an older server, someone else's — is spoken to in JSON.
+	c.contentType = contentTypeJSON
+	if slices.Contains(info.Wire, ContentTypeBinaryPredict) {
+		c.contentType = ContentTypeBinaryPredict
+	}
 	return c, nil
 }
 
@@ -372,7 +380,7 @@ func (c *Client) predictBatch(ctx context.Context, x *tensor.Tensor, screen bool
 	defer wireBufPool.Put(buf)
 	// Screening is server-default-on, so the only flag worth bytes is the
 	// opt-out — and only against endpoints that actually screen.
-	payload, err := appendPredictRequest((*buf)[:0], x.Data, c.inputDim, !screen && c.screened)
+	payload, err := appendPredictRequest((*buf)[:0], c.contentType, x.Data, c.inputDim, !screen && c.screened)
 	*buf = payload
 	if err != nil {
 		return nil, nil, fmt.Errorf("mlaas: encode batch: %w", err)
@@ -641,7 +649,7 @@ func (c *Client) sendJSON(ctx context.Context, method, u string, payload []byte,
 		return fmt.Errorf("mlaas: build request: %w", err)
 	}
 	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentTypeJSON)
 	}
 	resp, err := c.do(req)
 	if err != nil {
@@ -697,7 +705,7 @@ func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *ten
 	if err != nil {
 		return nil, nil, false, 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", c.contentType)
 	resp, err := c.do(req)
 	if err != nil {
 		var se *StatusError
@@ -717,6 +725,8 @@ func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *ten
 	if err != nil {
 		return nil, nil, true, 0, fmt.Errorf("read response: %w", err)
 	}
-	out, screening, malformed, err := parsePredictResponse(body, n, c.classes)
+	// The reply says how it is spelled; a server answers in the type it was
+	// asked in, so this is the request's own unless something sits between.
+	out, screening, malformed, err := parsePredictResponse(predictContentType(resp.Header.Get("Content-Type")), body, n, c.classes)
 	return out, screening, malformed, 0, err
 }

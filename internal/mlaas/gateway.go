@@ -51,6 +51,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/url"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -169,27 +170,35 @@ type gatewayNode struct {
 	health       Health // last successful healthz payload
 	listing      []ModelInfo
 	listDefault  string
-	maxBatch     int
+	info         infoResponse // last successful /v1/info probe
 	screenPolicy string
 	clients      map[string]*Client // model id -> dialed predict client
 }
 
 // recordSuccess feeds one successful probe into the mark-up hysteresis and
-// refreshes the node's sticky snapshots.
+// refreshes the node's sticky snapshots. The cached predict clients carry
+// dial-time metadata — max_batch, screening, wire — so they are dropped, to
+// be dialed again on next use, whenever that may have gone stale: the node is
+// back from down (it may be a different process), or its info document
+// differs from the last one probed.
 func (n *gatewayNode) recordSuccess(markUpAfter int, h Health, list ModelList, info infoResponse) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.fails = 0
 	n.oks++
 	n.lastErr = nil
-	if !n.healthy && (n.oks >= markUpAfter || !n.everUp) {
+	backUp := !n.healthy && (n.oks >= markUpAfter || !n.everUp)
+	if backUp {
 		n.healthy = true
 		n.everUp = true
+	}
+	if backUp || !reflect.DeepEqual(info, n.info) {
+		clear(n.clients)
 	}
 	n.health = h
 	n.listing = list.Models
 	n.listDefault = list.Default
-	n.maxBatch = info.MaxBatch
+	n.info = info
 	if info.Screened {
 		n.screenPolicy = info.ScreenPolicy
 	}
@@ -425,7 +434,7 @@ func (g *Gateway) refresh() {
 		for _, n := range g.nodes {
 			n.mu.Lock()
 			healthy, listing, listDefault := n.healthy, n.listing, n.listDefault
-			nodeMaxBatch, nodePolicy := n.maxBatch, n.screenPolicy
+			nodeMaxBatch, nodePolicy := n.info.MaxBatch, n.screenPolicy
 			n.mu.Unlock()
 			if healthy != (pass == 0) {
 				continue

@@ -494,3 +494,88 @@ func TestPredictStops503RetryOnCancelledContext(t *testing.T) {
 		t.Fatalf("cancelled predict took %s", elapsed)
 	}
 }
+
+// A gateway caches one dialed client per (node, model), and a dialed client
+// carries the node's info document as of the dial: max_batch, screening, wire.
+// A node that comes back different — restarted with another -max-batch, or as
+// a build that does not speak the binary frame — must be dialed again, or it
+// is sent oversized chunks and bodies it answers 400 to for as long as the
+// gateway lives. The probe reads the info document every round; a round that
+// finds it changed, or finds the node back from down, drops the clients.
+func TestGatewayRedialsNodeClientsWhenInfoChanges(t *testing.T) {
+	ctx := context.Background()
+	m := testModel(t)
+	// One address, several lives: the node restarts by swapping its handler.
+	var live atomic.Pointer[http.Handler]
+	restart := func(maxBatch int, legacy bool) *predictTypes {
+		s := NewServer(m, ServerConfig{MaxBatch: maxBatch})
+		t.Cleanup(s.Close)
+		types := new(predictTypes)
+		h := types.wrap(s.Handler())
+		if legacy {
+			h = withoutWire(h)
+		}
+		live.Store(&h)
+		return types
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*live.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	first := restart(8, false)
+	g, err := NewGateway(ctx, gwTestConfig(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	x := tensor.New(8, 16)
+	rng.New(31).Uniform(x.Data, 0, 1)
+	want := m.Predict(x.Clone())
+	predict := func(what string) {
+		t.Helper()
+		got, _, err := g.Predict(ctx, "", x.Clone(), false)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		sameBits(t, what, got, want)
+	}
+	dialed := func() *Client {
+		n := g.nodes[0]
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.clients[DefaultModelID]
+	}
+
+	predict("first life")
+	if !first.only(ContentTypeBinaryPredict) || first.requests[ContentTypeBinaryPredict] != 1 {
+		t.Fatalf("first life: %v", first.requests)
+	}
+	// A probe round that finds nothing new keeps what was dialed.
+	c := dialed()
+	g.probeAll(ctx)
+	if c == nil || dialed() != c {
+		t.Fatal("an unchanged info document cost the node its dialed client")
+	}
+
+	// Second life: a quarter of the batch limit, and JSON only.
+	second := restart(2, true)
+	g.probeAll(ctx)
+	predict("second life")
+	if !second.only(contentTypeJSON) || second.requests[contentTypeJSON] != 4 {
+		t.Fatalf("second life: %v, want four 2-row JSON chunks", second.requests)
+	}
+
+	// Third life looks exactly like the second to /v1/info, but the gateway
+	// saw the node down in between: that alone is reason to dial again.
+	c = dialed()
+	g.nodes[0].recordFailure(1, errors.New("connection refused"))
+	if g.HealthyNodes() != 0 {
+		t.Fatal("node still up after a strike at MarkDownAfter 1")
+	}
+	g.probeAll(ctx)
+	predict("third life")
+	if g.HealthyNodes() != 1 || dialed() == c {
+		t.Fatal("a node back from down kept its dialed client")
+	}
+}

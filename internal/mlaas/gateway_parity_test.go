@@ -1,6 +1,7 @@
 package mlaas
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +165,59 @@ func TestGatewayPredictParity(t *testing.T) {
 		}
 		if !ref.Screened() {
 			t.Fatalf("%s: parity fixture should serve screened models", id)
+		}
+	}
+}
+
+// TestGatewayPredictWireParity is the predict row of the envelope parity
+// suite, once per spelling: the same batch posted raw to a node and to the
+// gateway, in JSON and in the binary frame. Each spelling's two replies are
+// byte-identical, and all four decode to the same confidences and the same
+// screening block bit for bit.
+func TestGatewayPredictWireParity(t *testing.T) {
+	zoo := gatewayParityZoo(t)
+	single := startParityNode(t, zoo)
+	gateway, _ := startParityGateway(t, zoo, 2)
+	ctx := context.Background()
+
+	for _, id := range parityModelIDs() {
+		ref, err := DialModel(ctx, single.URL, id, ClientConfig{Retries: NoRetries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(6, ref.InputDim())
+		rng.New(99).Uniform(x.Data, 0, 1)
+		want, wantScr, err := ref.PredictScreened(ctx, x.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantScr == nil {
+			t.Fatalf("%s: parity fixture should serve screened models", id)
+		}
+		for _, ct := range wireCodecs {
+			req, err := appendPredictRequest(nil, ct, x.Data, ref.InputDim(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replies := make(map[string][]byte)
+			for name, base := range map[string]string{"node": single.URL, "gateway": gateway.URL} {
+				status, gotCT, raw := postPredict(t, base+"/v1/models/"+id+"/predict", ct, req)
+				if status != 200 || gotCT != ct {
+					t.Fatalf("%s via %s in %s: %d %s %q", id, name, ct, status, gotCT, raw)
+				}
+				got, scr, malformed, err := parsePredictResponse(ct, raw, 6, ref.NumClasses())
+				if err != nil || malformed {
+					t.Fatalf("%s via %s in %s: %v", id, name, ct, err)
+				}
+				sameBits(t, id+" via "+name+" in "+ct, got, want)
+				if !reflect.DeepEqual(scr, wantScr) {
+					t.Fatalf("%s via %s in %s: screening %+v, want %+v", id, name, ct, scr, wantScr)
+				}
+				replies[name] = raw
+			}
+			if !bytes.Equal(replies["node"], replies["gateway"]) {
+				t.Fatalf("%s in %s: the gateway's reply differs from the node's\n node    %q\n gateway %q", id, ct, replies["node"], replies["gateway"])
+			}
 		}
 	}
 }

@@ -31,7 +31,7 @@
 // API (see docs/API.md for the full wire-protocol reference):
 //
 //	GET    /v1/models                  -> {"default": id, "models": [{...}, ...]}
-//	GET    /v1/models/{id}/info        -> {"id", "name", "arch", "classes", "input_dim", "max_batch"}
+//	GET    /v1/models/{id}/info        -> {"id", "name", "arch", "classes", "input_dim", "max_batch", "wire"}
 //	POST   /v1/models/{id}/predict     {"inputs": [[f64,...],...]} -> {"confidences": [[f64,...],...]}
 //	POST   /v1/models/{id}/audits      submit an async audit job -> 202 + job
 //	GET    /v1/audits                  -> {"jobs": [...]} (submission order)
@@ -59,6 +59,18 @@
 // flat tensor data, through pooled buffers. Any other valid JSON of the
 // same shape still goes through encoding/json, which remains the arbiter of
 // what is accepted; every other route uses encoding/json throughout.
+//
+// JSON is the reference spelling of those two messages and what every
+// foreign caller speaks. Between this package's own Client and Server — an
+// audit against a node, both legs of a gateway hop — they travel as
+// ContentTypeBinaryPredict instead (wire_bin.go): the same values as float64
+// bit patterns inside one binio CRC frame, because spelling floats as decimal
+// text was most of what a remote audit cost. The info document's "wire" field
+// is the whole negotiation: a server lists the type, a client that dialed such
+// a server sends it, the server answers in the type it was asked in, and the
+// client decodes by the reply's own Content-Type. The frame refuses what JSON
+// cannot say (NaN, ±Inf) and keeps every limit, status and message of the
+// JSON route.
 package mlaas
 
 import (
@@ -368,6 +380,10 @@ type infoResponse struct {
 	// ScreenPolicy is the server's flagged-row policy ("annotate" or
 	// "reject"), present only when Screened is set.
 	ScreenPolicy string `json:"screen_policy,omitempty"`
+	// Wire lists the predict content types the model's predict route accepts
+	// besides application/json (today: ContentTypeBinaryPredict). Omitted by
+	// servers that predate the field; those are spoken to in JSON.
+	Wire []string `json:"wire,omitempty"`
 }
 
 // modelsResponse is the /v1/models payload.
@@ -449,6 +465,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, id string) {
 	if info.Screened {
 		resp.ScreenPolicy = s.screenPolicy
 	}
+	if servesBinaryPredict(resp.MaxBatch, info.InputDim) {
+		resp.Wire = []string{ContentTypeBinaryPredict}
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -459,9 +478,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	maxBatch := s.prov.MaxBatch()
-	// Bound the request body: MaxBatch samples of InputDim float64s encoded
-	// as JSON need at most ~25 bytes per number.
-	limit := int64(maxBatch*info.InputDim*25 + 1024)
+	// The request's Content-Type picks the spelling of both bodies: the
+	// answer goes out in the type the question came in.
+	contentType := predictContentType(r.Header.Get("Content-Type"))
+	// Bound the request body by what MaxBatch samples of InputDim float64s
+	// can need in that spelling.
+	limit := predictBodyLimit(contentType, maxBatch, info.InputDim)
 	// One pooled buffer carries the request body in and, once the rows are
 	// in the tensor, the response body out.
 	buf := wireBufPool.Get().(*[]byte)
@@ -478,7 +500,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	}
 	// Screening defaults ON for screened models; a request may opt out
 	// ("screen": false) and pay nothing. Unscreened models ignore the flag.
-	x, screen, err := parsePredictRequest(body, maxBatch, info.InputDim)
+	x, screen, err := parsePredictRequest(contentType, body, maxBatch, info.InputDim)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
@@ -505,15 +527,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 		}
 	}
 	// The body is complete before the status line goes out, so a model that
-	// emits NaN or ±Inf — which JSON cannot spell — is a clean 500, never a
-	// 200 with half a document behind it.
-	body, err = appendPredictResponse(body[:0], probs.Data, info.Classes, screening)
+	// emits NaN or ±Inf — which JSON cannot spell and the binary frame
+	// therefore refuses to — is a clean 500, never a 200 with half a document
+	// behind it.
+	body, err = appendPredictResponse(body[:0], contentType, probs.Data, info.Classes, screening)
 	*buf = body
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "model produced a non-finite confidence: " + err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	// A failed write means the client is gone; there is nobody to tell.
@@ -583,7 +606,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentTypeJSON)
 	w.WriteHeader(status)
 	// Encoding errors past the header cannot be reported to the client;
 	// they surface as a truncated body on the client side.

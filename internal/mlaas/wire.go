@@ -36,6 +36,36 @@ import (
 // accepted and words every error. Numbers reach strconv.ParseFloat — the
 // function encoding/json calls — only after the JSON number grammar has been
 // checked, so every accepted value is bit-identical on both paths.
+//
+// Both messages have a second spelling, ContentTypeBinaryPredict (wire_bin.go):
+// the same values as float64 bit patterns inside one CRC frame. The four entry
+// points below — appendPredictRequest / parsePredictRequest on the way in,
+// appendPredictResponse / parsePredictResponse on the way out — take the
+// content type and are the only place that tells the spellings apart; JSON is
+// the reference spelling and what every unrecognised content type means.
+
+// contentTypeJSON is the Content-Type of every JSON body the service writes.
+const contentTypeJSON = "application/json"
+
+// predictContentType names the spelling of a predict body from its
+// Content-Type header: the binary frame when the header is exactly
+// ContentTypeBinaryPredict, JSON for anything else — no header, curl's
+// default, a charset parameter — as before there was a second spelling.
+func predictContentType(header string) string {
+	if header == ContentTypeBinaryPredict {
+		return ContentTypeBinaryPredict
+	}
+	return contentTypeJSON
+}
+
+// predictBodyLimit is the request-body cap of a predict route: the exact
+// size of a full binary batch, or for JSON at most ~25 bytes per number.
+func predictBodyLimit(contentType string, maxBatch, dim int) int64 {
+	if contentType == ContentTypeBinaryPredict {
+		return binaryRequestSize(maxBatch, dim)
+	}
+	return int64(maxBatch*dim*25 + 1024)
+}
 
 // wireBufPool holds the byte scratch of the predict hot path: request and
 // response bodies on the node, the gateway and the client.
@@ -124,9 +154,13 @@ func appendRows(dst []byte, data []float64, width int, screening []Screening) ([
 }
 
 // appendPredictRequest appends the predict request for inputs (flat
-// row-major rows of dim values) — the bytes json.Encoder writes for a
-// predictRequest, trailing newline included. optOut adds "screen":false.
-func appendPredictRequest(dst []byte, inputs []float64, dim int, optOut bool) ([]byte, error) {
+// row-major rows of dim values) in contentType's spelling: one binary frame,
+// or the bytes json.Encoder writes for a predictRequest, trailing newline
+// included. optOut adds "screen":false.
+func appendPredictRequest(dst []byte, contentType string, inputs []float64, dim int, optOut bool) ([]byte, error) {
+	if contentType == ContentTypeBinaryPredict {
+		return appendPredictRequestBinary(dst, inputs, dim, optOut)
+	}
 	dst = slices.Grow(dst, len(inputs)*wireFloatBytes+64)
 	dst = append(dst, `{"inputs":`...)
 	dst, err := appendRows(dst, inputs, dim, nil)
@@ -140,10 +174,14 @@ func appendPredictRequest(dst []byte, inputs []float64, dim int, optOut bool) ([
 }
 
 // appendPredictResponse appends the predict response for probs (flat
-// row-major rows of classes values) — the bytes json.Encoder writes for a
-// predictResponse, trailing newline included. screening, when non-empty,
-// holds one entry per row; Rejected rows go out as null.
-func appendPredictResponse(dst []byte, probs []float64, classes int, screening []Screening) ([]byte, error) {
+// row-major rows of classes values) in contentType's spelling: one binary
+// frame, or the bytes json.Encoder writes for a predictResponse, trailing
+// newline included. screening, when non-empty, holds one entry per row;
+// Rejected rows go out as null (JSON) or as zeros (binary).
+func appendPredictResponse(dst []byte, contentType string, probs []float64, classes int, screening []Screening) ([]byte, error) {
+	if contentType == ContentTypeBinaryPredict {
+		return appendPredictResponseBinary(dst, probs, classes, screening)
+	}
 	dst = slices.Grow(dst, len(probs)*wireFloatBytes+64)
 	dst = append(dst, `{"confidences":`...)
 	dst, err := appendRows(dst, probs, classes, screening)
@@ -296,10 +334,14 @@ func (s *wireScanner) rows(dst []float64, width int) bool {
 	return s.eat(']')
 }
 
-// parsePredictRequest decodes a predict request body into an [n, dim] tensor
-// and the effective screen flag (absent means true), enforcing 1 ≤ n ≤
-// maxBatch and the row width. Any error is the 400 message.
-func parsePredictRequest(body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
+// parsePredictRequest decodes a predict request body in contentType's
+// spelling into an [n, dim] tensor and the effective screen flag (absent means
+// true), enforcing 1 ≤ n ≤ maxBatch and the row width. Any error is the 400
+// message.
+func parsePredictRequest(contentType string, body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
+	if contentType == ContentTypeBinaryPredict {
+		return predictRequestBinary(body, maxBatch, dim)
+	}
 	if x, screen, ok := predictRequestFast(body, maxBatch, dim); ok {
 		return x, screen, nil
 	}
@@ -362,12 +404,16 @@ func predictRequestJSON(body []byte, maxBatch, dim int) (*tensor.Tensor, bool, e
 	return x, req.Screen == nil || *req.Screen, nil
 }
 
-// parsePredictResponse decodes a predict response body expected to hold n
-// rows of classes confidences into an [n, classes] tensor plus the screening
-// block, if one came. malformed marks an error as "this is not the JSON of a
-// predict response at all" — a broken or truncated reply, worth a retry —
-// as opposed to a well-formed reply of the wrong shape.
-func parsePredictResponse(body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
+// parsePredictResponse decodes a predict response body in contentType's
+// spelling, expected to hold n rows of classes confidences, into an [n,
+// classes] tensor plus the screening block, if one came. malformed marks an
+// error as "this is not a predict response at all" — a broken, truncated or
+// bit-flipped reply, worth a retry — as opposed to a well-formed reply of the
+// wrong shape.
+func parsePredictResponse(contentType string, body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
+	if contentType == ContentTypeBinaryPredict {
+		return predictResponseBinary(body, n, classes)
+	}
 	if out, screening, ok := predictResponseFast(body, n, classes); ok {
 		return out, screening, false, nil
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -107,7 +106,7 @@ func TestPredictWireEncodersMatchEncodingJSON(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		x := wireFloats(seed, 7, 33)
 		for _, optOut := range []bool{false, true} {
-			got, err := appendPredictRequest(nil, x.Data, x.Dim(1), optOut)
+			got, err := appendPredictRequest(nil, contentTypeJSON, x.Data, x.Dim(1), optOut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +136,7 @@ func TestPredictWireEncodersMatchEncodingJSON(t *testing.T) {
 			}
 		}
 		for name, screening := range map[string][]Screening{"plain": nil, "annotated": annotated, "rejected": rejected} {
-			got, err := appendPredictResponse(nil, probs.Data, probs.Dim(1), screening)
+			got, err := appendPredictResponse(nil, contentTypeJSON, probs.Data, probs.Dim(1), screening)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +151,7 @@ func TestPredictWireEncodersMatchEncodingJSON(t *testing.T) {
 					t.Fatal("tokenizer accepted a response with null rows")
 				}
 				var malformed bool
-				back, scr, malformed, err = parsePredictResponse(got, 5, 10)
+				back, scr, malformed, err = parsePredictResponse(contentTypeJSON, got, 5, 10)
 				if err != nil || malformed {
 					t.Fatalf("rejected response: malformed=%v err=%v", malformed, err)
 				}
@@ -177,21 +176,23 @@ func TestPredictWireEncodersMatchEncodingJSON(t *testing.T) {
 }
 
 func TestPredictWireEncodersRefuseNonFinite(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		x := tensor.New(2, 3)
-		x.Data[4] = bad
-		if _, err := appendPredictRequest(nil, x.Data, 3, false); err == nil || !strings.Contains(err.Error(), "row 1, column 1") {
-			t.Fatalf("request with %v: err %v", bad, err)
+	for _, ct := range wireCodecs {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			x := tensor.New(2, 3)
+			x.Data[4] = bad
+			if _, err := appendPredictRequest(nil, ct, x.Data, 3, false); err == nil || !strings.Contains(err.Error(), "row 1, column 1") {
+				t.Fatalf("%s request with %v: err %v", ct, bad, err)
+			}
+			if _, err := appendPredictResponse(nil, ct, x.Data, 3, nil); err == nil {
+				t.Fatalf("%s response with %v encoded", ct, bad)
+			}
 		}
-		if _, err := appendPredictResponse(nil, x.Data, 3, nil); err == nil {
-			t.Fatalf("response with %v encoded", bad)
+		// A withheld row is never formatted, so what it holds cannot matter.
+		x := tensor.New(1, 2)
+		x.Data[0] = math.NaN()
+		if _, err := appendPredictResponse(nil, ct, x.Data, 2, []Screening{{Rejected: true}}); err != nil {
+			t.Fatalf("%s: rejected row was inspected: %v", ct, err)
 		}
-	}
-	// A withheld row is never formatted, so what it holds cannot matter.
-	x := tensor.New(1, 2)
-	x.Data[0] = math.NaN()
-	if _, err := appendPredictResponse(nil, x.Data, 2, []Screening{{Rejected: true}}); err != nil {
-		t.Fatalf("rejected row was inspected: %v", err)
 	}
 }
 
@@ -325,24 +326,34 @@ func FuzzPredictWire(f *testing.F) {
 }
 
 // Decode + encode of both messages allocates the two result tensors and
-// nothing else, however many rows go through.
+// nothing else, however many rows go through — in either spelling.
 func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
-	measure := func(rows int) (codec, tensors float64) {
+	measure := func(ct string, rows int) (codec, tensors float64) {
 		x, probs := wireMessage(rows)
-		req, _ := appendPredictRequest(nil, x.Data, wireCols, true)
-		resp, _ := appendPredictResponse(nil, probs.Data, wireClasses, nil)
+		req, _ := appendPredictRequest(nil, ct, x.Data, wireCols, true)
+		resp, _ := appendPredictResponse(nil, ct, probs.Data, wireClasses, nil)
 		scratch := make([]byte, 0, 2*len(req))
 		codec = testing.AllocsPerRun(20, func() {
-			if _, _, ok := predictRequestFast(req, rows, wireCols); !ok {
-				t.Fatal("request declined")
+			if ct == contentTypeJSON {
+				// The tokenizer itself, not the encoding/json path behind it.
+				if _, _, ok := predictRequestFast(req, rows, wireCols); !ok {
+					t.Fatal("request declined")
+				}
+				if _, _, ok := predictResponseFast(resp, rows, wireClasses); !ok {
+					t.Fatal("response declined")
+				}
+			} else {
+				if _, _, err := parsePredictRequest(ct, req, rows, wireCols); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, _, err := parsePredictResponse(ct, resp, rows, wireClasses); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if _, _, ok := predictResponseFast(resp, rows, wireClasses); !ok {
-				t.Fatal("response declined")
-			}
-			if _, err := appendPredictRequest(scratch[:0], x.Data, wireCols, true); err != nil {
+			if _, err := appendPredictRequest(scratch[:0], ct, x.Data, wireCols, true); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := appendPredictResponse(scratch[:0], probs.Data, wireClasses, nil); err != nil {
+			if _, err := appendPredictResponse(scratch[:0], ct, probs.Data, wireClasses, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -351,9 +362,11 @@ func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
 		})
 		return codec, tensors
 	}
-	for _, rows := range []int{wireNarrow, wireWide} {
-		if codec, tensors := measure(rows); codec != tensors {
-			t.Errorf("%d rows: decode+encode makes %v allocations, its two tensors account for %v", rows, codec, tensors)
+	for _, ct := range wireCodecs {
+		for _, rows := range []int{wireNarrow, wireWide} {
+			if codec, tensors := measure(ct, rows); codec != tensors {
+				t.Errorf("%s, %d rows: decode+encode makes %v allocations, its two tensors account for %v", ct, rows, codec, tensors)
+			}
 		}
 	}
 }
@@ -487,18 +500,17 @@ func TestNonFiniteConfidenceIs500(t *testing.T) {
 		prov := &nanProvider{bad: bad}
 		prov.info = ModelInfo{ID: DefaultModelID, Classes: 4, InputDim: 3, Loaded: true}
 		srv := httptest.NewServer(newNodeServer(prov, ScreenAnnotate).Handler())
-		resp, err := srv.Client().Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(`{"inputs":[[1,2,3]]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var er errorResponse
-		if err := json.Unmarshal(raw, &er); err != nil {
-			t.Fatalf("%v: body is not an error envelope: %q", bad, raw)
-		}
-		if resp.StatusCode != 500 || !strings.HasPrefix(er.Error, "model produced a non-finite confidence") {
-			t.Fatalf("%v: %d %q", bad, resp.StatusCode, raw)
+		// Asked in either spelling, the answer is the JSON envelope.
+		for _, ct := range wireCodecs {
+			req, _ := appendPredictRequest(nil, ct, []float64{1, 2, 3}, 3, false)
+			status, gotCT, raw := postPredict(t, srv.URL+"/v1/predict", ct, req)
+			var er errorResponse
+			if err := json.Unmarshal(raw, &er); err != nil {
+				t.Fatalf("%v in %s: body is not an error envelope: %q", bad, ct, raw)
+			}
+			if status != 500 || gotCT != contentTypeJSON || !strings.HasPrefix(er.Error, "model produced a non-finite confidence: non-finite value") {
+				t.Fatalf("%v in %s: %d %s %q", bad, ct, status, gotCT, raw)
+			}
 		}
 		c, err := Dial(context.Background(), srv.URL, ClientConfig{Retries: NoRetries})
 		if err != nil {
@@ -516,6 +528,14 @@ func TestNonFiniteConfidenceIs500(t *testing.T) {
 // one must find them all idle: under http.DefaultTransport's two idle slots
 // per host, half were closed after every call and dialled again.
 func TestDefaultTransportKeepsChunkConnections(t *testing.T) {
+	// Connection reuse is the transport's business, not the codec's: hold it
+	// on the JSON path (an endpoint that does not advertise the frame) and on
+	// the binary one.
+	t.Run("json", func(t *testing.T) { testChunkConnectionsAreKept(t, contentTypeJSON) })
+	t.Run("binary", func(t *testing.T) { testChunkConnectionsAreKept(t, ContentTypeBinaryPredict) })
+}
+
+func testChunkConnectionsAreKept(t *testing.T, contentType string) {
 	s := NewServer(testModel(t), ServerConfig{MaxBatch: 2})
 	t.Cleanup(s.Close)
 	// Hold each predict until all of its call's chunks have arrived, so the
@@ -525,6 +545,9 @@ func TestDefaultTransportKeepsChunkConnections(t *testing.T) {
 	var mu sync.Mutex
 	arrived, gate := 0, make(chan struct{})
 	h := s.Handler()
+	if contentType == contentTypeJSON {
+		h = withoutWire(h)
+	}
 	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			mu.Lock()
@@ -577,6 +600,9 @@ func TestDefaultTransportKeepsChunkConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(1)
+	if c.contentType != contentType {
+		t.Fatalf("client negotiated %q", c.contentType)
+	}
 	x := tensor.New(2*maxInflightChunks, 16)
 	rng.New(9).Uniform(x.Data, 0, 1)
 	for range predicts {
@@ -610,25 +636,30 @@ func wireMessage(rows int) (x, probs *tensor.Tensor) {
 
 var wireSink int
 
+// wireCodecs are the two spellings of the predict messages.
+var wireCodecs = []string{contentTypeJSON, ContentTypeBinaryPredict}
+
 // benchDecode times the server's decode of a request plus the client's
-// decode of the matching response: "wire" through parsePredict*, "json"
-// through the encoding/json path alone (what every request took before).
+// decode of the matching response: "wire" through parsePredict* on JSON,
+// "json" through the encoding/json path alone (what every request took
+// before the tokenizer), "bin" through parsePredict* on the binary frame.
 func benchDecode(b *testing.B, rows int) {
 	x, probs := wireMessage(rows)
-	req, resp := jsonRequest(b, x, true), jsonResponse(b, probs, nil)
-	run := func(name string, fast bool) {
+	run := func(name, ct string, viaEncodingJSON bool) {
+		req, _ := appendPredictRequest(nil, ct, x.Data, wireCols, true)
+		resp, _ := appendPredictResponse(nil, ct, probs.Data, wireClasses, nil)
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(req) + len(resp)))
 			b.ReportAllocs()
 			for b.Loop() {
 				var in, out *tensor.Tensor
 				var err1, err2 error
-				if fast {
-					in, _, err1 = parsePredictRequest(req, rows, wireCols)
-					out, _, _, err2 = parsePredictResponse(resp, rows, wireClasses)
-				} else {
+				if viaEncodingJSON {
 					in, _, err1 = predictRequestJSON(req, rows, wireCols)
 					out, _, _, err2 = predictResponseJSON(resp, rows, wireClasses)
+				} else {
+					in, _, err1 = parsePredictRequest(ct, req, rows, wireCols)
+					out, _, _, err2 = parsePredictResponse(ct, resp, rows, wireClasses)
 				}
 				if err1 != nil || err2 != nil {
 					b.Fatal(err1, err2)
@@ -637,32 +668,36 @@ func benchDecode(b *testing.B, rows int) {
 			}
 		})
 	}
-	run("wire", true)
-	run("json", false)
+	run("wire", contentTypeJSON, false)
+	run("json", contentTypeJSON, true)
+	run("bin", ContentTypeBinaryPredict, false)
 }
 
 // benchEncode times the client's encode of a request plus the server's
-// encode of the matching response into warm buffers: "wire" through the
-// append encoders, "json" through json.Encoder over the old structs.
+// encode of the matching response into warm buffers: "wire" and "bin" through
+// the append encoders in the JSON and the binary spelling, "json" through
+// json.Encoder over the old structs.
 func benchEncode(b *testing.B, rows int) {
 	x, probs := wireMessage(rows)
-	size := int64(len(jsonRequest(b, x, true)) + len(jsonResponse(b, probs, nil)))
-	b.Run("wire", func(b *testing.B) {
-		var buf []byte
-		b.SetBytes(size)
-		b.ReportAllocs()
-		for b.Loop() {
-			buf, _ = appendPredictRequest(buf[:0], x.Data, wireCols, true)
-			wireSink += len(buf)
-			buf, _ = appendPredictResponse(buf[:0], probs.Data, wireClasses, nil)
-			wireSink += len(buf)
-		}
-	})
+	for _, leg := range [][2]string{{"wire", contentTypeJSON}, {"bin", ContentTypeBinaryPredict}} {
+		ct := leg[1]
+		b.Run(leg[0], func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for b.Loop() {
+				buf, _ = appendPredictRequest(buf[:0], ct, x.Data, wireCols, true)
+				n := len(buf)
+				buf, _ = appendPredictResponse(buf[:0], ct, probs.Data, wireClasses, nil)
+				b.SetBytes(int64(n + len(buf)))
+				wireSink += n + len(buf)
+			}
+		})
+	}
 	b.Run("json", func(b *testing.B) {
 		var buf bytes.Buffer
 		req := predictRequest{Inputs: make([][]float64, rows), Screen: new(bool)}
 		resp := predictResponse{Confidences: make([][]float64, rows)}
-		b.SetBytes(size)
+		b.SetBytes(int64(len(jsonRequest(b, x, true)) + len(jsonResponse(b, probs, nil))))
 		b.ReportAllocs()
 		for b.Loop() {
 			for i := range rows {
