@@ -7,7 +7,8 @@ package bprom_test
 //
 //	go test -bench=. -benchtime=1x -benchmem .
 //
-// EXPERIMENTS.md records small-scale runs of the same experiments.
+// `go run ./cmd/tables -scale small` prints the same experiments at the next
+// scale up.
 
 import (
 	"context"
@@ -602,7 +603,7 @@ func BenchmarkServerPredictScreened(b *testing.B) {
 	benchServerPredict(b, benchScreener(b), true)
 }
 
-// Ablations and the limitation experiment (DESIGN.md extensions).
+// Ablations and the limitation experiment (beyond the paper's tables).
 func BenchmarkLimitationAllToAll(b *testing.B) { runExperiment(b, "limitation-alltoall", 1) }
 func BenchmarkAblationOptimizer(b *testing.B)  { runExperiment(b, "ablation-optimizer", 1) }
 func BenchmarkAblationPromptSize(b *testing.B) { runExperiment(b, "ablation-promptsize", 2) }

@@ -279,8 +279,8 @@ func trainShadow(ctx context.Context, cfg Config, r *rng.RNG, backdoor bool) (Sh
 // confidenceFeatures builds the meta-feature vector v_i from the prompted
 // model's DQ confidence vectors. The paper concatenates the raw vectors;
 // at our shadow-model counts the forest additionally benefits from explicit
-// sufficient statistics of the SAME black-box data (documented deviation,
-// DESIGN.md): per-query entropy / max / correct-class confidence, the mean
+// sufficient statistics of the SAME black-box data (a deliberate deviation
+// from the paper): per-query entropy / max / correct-class confidence, the mean
 // per-class mass, and four scalar aggregates. High prompted-confidence
 // entropy is the black-box footprint of class-subspace inconsistency — the
 // poisoned target subspace borders every other subspace, keeping softmax

@@ -1,6 +1,6 @@
 // Package data provides the Dataset container and the deterministic
 // synthetic image datasets substituting for CIFAR-10, GTSRB, STL-10, SVHN,
-// CIFAR-100, Tiny-ImageNet and ImageNet (see DESIGN.md "Substitutions").
+// CIFAR-100, Tiny-ImageNet and ImageNet.
 //
 // Each synthetic dataset keeps its real counterpart's class count and an
 // image-like generative structure: every class owns a template composed of

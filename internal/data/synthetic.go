@@ -9,7 +9,7 @@ import (
 
 // Spec describes a synthetic dataset family. Presets mirror the paper's
 // datasets: class counts are faithful; resolutions are scaled down so
-// CPU-only training completes (see DESIGN.md).
+// CPU-only training completes.
 type Spec struct {
 	Name    string
 	Shape   Shape

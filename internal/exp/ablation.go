@@ -12,8 +12,7 @@ import (
 	"bprom/internal/vp"
 )
 
-// The ablations below cover the design choices DESIGN.md calls out beyond
-// the paper's own tables: the black-box optimizer, the prompt geometry, the
+// The ablations below cover design choices beyond the paper's own tables: the black-box optimizer, the prompt geometry, the
 // query-set size, and the paper's stated limitation (all-to-all backdoors).
 
 // RunLimitationAllToAll reproduces the conclusion section's limitation:

@@ -1,7 +1,7 @@
 // Package exp is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md's per-experiment index) at
-// three scales. "tiny" backs the benchmark suite, "small" produces the
-// numbers recorded in EXPERIMENTS.md, "full" runs the largest CPU-feasible
+// figure of the paper's evaluation (Registry lists them; cmd/tables runs them)
+// at three scales. "tiny" backs the benchmark suite and is cmd/tables'
+// default, "small" sits between, "full" runs the largest CPU-feasible
 // configuration.
 package exp
 
@@ -45,7 +45,7 @@ type Params struct {
 
 	// MaxClasses caps class counts of the very large datasets
 	// (Tiny-ImageNet: 200, ImageNet: 1000) so CPU training stays feasible;
-	// 0 = no cap. Documented substitution (DESIGN.md).
+	// 0 = no cap. A substitution for the paper's full label spaces.
 	MaxClasses int
 
 	// InputAUROCSamples is the benign/triggered sample count for
@@ -93,7 +93,7 @@ type Table struct {
 	Caption string
 	Header  []string
 	Rows    [][]string
-	// Notes records scale caveats and substitutions for EXPERIMENTS.md.
+	// Notes records scale caveats and substitutions, printed under the table.
 	Notes []string
 }
 

@@ -2,7 +2,7 @@
 // (bootstrap-aggregated CART trees with per-split feature subsampling) that
 // maps concatenated confidence vectors of a prompted model to a clean /
 // backdoor verdict. The paper uses a 10,000-tree forest; the default here is
-// 200, which saturates accuracy at our scale (see DESIGN.md substitutions).
+// 200, which saturates accuracy at our scale.
 package meta
 
 import (

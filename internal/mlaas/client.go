@@ -716,17 +716,22 @@ func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *ten
 		return nil, nil, transient, time.Duration(se.RetryAfter) * time.Second, err
 	}
 	defer resp.Body.Close()
-	// Presize from Content-Length, but never past what n rows can need: the
-	// header is the server's word, the bound is ours.
+	// The reply says how it is spelled; a server answers in the type it was
+	// asked in, so this is the request's own unless something sits between.
+	contentType := predictContentType(resp.Header.Get("Content-Type"))
+	// Read no more than n rows can need in that spelling: Content-Length is
+	// the server's word, the bound is ours.
+	limit := predictReplyLimit(contentType, n, c.classes)
 	buf := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(buf)
-	body, err := readBody(*buf, resp.Body, min(resp.ContentLength, int64(n*c.classes*25+1024)))
+	body, err := readCapped(*buf, resp.Body, resp.ContentLength, limit)
 	*buf = body
 	if err != nil {
 		return nil, nil, true, 0, fmt.Errorf("read response: %w", err)
 	}
-	// The reply says how it is spelled; a server answers in the type it was
-	// asked in, so this is the request's own unless something sits between.
-	out, screening, malformed, err := parsePredictResponse(predictContentType(resp.Header.Get("Content-Type")), body, n, c.classes)
+	if int64(len(body)) > limit {
+		return nil, nil, true, 0, fmt.Errorf("decode response: reply to %d rows exceeds %d bytes", n, limit)
+	}
+	out, screening, malformed, err := parsePredictResponse(contentType, body, n, c.classes)
 	return out, screening, malformed, 0, err
 }

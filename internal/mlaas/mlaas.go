@@ -53,12 +53,10 @@
 // larger than the endpoint's advertised max_batch.
 //
 // The two predict messages — all the bytes a black-box audit moves — have
-// their own codec (wire.go): node, gateway and client write them with
-// append-style encoders whose output is byte-identical to encoding/json's,
-// and read the canonical spelling with a strict tokenizer straight into
-// flat tensor data, through pooled buffers. Any other valid JSON of the
-// same shape still goes through encoding/json, which remains the arbiter of
-// what is accepted; every other route uses encoding/json throughout.
+// one codec (wire.go) that node, gateway and client share, through pooled
+// buffers. In JSON it is encoding/json both ways, over row views of the flat
+// tensor data, as on every other route; the client reads no more of a reply
+// than the rows it asked about can need.
 //
 // JSON is the reference spelling of those two messages and what every
 // foreign caller speaks. Between this package's own Client and Server — an

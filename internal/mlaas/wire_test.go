@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"net/http/httptrace"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,42 +25,6 @@ import (
 	"bprom/internal/tensor"
 	"bprom/internal/vp"
 )
-
-// jsonRequest is the reference encoding of a predict request: json.Encoder
-// over the predictRequest struct, exactly what the client used to send.
-func jsonRequest(t testing.TB, x *tensor.Tensor, optOut bool) []byte {
-	t.Helper()
-	req := predictRequest{Inputs: make([][]float64, x.Dim(0))}
-	for i := range req.Inputs {
-		req.Inputs[i] = x.Row(i)
-	}
-	if optOut {
-		req.Screen = new(bool)
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// jsonResponse is the reference encoding of a predict response: json.Encoder
-// over the predictResponse struct, rejected rows nil, exactly what the
-// handler used to send.
-func jsonResponse(t testing.TB, probs *tensor.Tensor, screening []Screening) []byte {
-	t.Helper()
-	resp := predictResponse{Confidences: make([][]float64, probs.Dim(0)), Screening: screening}
-	for i := range resp.Confidences {
-		if screening == nil || !screening[i].Rejected {
-			resp.Confidences[i] = probs.Row(i)
-		}
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // wireFloats fills an [n, width] tensor with finite float64s drawn from
 // random bit patterns — every exponent, both signs, subnormals — salted
@@ -99,79 +65,37 @@ func sameBits(t *testing.T, what string, got, want *tensor.Tensor) {
 	}
 }
 
-// The encoders must write what json.Encoder wrote for the old structs, byte
-// for byte, and the tokenizer must take those bytes (not decline them) and
-// return every value bit for bit.
-func TestPredictWireEncodersMatchEncodingJSON(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		x := wireFloats(seed, 7, 33)
-		for _, optOut := range []bool{false, true} {
-			got, err := appendPredictRequest(nil, contentTypeJSON, x.Data, x.Dim(1), optOut)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := jsonRequest(t, x, optOut); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d optOut=%v: request bytes differ\n got %s\nwant %s", seed, optOut, got, want)
-			}
-			back, screen, ok := predictRequestFast(got, 7, 33)
-			if !ok {
-				t.Fatalf("seed %d: tokenizer declined the canonical request", seed)
-			}
-			if screen == optOut {
-				t.Fatalf("optOut=%v decoded as screen=%v", optOut, screen)
-			}
-			sameBits(t, "request round trip", back, x)
-		}
-
-		probs := wireFloats(seed+100, 5, 10)
-		annotated := make([]Screening, 5)
-		rejected := make([]Screening, 5)
-		for i := range annotated {
-			annotated[i] = Screening{Score: 0.25 * float64(i), Flagged: i%2 == 1, Threshold: 0.5}
-			rejected[i] = annotated[i]
-			if i%2 == 1 {
-				rejected[i].Rejected = true
-				// json.Encoder HTML-escapes <, > and &; so must the new path.
-				rejected[i].Error = fmt.Sprintf("input <flagged> & withheld (score %.3f >= threshold %.3f)", annotated[i].Score, 0.5)
-			}
-		}
-		for name, screening := range map[string][]Screening{"plain": nil, "annotated": annotated, "rejected": rejected} {
-			got, err := appendPredictResponse(nil, contentTypeJSON, probs.Data, probs.Dim(1), screening)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := jsonResponse(t, probs, screening); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d %s: response bytes differ\n got %s\nwant %s", seed, name, got, want)
-			}
-			back, scr, ok := predictResponseFast(got, 5, 10)
-			if name == "rejected" {
-				// null rows are the encoding/json path's: the tokenizer must
-				// decline, and the full parse must zero exactly those rows.
-				if ok {
-					t.Fatal("tokenizer accepted a response with null rows")
-				}
-				var malformed bool
-				back, scr, malformed, err = parsePredictResponse(contentTypeJSON, got, 5, 10)
-				if err != nil || malformed {
-					t.Fatalf("rejected response: malformed=%v err=%v", malformed, err)
-				}
-				want := probs.Clone()
-				for i := range rejected {
-					if rejected[i].Rejected {
-						clear(want.Row(i))
-					}
-				}
-				sameBits(t, "rejected response", back, want)
-			} else {
-				if !ok {
-					t.Fatalf("seed %d %s: tokenizer declined the canonical response", seed, name)
-				}
-				sameBits(t, name+" response round trip", back, probs)
-			}
-			if !reflect.DeepEqual(scr, screening) {
-				t.Fatalf("%s: screening %+v, want %+v", name, scr, screening)
-			}
-		}
+// The JSON spelling is pinned byte for byte: key order, float format on both
+// sides of encoding/json's switch to exponents, -0, the opt-out flag, null for
+// a withheld row, HTML escaping in the screening block and the trailing
+// newline. Foreign callers see exactly these bytes for these values.
+func TestPredictJSONSpelling(t *testing.T) {
+	req, err := appendPredictRequest(nil, contentTypeJSON,
+		[]float64{0, math.Copysign(0, -1), 1e-7, 1.5e-9, 1e21, 123456789, 0.1, 5e-324}, 4, true)
+	if want := `{"inputs":[[0,-0,1e-7,1.5e-9],[1e+21,123456789,0.1,5e-324]],"screen":false}` + "\n"; err != nil || string(req) != want {
+		t.Errorf("request (%v)\n got %s\nwant %s", err, req, want)
+	}
+	req, err = appendPredictRequest(nil, contentTypeJSON, []float64{0.25, 1.0 / 3}, 2, false)
+	if want := `{"inputs":[[0.25,0.3333333333333333]]}` + "\n"; err != nil || string(req) != want {
+		t.Errorf("request (%v)\n got %s\nwant %s", err, req, want)
+	}
+	resp, err := appendPredictResponse(nil, contentTypeJSON, []float64{-1e-10, 1e20}, 2, nil)
+	if want := `{"confidences":[[-1e-10,100000000000000000000]]}` + "\n"; err != nil || string(resp) != want {
+		t.Errorf("response (%v)\n got %s\nwant %s", err, resp, want)
+	}
+	screening := []Screening{
+		{Score: 0.25, Threshold: 0.5},
+		{Score: 0.75, Flagged: true, Threshold: 0.5, Rejected: true, Error: "input <flagged> & withheld"},
+	}
+	resp, err = appendPredictResponse(nil, contentTypeJSON, []float64{0.5, 1e-6, math.NaN(), 2}, 2, screening)
+	want := `{"confidences":[[0.5,0.000001],null],"screening":[{"score":0.25,"flagged":false,"threshold":0.5},` +
+		`{"score":0.75,"flagged":true,"threshold":0.5,"rejected":true,"error":"input \u003cflagged\u003e \u0026 withheld"}]}` + "\n"
+	if err != nil || string(resp) != want {
+		t.Errorf("screened response (%v)\n got %s\nwant %s", err, resp, want)
+	}
+	// The encoders append: what dst already holds is kept.
+	if got, _ := appendPredictRequest([]byte("x"), contentTypeJSON, []float64{1}, 1, false); string(got) != "x{\"inputs\":[[1]]}\n" {
+		t.Errorf("append to a non-empty dst: %q", got)
 	}
 }
 
@@ -203,33 +127,55 @@ const (
 	fuzzWidth    = 3
 )
 
-// checkWireAgainstJSON is the fuzz property: whatever the tokenizers accept,
-// encoding/json plus the handler's/client's validation accepts too, with the
-// same row count, the same float bits, the same screen flag and the same
-// screening block. (What the tokenizers decline is encoding/json's anyway.)
-func checkWireAgainstJSON(t *testing.T, body []byte) {
-	if x, screen, ok := predictRequestFast(body, fuzzMaxBatch, fuzzWidth); ok {
-		jx, jscreen, err := predictRequestJSON(body, fuzzMaxBatch, fuzzWidth)
+// checkJSONDecoders is the fuzz property of the JSON decoder pair, as
+// checkBinaryDecoders is of the binary one: an accepted request is within the
+// limits it was judged against and survives encode → decode with the same
+// float bits and screen flag; an accepted response does the same with its
+// screening block, a withheld row coming back as zeros.
+func checkJSONDecoders(t *testing.T, body []byte) {
+	if x, screen, err := parsePredictRequest(contentTypeJSON, body, fuzzMaxBatch, fuzzWidth); err == nil {
+		if x.Dim(0) < 1 || x.Dim(0) > fuzzMaxBatch || x.Dim(1) != fuzzWidth {
+			t.Fatalf("accepted a request of shape %v: %q", x.Shape(), body)
+		}
+		again, err := appendPredictRequest(nil, contentTypeJSON, x.Data, fuzzWidth, !screen)
 		if err != nil {
-			t.Fatalf("tokenizer accepted a request encoding/json rejects (%v): %q", err, body)
+			t.Fatalf("accepted request does not re-encode: %v: %q", err, body)
 		}
-		if screen != jscreen {
-			t.Fatalf("screen %v, encoding/json %v: %q", screen, jscreen, body)
+		x2, screen2, err := parsePredictRequest(contentTypeJSON, again, fuzzMaxBatch, fuzzWidth)
+		if err != nil || screen2 != screen {
+			t.Fatalf("re-encoded request %q: screen %v, want %v (%v)", again, screen2, screen, err)
 		}
-		sameBits(t, fmt.Sprintf("request %q", body), x, jx)
+		sameBits(t, fmt.Sprintf("request %q", body), x2, x)
+	} else if x != nil {
+		t.Fatalf("refused request came with a tensor: %q", body)
 	}
 	for n := 1; n <= 3; n++ {
-		out, scr, ok := predictResponseFast(body, n, fuzzWidth)
-		if !ok {
+		out, scr, _, err := parsePredictResponse(contentTypeJSON, body, n, fuzzWidth)
+		if err != nil {
+			if out != nil {
+				t.Fatalf("refused response came with a tensor: %q", body)
+			}
 			continue
 		}
-		jout, jscr, _, err := predictResponseJSON(body, n, fuzzWidth)
-		if err != nil {
-			t.Fatalf("tokenizer accepted a response encoding/json rejects (%v): %q", err, body)
+		if scr != nil && len(scr) != n {
+			t.Fatalf("accepted %d screening entries for %d rows: %q", len(scr), n, body)
 		}
-		sameBits(t, fmt.Sprintf("response %q", body), out, jout)
-		if !reflect.DeepEqual(scr, jscr) {
-			t.Fatalf("screening %+v, encoding/json %+v: %q", scr, jscr, body)
+		again, err := appendPredictResponse(nil, contentTypeJSON, out.Data, fuzzWidth, scr)
+		if err != nil {
+			t.Fatalf("accepted response does not re-encode: %v: %q", err, body)
+		}
+		out2, scr2, malformed, err := parsePredictResponse(contentTypeJSON, again, n, fuzzWidth)
+		if err != nil || malformed {
+			t.Fatalf("re-encoded response %q refused (malformed=%v): %v", again, malformed, err)
+		}
+		for i := range scr {
+			if scr[i].Rejected {
+				clear(out.Row(i))
+			}
+		}
+		sameBits(t, fmt.Sprintf("response %q", body), out2, out)
+		if !reflect.DeepEqual(scr2, scr) {
+			t.Fatalf("re-encoded screening %+v, want %+v", scr2, scr)
 		}
 	}
 }
@@ -286,69 +232,30 @@ func wireSeeds() []string {
 	)
 }
 
-func TestPredictWireSeeds(t *testing.T) {
-	for _, s := range wireSeeds() {
-		checkWireAgainstJSON(t, []byte(s))
-	}
-	// The property says nothing about what is declined, so pin the verdicts
-	// the design rests on: canonical spellings are taken, the rest are not.
-	for body, want := range map[string]bool{
-		`{"inputs":[[0,1,2]]}`: true,
-		" {\n\"inputs\" : [ [ -0 , 1e-7 , 1E+2 ] ] , \"screen\" : true } ": true,
-		`{"screen":false,"inputs":[[0,1,2]]}`:                              false,
-		`{"inputs":[[0,1,2]],"extra":1}`:                                   false,
-		`{"inputs":[[0,1,2]],"screen":null}`:                               false,
-		`{"inputs":[[0,1]]}`:                                               false,
-		`{"inputs":[[0,1,2],[0,1,2],[0,1,2],[0,1,2],[0,1,2]]}`:             false,
-		`{"inputs":[[0,1,+2]]}`:                                            false,
-		`{"inputs":[[0,1,02]]}`:                                            false,
-		`{"inputs":[[0,1,.2]]}`:                                            false,
-		`{"inputs":[[0,1,2.]]}`:                                            false,
-		`{"inputs":[[0,1,Inf]]}`:                                           false,
-		`{"inputs":[[0,1,0x1p3]]}`:                                         false,
-		`{"inputs":[[0,1,1_0]]}`:                                           false,
-		`{"inputs":[[0,1,1e999]]}`:                                         false,
-		`{"inputs":[[0,1,2]]} x`:                                           false,
-	} {
-		if _, _, ok := predictRequestFast([]byte(body), fuzzMaxBatch, fuzzWidth); ok != want {
-			t.Errorf("tokenizer took=%v, want %v: %s", ok, want, body)
-		}
-	}
-}
-
-// FuzzPredictWire: for arbitrary bytes the tokenizers either decline or
-// return exactly what encoding/json plus today's validation returns.
+// FuzzPredictWire: whatever the JSON decoders accept of arbitrary bytes
+// round-trips through the JSON encoders unchanged.
 func FuzzPredictWire(f *testing.F) {
 	for _, s := range wireSeeds() {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) { checkWireAgainstJSON(t, body) })
+	f.Fuzz(func(t *testing.T, body []byte) { checkJSONDecoders(t, body) })
 }
 
-// Decode + encode of both messages allocates the two result tensors and
-// nothing else, however many rows go through — in either spelling.
+// Decode + encode of both binary messages allocates the two result tensors
+// and nothing else, however many rows go through.
 func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
-	measure := func(ct string, rows int) (codec, tensors float64) {
+	ct := ContentTypeBinaryPredict
+	for _, rows := range []int{wireNarrow, wireWide} {
 		x, probs := wireMessage(rows)
 		req, _ := appendPredictRequest(nil, ct, x.Data, wireCols, true)
 		resp, _ := appendPredictResponse(nil, ct, probs.Data, wireClasses, nil)
 		scratch := make([]byte, 0, 2*len(req))
-		codec = testing.AllocsPerRun(20, func() {
-			if ct == contentTypeJSON {
-				// The tokenizer itself, not the encoding/json path behind it.
-				if _, _, ok := predictRequestFast(req, rows, wireCols); !ok {
-					t.Fatal("request declined")
-				}
-				if _, _, ok := predictResponseFast(resp, rows, wireClasses); !ok {
-					t.Fatal("response declined")
-				}
-			} else {
-				if _, _, err := parsePredictRequest(ct, req, rows, wireCols); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, _, err := parsePredictResponse(ct, resp, rows, wireClasses); err != nil {
-					t.Fatal(err)
-				}
+		codec := testing.AllocsPerRun(20, func() {
+			if _, _, err := parsePredictRequest(ct, req, rows, wireCols); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := parsePredictResponse(ct, resp, rows, wireClasses); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := appendPredictRequest(scratch[:0], ct, x.Data, wireCols, true); err != nil {
 				t.Fatal(err)
@@ -357,16 +264,11 @@ func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		tensors = testing.AllocsPerRun(20, func() {
+		tensors := testing.AllocsPerRun(20, func() {
 			wireSink += tensor.New(rows, wireCols).Len() + tensor.New(rows, wireClasses).Len()
 		})
-		return codec, tensors
-	}
-	for _, ct := range wireCodecs {
-		for _, rows := range []int{wireNarrow, wireWide} {
-			if codec, tensors := measure(ct, rows); codec != tensors {
-				t.Errorf("%s, %d rows: decode+encode makes %v allocations, its two tensors account for %v", ct, rows, codec, tensors)
-			}
+		if codec != tensors {
+			t.Errorf("%d rows: decode+encode makes %v allocations, its two tensors account for %v", rows, codec, tensors)
 		}
 	}
 }
@@ -391,7 +293,11 @@ func TestPredictHandlerBodyCapAndContentLength(t *testing.T) {
 
 	x := tensor.New(2, 16)
 	rng.New(3).Uniform(x.Data, 0, 1)
-	body := string(jsonRequest(t, x, false))
+	req, err := appendPredictRequest(nil, contentTypeJSON, x.Data, 16, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(req)
 	want := predictDirect(h, body, int64(len(body)))
 	if want.Code != 200 {
 		t.Fatalf("canonical request: %d %s", want.Code, want.Body)
@@ -430,9 +336,10 @@ func TestPredictHandlerBodyCapAndContentLength(t *testing.T) {
 	}
 }
 
-// Bodies the tokenizer declines are still served, with the same tensor —
-// hence the same response bytes — as their canonical spelling; and the 400s
-// keep their wording.
+// Any valid JSON of the request's shape is served like the spelling the
+// encoder writes, with the same tensor — hence the same response bytes —
+// whatever its key order, key case, extra keys or nulls; and every 400 keeps
+// its wording, down to encoding/json's for what is not a JSON number.
 func TestPredictHandlerFallbackShapesAndMessages(t *testing.T) {
 	s := NewServer(testModel(t), ServerConfig{MaxBatch: 2})
 	t.Cleanup(s.Close)
@@ -464,6 +371,14 @@ func TestPredictHandlerFallbackShapesAndMessages(t *testing.T) {
 		`{"inputs":[` + row(17) + `]}`:                                 "sample 0 has 17 values, want 16",
 		`{"inputs":"nope"}`:                                            "decode: json: cannot unmarshal string into Go struct field predictRequest.inputs of type [][]float64",
 		`{"inputs":[[` + "Inf" + `]]}`:                                 "decode: invalid character 'I' looking for beginning of value",
+		`{"inputs":[[NaN]]}`:                                           "decode: invalid character 'N' looking for beginning of value",
+		`{"inputs":[[0x1p3]]}`:                                         "decode: invalid character 'x' after array element",
+		`{"inputs":[[+1]]}`:                                            "decode: invalid character '+' looking for beginning of value",
+		`{"inputs":[[.5]]}`:                                            "decode: invalid character '.' looking for beginning of value",
+		`{"inputs":[[1.]]}`:                                            "decode: invalid character ']' after decimal point in numeric literal",
+		`{"inputs":[[1_0]]}`:                                           "decode: invalid character '_' after array element",
+		`{"inputs":[[01]]}`:                                            "decode: invalid character '1' after array element",
+		`{"inputs":[[1e999]]}`:                                         "decode: json: cannot unmarshal number 1e999 into Go struct field predictRequest.inputs of type float64",
 		`{"inputs":[` + row(16) + `]} x`:                               "decode: invalid character 'x' after top-level value",
 	} {
 		got := post(body)
@@ -521,6 +436,86 @@ func TestNonFiniteConfidenceIs500(t *testing.T) {
 			t.Fatalf("%v: client error %v", bad, err)
 		}
 		srv.Close()
+	}
+}
+
+// readCounter counts the bytes a client takes off the wire from every
+// response it receives.
+type readCounter struct{ read int64 }
+
+func (c *readCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := defaultHTTPClient.Transport.RoundTrip(req)
+	if err == nil {
+		resp.Body = countedBody{resp.Body, &c.read}
+	}
+	return resp, err
+}
+
+type countedBody struct {
+	io.ReadCloser
+	read *int64
+}
+
+func (b countedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	*b.read += int64(n)
+	return n, err
+}
+
+// A node that answers a predict with more than n rows can legally need — a
+// runaway stream, something else on the port — costs the client about that
+// much: it reads one byte past the cap, stops, and reports a malformed reply
+// worth a retry, in either spelling.
+func TestClientCapsPredictReply(t *testing.T) {
+	const n, classes, dim = 4, 3, 2
+	ctx := context.Background()
+	for _, ct := range wireCodecs {
+		limit := predictReplyLimit(ct, n, classes)
+		reply := bytes.Repeat([]byte{' '}, int(limit)+1)
+		// "Endless" is 16 MiB: past any bound worth asserting, short of
+		// exhausting the machine should the cap ever be lost.
+		for _, endless := range []bool{false, true} {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet {
+					writeJSON(w, http.StatusOK, infoResponse{Classes: classes, InputDim: dim, MaxBatch: n})
+					return
+				}
+				w.Header().Set("Content-Type", ct)
+				for sent := 0; sent < 16<<20; sent += len(reply) {
+					if _, err := w.Write(reply); err != nil || !endless {
+						return
+					}
+				}
+			}))
+			wire := &readCounter{}
+			c, err := Dial(ctx, srv.URL, ClientConfig{Timeout: 10 * time.Second, Retries: NoRetries, HTTPClient: &http.Client{Transport: wire}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, _ := appendPredictRequest(nil, c.contentType, make([]float64, n*dim), dim, false)
+			// TotalAlloc is process-wide, the node included: take the quietest
+			// of a few tries. (The pooled read buffer would hide a lost cap
+			// after the first try; the byte count does not.)
+			best := uint64(math.MaxUint64)
+			for range 3 {
+				wire.read = 0
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				out, _, retryable, _, err := c.predictOnce(ctx, payload, n)
+				runtime.ReadMemStats(&after)
+				if err == nil || !retryable || out != nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d bytes", limit)) {
+					t.Fatalf("%s, endless=%v: retryable=%v err=%v", ct, endless, retryable, err)
+				}
+				if wire.read != limit+1 {
+					t.Fatalf("%s, endless=%v: read %d bytes of a reply capped at %d", ct, endless, wire.read, limit)
+				}
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+			if best > uint64(2*limit)+256<<10 {
+				t.Errorf("%s, endless=%v: a reply capped at %d bytes cost the client %d", ct, endless, limit, best)
+			}
+			srv.Close()
+		}
 	}
 }
 
@@ -639,28 +634,23 @@ var wireSink int
 // wireCodecs are the two spellings of the predict messages.
 var wireCodecs = []string{contentTypeJSON, ContentTypeBinaryPredict}
 
+// wireLegs names the benchmark leg of each spelling.
+var wireLegs = [][2]string{{"json", contentTypeJSON}, {"bin", ContentTypeBinaryPredict}}
+
 // benchDecode times the server's decode of a request plus the client's
-// decode of the matching response: "wire" through parsePredict* on JSON,
-// "json" through the encoding/json path alone (what every request took
-// before the tokenizer), "bin" through parsePredict* on the binary frame.
+// decode of the matching response, through parsePredict* in each spelling.
 func benchDecode(b *testing.B, rows int) {
 	x, probs := wireMessage(rows)
-	run := func(name, ct string, viaEncodingJSON bool) {
+	for _, leg := range wireLegs {
+		ct := leg[1]
 		req, _ := appendPredictRequest(nil, ct, x.Data, wireCols, true)
 		resp, _ := appendPredictResponse(nil, ct, probs.Data, wireClasses, nil)
-		b.Run(name, func(b *testing.B) {
+		b.Run(leg[0], func(b *testing.B) {
 			b.SetBytes(int64(len(req) + len(resp)))
 			b.ReportAllocs()
 			for b.Loop() {
-				var in, out *tensor.Tensor
-				var err1, err2 error
-				if viaEncodingJSON {
-					in, _, err1 = predictRequestJSON(req, rows, wireCols)
-					out, _, _, err2 = predictResponseJSON(resp, rows, wireClasses)
-				} else {
-					in, _, err1 = parsePredictRequest(ct, req, rows, wireCols)
-					out, _, _, err2 = parsePredictResponse(ct, resp, rows, wireClasses)
-				}
+				in, _, err1 := parsePredictRequest(ct, req, rows, wireCols)
+				out, _, _, err2 := parsePredictResponse(ct, resp, rows, wireClasses)
 				if err1 != nil || err2 != nil {
 					b.Fatal(err1, err2)
 				}
@@ -668,18 +658,14 @@ func benchDecode(b *testing.B, rows int) {
 			}
 		})
 	}
-	run("wire", contentTypeJSON, false)
-	run("json", contentTypeJSON, true)
-	run("bin", ContentTypeBinaryPredict, false)
 }
 
 // benchEncode times the client's encode of a request plus the server's
-// encode of the matching response into warm buffers: "wire" and "bin" through
-// the append encoders in the JSON and the binary spelling, "json" through
-// json.Encoder over the old structs.
+// encode of the matching response into warm buffers, through appendPredict*
+// in each spelling.
 func benchEncode(b *testing.B, rows int) {
 	x, probs := wireMessage(rows)
-	for _, leg := range [][2]string{{"wire", contentTypeJSON}, {"bin", ContentTypeBinaryPredict}} {
+	for _, leg := range wireLegs {
 		ct := leg[1]
 		b.Run(leg[0], func(b *testing.B) {
 			var buf []byte
@@ -693,28 +679,6 @@ func benchEncode(b *testing.B, rows int) {
 			}
 		})
 	}
-	b.Run("json", func(b *testing.B) {
-		var buf bytes.Buffer
-		req := predictRequest{Inputs: make([][]float64, rows), Screen: new(bool)}
-		resp := predictResponse{Confidences: make([][]float64, rows)}
-		b.SetBytes(int64(len(jsonRequest(b, x, true)) + len(jsonResponse(b, probs, nil))))
-		b.ReportAllocs()
-		for b.Loop() {
-			for i := range rows {
-				req.Inputs[i], resp.Confidences[i] = x.Row(i), probs.Row(i)
-			}
-			buf.Reset()
-			if err := json.NewEncoder(&buf).Encode(&req); err != nil {
-				b.Fatal(err)
-			}
-			wireSink += buf.Len()
-			buf.Reset()
-			if err := json.NewEncoder(&buf).Encode(&resp); err != nil {
-				b.Fatal(err)
-			}
-			wireSink += buf.Len()
-		}
-	})
 }
 
 func BenchmarkPredictWireDecodeNarrow(b *testing.B) { benchDecode(b, wireNarrow) }

@@ -12,7 +12,7 @@ import (
 type Arch string
 
 // Architecture families. These are scaled-down pure-Go analogues of the
-// networks in the paper (see DESIGN.md "Substitutions").
+// networks in the paper.
 const (
 	ArchResNetLite    Arch = "resnetlite"    // analogue of ResNet18: residual blocks
 	ArchMobileNetLite Arch = "mobilenetlite" // analogue of MobileNetV2: narrow bottlenecks

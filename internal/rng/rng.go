@@ -2,7 +2,7 @@
 // generator used throughout the repository.
 //
 // Reproducibility is a hard requirement for the experiment harness: every
-// table in EXPERIMENTS.md must be regenerable bit-for-bit from a seed. The
+// table cmd/tables prints must be regenerable bit-for-bit from a seed. The
 // standard library's math/rand/v2 offers no stable splitting discipline, so
 // this package implements xoshiro256** seeded via splitmix64 (the reference
 // seeding procedure recommended by the xoshiro authors) and derives child
