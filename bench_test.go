@@ -94,12 +94,11 @@ func BenchmarkFigure05MetaPCA(b *testing.B)           { runExperiment(b, "figure
 
 // --- Serving-path throughput -------------------------------------------------
 //
-// These benchmarks make the inference de-serialization measurable across
-// PRs: with the stateless forward pass, the parallel variants should scale
-// near-linearly with GOMAXPROCS, where the old mutex-guarded path pinned
-// them to single-flight throughput. Compare:
+// End-to-end throughput through the HTTP stack. The model-level narrow pair
+// (one caller vs every proc) sits beside its kernels in internal/nn:
 //
-//	go test -bench 'Predict(Serial|Concurrent|Parallel)' -benchtime=2s .
+//	go test -bench 'ServerPredictParallel' -benchtime=2s .
+//	go test -bench 'PredictNarrow' -benchtime=2s ./internal/nn
 
 func benchModel(b *testing.B) *nn.Model {
 	b.Helper()
@@ -116,32 +115,6 @@ func benchBatch(m *nn.Model, seed uint64) *tensor.Tensor {
 	x := tensor.New(8, m.InputDim)
 	rng.New(seed).Uniform(x.Data, 0, 1)
 	return x
-}
-
-// BenchmarkModelPredictSerial is the single-flight baseline for the
-// concurrent variant below.
-func BenchmarkModelPredictSerial(b *testing.B) {
-	m := benchModel(b)
-	x := benchBatch(m, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
-	}
-}
-
-// BenchmarkModelPredictConcurrent hammers one frozen model from all procs;
-// the stateless inference path makes this embarrassingly parallel.
-func BenchmarkModelPredictConcurrent(b *testing.B) {
-	m := benchModel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		x := benchBatch(m, 3)
-		for pb.Next() {
-			m.Predict(x)
-		}
-	})
 }
 
 // BenchmarkServerPredictParallel measures end-to-end throughput through the
@@ -526,10 +499,10 @@ func BenchmarkTrainBlackBoxBatchedRemoteRTT(b *testing.B) {
 //     row's prompted view is fused into the SAME batched Predict tick as
 //     the plain rows — one forward per tick, not a second request path —
 //     so the marginal cost is one extra model row per screened row (compare
-//     the delta against BenchmarkModelPredictSerial: the screening plumbing
-//     itself adds nothing measurable). On a multi-core server the extra
-//     rows ride idle kernel-pool workers; on a single-core runner they
-//     serialize and the delta is the raw forward cost.
+//     the delta against internal/nn's BenchmarkPredictNarrow: the screening
+//     plumbing itself adds nothing measurable). The extra rows ride idle
+//     cores only through concurrent requests or a tick wider than one row
+//     block; otherwise the delta is the raw forward cost.
 //
 // BENCH_7.json is the historical record of all three (and the derived
 // ratios). Reproduce locally with:

@@ -404,8 +404,13 @@ func (c *Client) predictBatch(ctx context.Context, x *tensor.Tensor, screen bool
 		// A cancelled or expired caller context is never transient: a
 		// deleted audit job or an aborted fleet run must stop querying
 		// immediately instead of burning the retry budget. Per-request
-		// timeouts (reqCtx) without a dead parent stay retryable.
-		if !retryable || ctx.Err() != nil {
+		// timeouts (reqCtx) without a dead parent stay retryable. The
+		// reply may have landed before the cancellation did, so the error
+		// names the cancellation itself rather than the reply.
+		if ctx.Err() != nil {
+			return nil, nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
+		}
+		if !retryable {
 			break
 		}
 	}

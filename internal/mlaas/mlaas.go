@@ -46,9 +46,10 @@
 // model's engine runs one forward pass per worker with no global lock. An
 // adaptive micro-batcher coalesces requests that queue up while workers are
 // busy into a single forward pass, so throughput under load approaches the
-// model's raw batched-inference rate — and each coalesced pass is itself
-// parallel inside, because the tensor kernels split row blocks across the
-// process-wide shared worker pool. The client adds timeouts, bounded
+// model's raw batched-inference rate — and a coalesced pass wider than one
+// 16-row block is itself parallel inside, because nn spreads its row blocks
+// across the process-wide shared worker pool (a narrower pass runs on its
+// worker alone). The client adds timeouts, bounded
 // retries with exponential backoff, and transparent chunking of batches
 // larger than the endpoint's advertised max_batch.
 //
@@ -187,12 +188,15 @@ type ServerConfig struct {
 	// micro-batch workers, and only workers run inference. Default 4.
 	// Ignored in registry mode (the RegistryConfig sets it per model).
 	//
-	// Forward passes themselves run on the tensor package's shared worker
-	// pool (one bounded pool per process, sized by GOMAXPROCS or
-	// BPROM_TENSOR_WORKERS), so raising MaxConcurrent adds request-level
-	// concurrency without oversubscribing CPUs: concurrent passes interleave
-	// their row-block chunks on the same pool workers. Pool shares, not
-	// pool-per-request.
+	// A pass of at most one row block (16 rows) runs entirely on its worker,
+	// so a narrow request's only parallelism is other requests: at most
+	// MaxConcurrent narrow passes per model run at once, and the tensor
+	// pool's width does not matter to them. Wider passes spread their row
+	// blocks over the tensor package's shared worker pool (one bounded pool
+	// per process, sized by GOMAXPROCS or BPROM_TENSOR_WORKERS), so raising
+	// MaxConcurrent adds request-level concurrency without oversubscribing
+	// CPUs: concurrent passes interleave their blocks on the same pool
+	// workers. Pool shares, not pool-per-request.
 	MaxConcurrent int
 	// Screener enables inline request screening (typically derived from a
 	// detector artifact via bprom.Detector.Screener): every screened predict

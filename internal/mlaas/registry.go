@@ -27,7 +27,10 @@ type RegistryConfig struct {
 	MaxBatch int
 	// MaxConcurrent is the number of micro-batch workers per hot model.
 	// All engines share the one process-wide tensor worker pool, so this
-	// adds request-level concurrency, not CPU oversubscription. Default 4.
+	// adds request-level concurrency, not CPU oversubscription. A pass of
+	// at most one row block (16 rows) runs entirely on its worker, so at
+	// most MaxConcurrent narrow passes per model run at once and the pool's
+	// width does not matter to them. Default 4.
 	MaxConcurrent int
 	// Default selects the model served by the legacy un-prefixed routes.
 	// Empty means: the checkpoint named "clean" if present, else the first

@@ -40,3 +40,20 @@ func benchPredict(b *testing.B, rows int) {
 
 func BenchmarkPredictWide(b *testing.B)   { benchPredict(b, benchWideRows) }
 func BenchmarkPredictNarrow(b *testing.B) { benchPredict(b, benchNarrowRows) }
+
+// BenchmarkPredictNarrowParallel runs request-width passes from every proc at
+// once, as a loaded server does. Beside BenchmarkPredictNarrow it measures
+// the one-level rule's trade: a narrow pass is single-threaded, so it is
+// slower alone on an idle machine and faster under concurrency, where the
+// other requests keep the cores busy without any fork-join wake-ups.
+func BenchmarkPredictNarrowParallel(b *testing.B) {
+	m := benchZooModel(b)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		x := tensor.New(benchNarrowRows, m.InputDim)
+		rng.New(2).Uniform(x.Data, 0, 1)
+		for pb.Next() {
+			m.Predict(x)
+		}
+	})
+}

@@ -62,13 +62,16 @@ func NewConv2D(dims tensor.ConvDims, r *rng.RNG) *Conv2D {
 // When cols is non-nil it receives one im2col matrix per image (kept for
 // Backward) from the layer's pool.
 //
-// Outside a serial block the batch is partitioned across the shared tensor
-// worker pool: every image writes a disjoint slice of the output (and its
-// own cols entry), so chunks are race-free. The split into chunks is fixed
-// here rather than left to ParallelFor because each chunk needs scratch of
-// its own and ws belongs to this goroutine. The nested Im2Col/MatMul calls
-// dispatch onto the same shared pool, which bounds total parallelism at the
-// pool size instead of multiplying batch-level by kernel-level workers.
+// Inside a planned pass (non-nil ws) every image runs on the block's
+// goroutine with the Serial* kernels. The chunk split below serves only the
+// nil-workspace path — the public Infer and the recording Forward — where the
+// batch is partitioned across the shared tensor worker pool: every image
+// writes a disjoint slice of the output (and its own cols entry), so chunks
+// are race-free. The split into chunks is fixed here rather than left to
+// ParallelFor because each chunk needs scratch of its own. The nested
+// Im2Col/MatMul calls dispatch onto the same shared pool, which bounds total
+// parallelism at the pool size instead of multiplying batch-level by
+// kernel-level workers.
 func (c *Conv2D) forward(ws *workspace, x *tensor.Tensor, cols []*tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: Conv2D expects [N,C,H,W], got shape %v", x.Shape()))

@@ -21,13 +21,13 @@
 // for a single model should stay single-flight (or synchronize steps).
 //
 // Parallelism has one level. The inference entry points run a batch as
-// independent row blocks (see predictBlock): a batch wider than one block is
-// spread over the tensor package's shared worker pool block by block, and
-// every layer inside a block runs its kernel serially on the block's
-// goroutine; a batch of at most one block stays on the caller and there the
-// matmuls, im2col and the Conv2D batch loop partition their own rows onto
-// the pool instead — the only parallelism a narrow request can have. The
-// pool is bounded (sized by GOMAXPROCS, see tensor.SetWorkers), so any
+// independent row blocks (see predictBlock), and row blocks are the only
+// parallelism: a batch wider than one block is spread over the tensor
+// package's shared worker pool block by block, every layer inside a block
+// runs its kernel serially on the block's goroutine, and a batch of at most
+// one block runs entirely on the caller. A narrow request is therefore
+// single-threaded; its parallelism is the other requests running beside it.
+// The pool is bounded (sized by GOMAXPROCS, see tensor.SetWorkers), so any
 // number of concurrent callers compose without oversubscribing the machine.
 // Callers add concurrency for throughput (many models, many requests), never
 // per-op speed. Each block draws its activations from a pooled arena

@@ -9,10 +9,14 @@ import (
 )
 
 // Concurrency harness for the shared tensor pool: many goroutines hammer one
-// frozen model through Model.Predict while the parallel kernels fan row
-// blocks onto the same pool underneath. CI runs this under -race, which is
-// the point — any write overlap between chunks, any layer-state mutation on
-// the inference path, or any pool-queue misuse surfaces here.
+// frozen model through Model.Predict while the block driver fans row blocks
+// onto the same pool underneath. CI runs this under -race, which is the
+// point — any write overlap between blocks, any layer-state mutation on the
+// inference path, or any pool-queue misuse surfaces here. Only a batch wider
+// than predictBlock reaches the pool, so the pool legs here are poolRows wide.
+
+// poolRows is two full row blocks and an 8-row tail.
+const poolRows = 2*predictBlock + 8
 
 func raceModel(t *testing.T) *Model {
 	t.Helper()
@@ -26,47 +30,51 @@ func raceModel(t *testing.T) *Model {
 }
 
 // TestConcurrentPredictSharedPool: N goroutines × several iterations each,
-// one shared pool, results bitwise equal to the single-caller baseline.
+// one shared pool, results bitwise equal to the single-caller baseline. The
+// 8-row leg is the narrow pass, which stays on each caller; the wide leg
+// fans its blocks out onto the pool from every goroutine at once.
 func TestConcurrentPredictSharedPool(t *testing.T) {
 	// Pin the pool above 1 so the parallel dispatch path runs even on
 	// single-core machines (where DefaultWorkers would make it inline).
 	tensor.SetWorkers(4)
 	defer tensor.SetWorkers(0)
 	m := raceModel(t)
-	x := tensor.New(8, m.InputDim)
-	rng.New(23).Uniform(x.Data, 0, 1)
-	want := m.Predict(x.Clone())
+	for _, rows := range []int{8, poolRows} {
+		x := tensor.New(rows, m.InputDim)
+		rng.New(23).Uniform(x.Data, 0, 1)
+		want := m.Predict(x.Clone())
 
-	const goroutines, iters = 16, 5
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in := x.Clone()
-			for it := 0; it < iters; it++ {
-				got := m.Predict(in)
-				for i := range got.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Errorf("concurrent Predict diverged at element %d: got %v, want %v",
-							i, got.Data[i], want.Data[i])
-						return
+		const goroutines, iters = 16, 5
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				in := x.Clone()
+				for it := 0; it < iters; it++ {
+					got := m.Predict(in)
+					for i := range got.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Errorf("%d rows: concurrent Predict diverged at element %d: got %v, want %v",
+								rows, i, got.Data[i], want.Data[i])
+							return
+						}
 					}
 				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestPredictSerialPoolMatchesParallel pins the shared pool to one worker —
 // the serial degradation path — and to a forced width, and demands
-// bitwise-identical predictions: kernels partition output rows, so pool
-// width must never leak into results.
+// bitwise-identical predictions over a multi-block batch: dispatch only
+// partitions output rows, so pool width must never leak into results.
 func TestPredictSerialPoolMatchesParallel(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	m := raceModel(t)
-	x := tensor.New(6, m.InputDim)
+	x := tensor.New(poolRows, m.InputDim)
 	rng.New(29).Uniform(x.Data, 0, 1)
 
 	tensor.SetWorkers(1)

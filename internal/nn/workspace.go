@@ -12,18 +12,21 @@ import (
 // coalesces unrelated requests into one pass), so a batch of any width is
 // run as independent row blocks and the split is bitwise invisible. A block's
 // activations stay cache-resident instead of streaming a whole generation's
-// feature maps through memory, and — the one-level rule — a batch wider than
-// one block is spread over the shared worker pool by block and nothing
-// inside a block dispatches again: its layers call the tensor package's
-// Serial* kernels. A batch of at most predictBlock rows is a single block on
-// the calling goroutine, and there the kernels keep their own row/column
-// dispatch, the only parallelism such a request can have.
+// feature maps through memory, and — the one-level rule — blocks are the only
+// parallelism: a batch wider than one block is spread over the shared worker
+// pool by block, and nothing inside a block dispatches again, because its
+// layers call the tensor package's Serial* kernels. A batch of at most
+// predictBlock rows is one block and runs entirely on the calling goroutine;
+// a narrow request gets its parallelism from the requests running beside it,
+// not from per-layer fork-joins that would cost more in wake-ups than a
+// block's kernels take.
 const predictBlock = 16
 
 // inferer is Layer.Infer inside a planned pass, implemented by the layers of
 // this package: outputs and scratch come from ws and are only valid until
-// the pass ends. A nil ws means fresh tensors and pool-dispatching kernels,
-// which is how the same code serves the public Infer methods.
+// the pass ends, and the kernels are the Serial* ones. A nil ws means fresh
+// tensors and pool-dispatching kernels, which is how the same code serves
+// the public Infer methods.
 type inferer interface {
 	infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor
 }
@@ -48,10 +51,6 @@ type workspace struct {
 	// chain, so only the next layer reads it and that layer may overwrite it
 	// in place; Residual clears it to keep its input for the join.
 	last *tensor.Tensor
-
-	// serial marks a block that is itself a pool task: layers stay on the
-	// calling goroutine.
-	serial bool
 }
 
 // poisonArenas is set by tests only. Arena memory is then NaN whenever it is
@@ -77,7 +76,9 @@ func (ws *workspace) reset() {
 	poison(ws.buf)
 }
 
-func (ws *workspace) isSerial() bool { return ws != nil && ws.serial }
+// isSerial reports whether the caller is inside a planned pass, where every
+// kernel runs on the block's goroutine.
+func (ws *workspace) isSerial() bool { return ws != nil }
 
 // header returns a recycled tensor header.
 func (ws *workspace) header() *tensor.Tensor {
@@ -167,32 +168,25 @@ func (ws *workspace) run(layers []Layer, x *tensor.Tensor) *tensor.Tensor {
 // getWorkspace takes a reset workspace from the model's pool. Callers reset
 // it after every pass and Put it back when done; one abandoned by a panic is
 // simply dropped.
-func (m *Model) getWorkspace(serial bool) *workspace {
+func (m *Model) getWorkspace() *workspace {
 	ws, ok := m.workspaces.Get().(*workspace)
 	if !ok {
 		ws = new(workspace)
 	}
-	ws.serial = serial
 	return ws
 }
 
 // forBlocks is the one inference driver: it runs layers over x one row block
 // at a time (see predictBlock) and hands emit each block's first row index
 // and output. The output lives in the pass's arena, so emit copies out what
-// it keeps; emit runs concurrently for different blocks.
+// it keeps; emit runs concurrently for different blocks. A single block runs
+// inline on the caller (Pool.For never hands off n <= grain).
 func (m *Model) forBlocks(layers []Layer, x *tensor.Tensor, emit func(r0 int, h *tensor.Tensor)) {
 	n := x.Dim(0)
-	if n <= predictBlock {
-		ws := m.getWorkspace(false)
-		emit(0, ws.run(layers, x))
-		ws.reset()
-		m.workspaces.Put(ws)
-		return
-	}
 	per := x.Len() / n
 	blocks := (n + predictBlock - 1) / predictBlock
 	tensor.ParallelFor(blocks, 1, func(lo, hi int) {
-		ws := m.getWorkspace(true)
+		ws := m.getWorkspace()
 		for b := lo; b < hi; b++ {
 			r0 := b * predictBlock
 			r1 := min(r0+predictBlock, n)

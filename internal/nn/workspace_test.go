@@ -63,7 +63,7 @@ func oddStack(t *testing.T) *Model {
 }
 
 // arenaModels returns the four families at a geometry whose conv layers
-// clear the parallel-dispatch floor on a narrow batch, plus oddStack.
+// clear the parallel-dispatch floor on the public Infer path, plus oddStack.
 func arenaModels(t *testing.T) []*Model {
 	t.Helper()
 	models := []*Model{oddStack(t)}
@@ -113,9 +113,9 @@ func TestArenaSafety(t *testing.T) {
 					t.Fatalf("%s: nothing quantized", fp.Arch)
 				}
 			}
-			// 1 and 8 are narrow (kernel-level dispatch), 16 is the widest
-			// single block, 17 adds a one-row tail block, 40 spreads three
-			// blocks over the pool.
+			// 1 and 8 are narrow (one block on the caller), 16 is the
+			// widest single block, 17 adds a one-row tail block, 40 spreads
+			// three blocks over the pool.
 			for _, rows := range []int{1, 8, 16, 17, 40} {
 				label := fmt.Sprintf("%s/%s/%d rows", fp.Arch, precision, rows)
 				x := tensor.New(rows, m.InputDim)
@@ -173,34 +173,46 @@ func TestEntryPointsMatchPerRow(t *testing.T) {
 }
 
 // TestPredictAllocationBudget keeps the arena from silently rotting: a warm
-// generation-wide Predict on the bench zoo's shape allocates its result and
-// little else. (The parent of the arena allocated 12.5 MB here.)
+// Predict on the bench zoo's shape allocates its result and little else —
+// at generation width (the parent of the arena allocated 12.5 MB there) and
+// at request width, where a pass that dispatched its kernels would pay for
+// their closures and per-chunk conv scratch.
 func TestPredictAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	m := benchZooModel(t)
-	x := tensor.New(benchWideRows, m.InputDim)
-	rng.New(2).Uniform(x.Data, 0, 1)
 	// A collection would empty the arena pool mid-measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 3; i++ {
-		m.Predict(x)
-	}
+	for _, leg := range []struct {
+		rows      int
+		results   uint64 // byte budget: results result tensors plus slack
+		slack     uint64
+		maxAllocs float64
+	}{
+		{benchWideRows, 2, 4096, 32},
+		{benchNarrowRows, 1, 1024, 8},
+	} {
+		x := tensor.New(leg.rows, m.InputDim)
+		rng.New(2).Uniform(x.Data, 0, 1)
+		for i := 0; i < 3; i++ {
+			m.Predict(x)
+		}
 
-	const calls = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		m.Predict(x)
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	result := uint64(8 * benchWideRows * m.NumClasses)
-	if budget := 2*result + 4096; perCall > budget {
-		t.Errorf("warm %d-row Predict allocates %d B per call; budget %d (result tensor %d)", benchWideRows, perCall, budget, result)
-	}
-	if allocs := testing.AllocsPerRun(calls, func() { m.Predict(x) }); allocs > 32 {
-		t.Errorf("warm %d-row Predict makes %.0f allocations per call; budget 32", benchWideRows, allocs)
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			m.Predict(x)
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		result := uint64(8 * leg.rows * m.NumClasses)
+		if budget := leg.results*result + leg.slack; perCall > budget {
+			t.Errorf("warm %d-row Predict allocates %d B per call; budget %d (result tensor %d)", leg.rows, perCall, budget, result)
+		}
+		if allocs := testing.AllocsPerRun(calls, func() { m.Predict(x) }); allocs > leg.maxAllocs {
+			t.Errorf("warm %d-row Predict makes %.0f allocations per call; budget %.0f", leg.rows, allocs, leg.maxAllocs)
+		}
 	}
 }
