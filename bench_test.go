@@ -1,24 +1,16 @@
 package bprom_test
 
-// One benchmark per table and figure of the paper's evaluation section.
-// Each runs the corresponding experiment at the tiny scale and reports the
-// headline quantity (average AUROC / accuracy / F1 where the table has one)
-// as a custom benchmark metric. Regenerate everything with:
-//
-//	go test -bench=. -benchtime=1x -benchmem .
-//
-// `go run ./cmd/tables -scale small` prints the same experiments at the next
-// scale up.
+// Kernel and serving-path micro-benchmarks, for measuring while you work.
+// The paper's tables and figures are regenerated by `go run ./cmd/tables
+// -all`; end-to-end performance is measured by the bench/ module.
 
 import (
 	"context"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
 	"bprom/internal/data"
-	"bprom/internal/exp"
 	"bprom/internal/mlaas"
 	"bprom/internal/nn"
 	"bprom/internal/oracle"
@@ -26,71 +18,6 @@ import (
 	"bprom/internal/tensor"
 	"bprom/internal/vp"
 )
-
-// runExperiment executes one registered experiment per benchmark iteration
-// and reports the mean of the numeric cells in the given column (-1: the
-// last column, which carries the AVG on the comparison tables).
-func runExperiment(b *testing.B, id string, column int) {
-	b.Helper()
-	p := exp.ParamsFor(exp.Tiny)
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		tab, err := exp.Run(ctx, id, p)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatalf("%s: empty table", id)
-		}
-		sum, n := 0.0, 0
-		for _, row := range tab.Rows {
-			col := column
-			if col < 0 {
-				col = len(row) - 1
-			}
-			if col >= len(row) {
-				continue
-			}
-			if v, err := strconv.ParseFloat(row[col], 64); err == nil {
-				sum += v
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(sum/float64(n), "mean_metric")
-		}
-	}
-}
-
-func BenchmarkTable01InputLevelCollapse(b *testing.B) { runExperiment(b, "table1", 3) }
-func BenchmarkFigure03Subspace(b *testing.B)          { runExperiment(b, "figure3", 2) }
-func BenchmarkTable02TargetClasses(b *testing.B)      { runExperiment(b, "table2", 1) }
-func BenchmarkTable03TriggerSize(b *testing.B)        { runExperiment(b, "table3", 1) }
-func BenchmarkTable04PoisonRate(b *testing.B)         { runExperiment(b, "table4", 1) }
-func BenchmarkTable05MainAUROC(b *testing.B)          { runExperiment(b, "table5", -1) }
-func BenchmarkTable06TinyImageNet(b *testing.B)       { runExperiment(b, "table6", -1) }
-func BenchmarkTrainingTime(b *testing.B)              { runExperiment(b, "training-time", 0) }
-func BenchmarkTable07ShadowCount(b *testing.B)        { runExperiment(b, "table7", 1) }
-func BenchmarkTable08TriggerSizeAUROC(b *testing.B)   { runExperiment(b, "table8", 3) }
-func BenchmarkTable09PoisonRateAUROC(b *testing.B)    { runExperiment(b, "table9", 3) }
-func BenchmarkTable10CrossArch(b *testing.B)          { runExperiment(b, "table10", -1) }
-func BenchmarkTable11LowPoison(b *testing.B)          { runExperiment(b, "table11", 1) }
-func BenchmarkTable12CleanLabel(b *testing.B)         { runExperiment(b, "table12", 1) }
-func BenchmarkTable13AttackConfigs(b *testing.B)      { runExperiment(b, "table13", 0) }
-func BenchmarkTable14ACCASRResNet(b *testing.B)       { runExperiment(b, "table14", 2) }
-func BenchmarkTable15ACCASRMobileNet(b *testing.B)    { runExperiment(b, "table15", 2) }
-func BenchmarkTable16F1ResNet(b *testing.B)           { runExperiment(b, "table16", -1) }
-func BenchmarkTable17AUROCMobileNet(b *testing.B)     { runExperiment(b, "table17", -1) }
-func BenchmarkTable18F1MobileNet(b *testing.B)        { runExperiment(b, "table18", -1) }
-func BenchmarkTable19SVHNFromGTSRB(b *testing.B)      { runExperiment(b, "table19", -1) }
-func BenchmarkTable20SVHNFromCIFAR(b *testing.B)      { runExperiment(b, "table20", -1) }
-func BenchmarkTable21CIFAR100(b *testing.B)           { runExperiment(b, "table21", -1) }
-func BenchmarkTable22FeatureBackdoors(b *testing.B)   { runExperiment(b, "table22", 2) }
-func BenchmarkTable23ReservedSize(b *testing.B)       { runExperiment(b, "table23", -1) }
-func BenchmarkTable24MobileViT(b *testing.B)          { runExperiment(b, "table24", -1) }
-func BenchmarkTable25Swin(b *testing.B)               { runExperiment(b, "table25", -1) }
-func BenchmarkTable26ImageNet(b *testing.B)           { runExperiment(b, "table26", -1) }
-func BenchmarkFigure05MetaPCA(b *testing.B)           { runExperiment(b, "figure5", 1) }
 
 // --- Serving-path throughput -------------------------------------------------
 //
@@ -575,9 +502,3 @@ func BenchmarkServerPredictScreenedOptOut(b *testing.B) {
 func BenchmarkServerPredictScreened(b *testing.B) {
 	benchServerPredict(b, benchScreener(b), true)
 }
-
-// Ablations and the limitation experiment (beyond the paper's tables).
-func BenchmarkLimitationAllToAll(b *testing.B) { runExperiment(b, "limitation-alltoall", 1) }
-func BenchmarkAblationOptimizer(b *testing.B)  { runExperiment(b, "ablation-optimizer", 1) }
-func BenchmarkAblationPromptSize(b *testing.B) { runExperiment(b, "ablation-promptsize", 2) }
-func BenchmarkAblationQueryCount(b *testing.B) { runExperiment(b, "ablation-querycount", 1) }

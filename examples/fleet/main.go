@@ -20,6 +20,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -37,13 +38,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithCancel(context.Background())
+func run(ctx context.Context, w io.Writer) error {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	srcGen := data.NewGenerator(data.MustSpec(data.CIFAR10), 1)
@@ -69,7 +70,7 @@ func run() error {
 		{"trojan", &attack.Config{Kind: attack.Trojan, PoisonRate: 0.15, Target: 2, Seed: 5}},
 		{"badnets", &attack.Config{Kind: attack.BadNets, PoisonRate: 0.15, Target: 0, Seed: 6}},
 	}
-	fmt.Printf("attacker: uploading %d models to the platform ...\n", len(uploads))
+	fmt.Fprintf(w, "attacker: uploading %d models to the platform ...\n", len(uploads))
 	for i, up := range uploads {
 		train := srcTrain
 		note := "clean upload"
@@ -102,7 +103,7 @@ func run() error {
 
 	// The defender side, OFFLINE phase: train the detector ONCE and persist
 	// it as a versioned artifact.
-	fmt.Println("defender: training BPROM detector once ...")
+	fmt.Fprintln(w, "defender: training BPROM detector once ...")
 	det, err := bprom.Train(ctx, bprom.Config{
 		Reserved:      srcTest.Reserve(0.10, rng.New(9)),
 		ExternalTrain: tgtTrain,
@@ -124,7 +125,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("defender: detector artifact written (%s, %d bytes)\n", filepath.Base(artifact), st.Size())
+	fmt.Fprintf(w, "defender: detector artifact written (%s, %d bytes)\n", filepath.Base(artifact), st.Size())
 
 	// The platform: a registry whose hot-set is smaller than the zoo, plus
 	// audit-as-a-service over the artifact RELOADED from disk — the same
@@ -146,7 +147,7 @@ func run() error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(ctx, "127.0.0.1:0", ready) }()
 	addr := <-ready
-	fmt.Printf("platform: %d models live at http://%s (LRU hot-set of %d, audits enabled)\n",
+	fmt.Fprintf(w, "platform: %d models live at http://%s (LRU hot-set of %d, audits enabled)\n",
 		reg.Len(), addr, maxLoaded)
 
 	// The defender side, ONLINE phase: discover the fleet and submit one
@@ -160,11 +161,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("defender: endpoint lists %d models; submitting audit jobs ...\n", len(list.Models))
+	fmt.Fprintf(w, "defender: endpoint lists %d models; submitting audit jobs ...\n", len(list.Models))
 
 	jobs := make([]audit.Job, len(list.Models))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
+	var mu sync.Mutex // guards firstErr and the job goroutines' writes to w
 	var firstErr error
 	for i, mi := range list.Models {
 		wg.Add(1)
@@ -176,7 +177,9 @@ func run() error {
 				job, err = client.AuditModel(ctx, i)
 			}
 			if err == nil {
-				fmt.Printf("defender: job %s queued for %s\n", job.ID, mi.ID)
+				mu.Lock()
+				fmt.Fprintf(w, "defender: job %s queued for %s\n", job.ID, mi.ID)
+				mu.Unlock()
 				job, err = client.WaitAudit(ctx, job.ID)
 				jobs[i] = job
 			}
@@ -202,7 +205,7 @@ func run() error {
 		if v.Backdoored {
 			verdict = "BACKDOORED"
 		}
-		fmt.Printf("defender: %-8s -> %-10s (job %s, score %.3f, prompted acc %.3f, %d queries in %s)\n",
+		fmt.Fprintf(w, "defender: %-8s -> %-10s (job %s, score %.3f, prompted acc %.3f, %d queries in %s)\n",
 			job.ModelID, verdict, job.ID, v.Score, v.PromptedAcc, v.Queries,
 			job.Finished.Sub(job.Started).Round(time.Millisecond))
 	}

@@ -27,6 +27,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -44,13 +45,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithCancel(context.Background())
+func run(ctx context.Context, w io.Writer) error {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	srcGen := data.NewGenerator(data.MustSpec(data.CIFAR10), 1)
@@ -79,7 +80,7 @@ func run() error {
 		// the demo checkpoints (and verdicts) consistent across examples.
 		{"badnets", 2, &attack.Config{Kind: attack.BadNets, PoisonRate: 0.15, Target: 0, Seed: 6}},
 	}
-	fmt.Printf("attacker: uploading %d models to the platform ...\n", len(uploads))
+	fmt.Fprintf(w, "attacker: uploading %d models to the platform ...\n", len(uploads))
 	for _, up := range uploads {
 		train := srcTrain
 		note := "clean upload"
@@ -111,7 +112,7 @@ func run() error {
 	}
 
 	// Train the detector ONCE; both nodes reload the artifact from disk.
-	fmt.Println("defender: training BPROM detector once ...")
+	fmt.Fprintln(w, "defender: training BPROM detector once ...")
 	det, err := bprom.Train(ctx, bprom.Config{
 		Reserved:      srcTest.Reserve(0.10, rng.New(9)),
 		ExternalTrain: tgtTrain,
@@ -154,7 +155,7 @@ func run() error {
 		serveErrs[i] = make(chan error, 1)
 		go func(ch chan error) { ch <- server.Serve(nodeCtx, "127.0.0.1:0", ready) }(serveErrs[i])
 		nodeURLs[i] = "http://" + <-ready
-		fmt.Printf("platform: node n%d serving %d models at %s\n", i, reg.Len(), nodeURLs[i])
+		fmt.Fprintf(w, "platform: node n%d serving %d models at %s\n", i, reg.Len(), nodeURLs[i])
 	}
 	defer func() {
 		for _, c := range cancels {
@@ -183,7 +184,7 @@ func run() error {
 	gwServer := mlaas.NewGatewayServer(gw)
 	gwReady := make(chan string, 1)
 	gwErr := make(chan error, 1)
-	gwCtx, gwCancel := context.WithCancel(context.Background())
+	gwCtx, gwCancel := context.WithCancel(ctx)
 	defer gwCancel()
 	go func() { gwErr <- gwServer.Serve(gwCtx, "127.0.0.1:0", gwReady) }()
 	base := "http://" + <-gwReady
@@ -191,7 +192,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gateway: %s fronting %d/%d healthy nodes (status %s, audits enabled %v)\n",
+	fmt.Fprintf(w, "gateway: %s fronting %d/%d healthy nodes (status %s, audits enabled %v)\n",
 		base, h.HealthyNodes, h.Nodes, h.Status, h.AuditsEnabled)
 
 	// Fleet audit THROUGH the gateway: jobs land on their rendezvous
@@ -210,7 +211,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("defender: job %s queued for %s on node %s\n", job.ID, mi.ID, job.Node)
+		fmt.Fprintf(w, "defender: job %s queued for %s on node %s\n", job.ID, mi.ID, job.Node)
 		if job, err = client.WaitAudit(ctx, job.ID); err != nil {
 			return err
 		}
@@ -221,7 +222,7 @@ func run() error {
 		if job.Verdict.Backdoored {
 			verdict = "BACKDOORED"
 		}
-		fmt.Printf("defender: %-8s -> %-10s (job %s, node %s, score %.3f, %d queries)\n",
+		fmt.Fprintf(w, "defender: %-8s -> %-10s (job %s, node %s, score %.3f, %d queries)\n",
 			mi.ID, verdict, job.ID, job.Node, job.Verdict.Score, job.Verdict.Queries)
 	}
 
@@ -241,7 +242,7 @@ func run() error {
 	}
 	victim := int(job.Node[len(job.Node)-1] - '0')
 	survivor := 1 - victim
-	fmt.Printf("chaos: job %s is running on node %s — killing that node ...\n", job.ID, job.Node)
+	fmt.Fprintf(w, "chaos: job %s is running on node %s — killing that node ...\n", job.ID, job.Node)
 	cancels[victim]()
 	if err := <-serveErrs[victim]; err != nil {
 		return err
@@ -271,7 +272,7 @@ func run() error {
 	if moved.State != audit.StateDone || moved.Verdict == nil {
 		return fmt.Errorf("migrated job ended %s: %s", moved.State, moved.Error)
 	}
-	fmt.Printf("gateway: audit migrated %s -> %s (node n%d, continues %s): score %.3f, %d queries\n",
+	fmt.Fprintf(w, "gateway: audit migrated %s -> %s (node n%d, continues %s): score %.3f, %d queries\n",
 		job.ID, moved.ID, survivor, moved.MigratedFrom, moved.Verdict.Score, moved.Verdict.Queries)
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -281,7 +282,7 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("gateway: predicts kept answering; fleet now %d/%d healthy (status %s), %d job(s) migrated\n",
+	fmt.Fprintf(w, "gateway: predicts kept answering; fleet now %d/%d healthy (status %s), %d job(s) migrated\n",
 		h.HealthyNodes, h.Nodes, h.Status, h.MigratedJobs)
 
 	gwCancel()

@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"bprom/internal/attack"
 	"bprom/internal/bprom"
@@ -23,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	ctx, cancel := context.WithCancel(context.Background())
+func run(ctx context.Context, w io.Writer) error {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	srcGen := data.NewGenerator(data.MustSpec(data.CIFAR10), 1)
@@ -38,7 +40,7 @@ func run() error {
 	tgtTrain, tgtTest := tgtGen.GenerateSplit(20, 10, rng.New(4))
 
 	// Train the victim: a BadNets patch backdoor targeting class 2.
-	fmt.Println("train: poisoning and training a BadNets model ...")
+	fmt.Fprintln(w, "train: poisoning and training a BadNets model ...")
 	atk := attack.Config{Kind: attack.BadNets, PoisonRate: 0.15, Target: 2, TriggerSize: 4, Seed: 5}
 	poisoned, _, err := attack.Poison(srcTrain, atk, rng.New(6))
 	if err != nil {
@@ -58,7 +60,7 @@ func run() error {
 	// Train a small BPROM detector; its shadow prompts are what the
 	// screener reuses (mean θ), so this is the same artifact a `bprom
 	// train` run would persist and `mlaas-server -screen` would load.
-	fmt.Println("train: BPROM detector (shadow prompts double as the request screen) ...")
+	fmt.Fprintln(w, "train: BPROM detector (shadow prompts double as the request screen) ...")
 	det, err := bprom.Train(ctx, bprom.Config{
 		Reserved:      srcTest.Reserve(0.10, rng.New(9)),
 		ExternalTrain: tgtTrain,
@@ -81,7 +83,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("screen: threshold %.2f, canvas dim %d\n", screener.Threshold(), screener.InputDim())
+	fmt.Fprintf(w, "screen: threshold %.2f, canvas dim %d\n", screener.Threshold(), screener.InputDim())
 
 	// Serve WITH inline screening (annotate policy: confidences untouched,
 	// verdicts ride along). Equivalent to `mlaas-server -screen d.bpd`.
@@ -93,13 +95,13 @@ func run() error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(ctx, "127.0.0.1:0", ready) }()
 	addr := <-ready
-	fmt.Printf("serve: screened endpoint live at http://%s\n", addr)
+	fmt.Fprintf(w, "serve: screened endpoint live at http://%s\n", addr)
 
 	client, err := mlaas.Dial(ctx, "http://"+addr, mlaas.ClientConfig{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serve: endpoint advertises screened=%v policy=%q\n", client.Screened(), client.ScreenPolicy())
+	fmt.Fprintf(w, "serve: endpoint advertises screened=%v policy=%q\n", client.Screened(), client.ScreenPolicy())
 
 	// Build a mixed batch: n clean test rows followed by the SAME rows with
 	// the attacker's test-time trigger stamped on.
@@ -119,7 +121,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("predict: per-row screening verdicts (annotate policy):")
+	fmt.Fprintln(w, "predict: per-row screening verdicts (annotate policy):")
 	var cleanSum, trigSum float64
 	for i := 0; i < 2*n; i++ {
 		kind := "clean    "
@@ -129,13 +131,13 @@ func run() error {
 		} else {
 			cleanSum += scr[i].Score
 		}
-		fmt.Printf("  row %d  %s  class=%d  score=%.3f  flagged=%v\n",
+		fmt.Fprintf(w, "  row %d  %s  class=%d  score=%.3f  flagged=%v\n",
 			i, kind, argmax(out.Row(i)), scr[i].Score, scr[i].Flagged)
 	}
 	// Per-row flags are noisy at this toy scale (4+4 shadows, 12×12 demo
 	// images); the score MEANS separate, which is what a production-scale
 	// detector sharpens into reliable per-row flags.
-	fmt.Printf("predict: mean score clean %.3f vs triggered %.3f\n", cleanSum/n, trigSum/n)
+	fmt.Fprintf(w, "predict: mean score clean %.3f vs triggered %.3f\n", cleanSum/n, trigSum/n)
 
 	// The reject policy withholds flagged rows' confidences instead.
 	reject := mlaas.NewServer(model, mlaas.ServerConfig{
@@ -160,7 +162,7 @@ func run() error {
 			rejected++
 		}
 	}
-	fmt.Printf("reject: same batch under -screen-policy reject: %d/%d rows withheld\n", rejected, 2*n)
+	fmt.Fprintf(w, "reject: same batch under -screen-policy reject: %d/%d rows withheld\n", rejected, 2*n)
 
 	cancel()
 	if err := <-serveErr; err != nil {

@@ -28,13 +28,13 @@ func RunLimitationAllToAll(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := trainDetector(ctx, w, nn.ArchConvLite, p, attack.Config{})
+	det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, p, attack.Config{})
 	if err != nil {
 		return nil, err
 	}
 	for _, allToAll := range []bool{false, true} {
 		cfg := attack.Config{Kind: attack.BadNets, PoisonRate: 0.20, AllToAll: allToAll}
-		battery, err := buildBattery(ctx, w, nn.ArchConvLite, p, map[attack.Kind]attack.Config{attack.BadNets: cfg})
+		battery, err := buildBattery(ctx, w, nn.ArchConvLite, 0, p, map[attack.Kind]attack.Config{attack.BadNets: cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,7 @@ func RunAblationOptimizer(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, p, p.Seed^31)
+	m, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, 0, p, p.Seed^31)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func RunAblationPromptSize(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, p, p.Seed^32)
+	m, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, 0, p, p.Seed^32)
 	if err != nil {
 		return nil, err
 	}
@@ -139,14 +139,14 @@ func RunAblationQueryCount(ctx context.Context, p Params) (*Table, error) {
 		return nil, err
 	}
 	cfg := attack.Config{Kind: attack.BadNets, PoisonRate: 0.20}
-	battery, err := buildBattery(ctx, w, nn.ArchConvLite, p, map[attack.Kind]attack.Config{attack.BadNets: cfg})
+	battery, err := buildBattery(ctx, w, nn.ArchConvLite, 0, p, map[attack.Kind]attack.Config{attack.BadNets: cfg})
 	if err != nil {
 		return nil, err
 	}
 	for _, q := range []int{5, 15, 30} {
 		pp := p
 		pp.QuerySamples = q
-		det, err := trainDetector(ctx, w, nn.ArchConvLite, pp, attack.Config{})
+		det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, pp, attack.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -18,11 +18,12 @@ import (
 	"bprom/internal/vp"
 )
 
-// trainModel builds and trains one classifier on ds.
-func trainModel(ctx context.Context, ds *data.Dataset, arch nn.Arch, p Params, seed uint64) (*nn.Model, error) {
+// trainModel builds and trains one classifier on ds. blocks is the arch's
+// block count (0: nn's default).
+func trainModel(ctx context.Context, ds *data.Dataset, arch nn.Arch, blocks int, p Params, seed uint64) (*nn.Model, error) {
 	m, err := nn.Build(nn.ArchConfig{
 		Arch: arch, C: ds.Shape.C, H: ds.Shape.H, W: ds.Shape.W,
-		NumClasses: ds.Classes, Hidden: p.Hidden,
+		NumClasses: ds.Classes, Hidden: p.Hidden, Blocks: blocks,
 	}, rng.New(seed))
 	if err != nil {
 		return nil, err
@@ -33,8 +34,9 @@ func trainModel(ctx context.Context, ds *data.Dataset, arch nn.Arch, p Params, s
 	return m, nil
 }
 
-// trainDetector builds a BPROM detector on w with the given arch.
-func trainDetector(ctx context.Context, w *world, arch nn.Arch, p Params, shadowAttack attack.Config) (*bprom.Detector, error) {
+// trainDetector builds a BPROM detector on w whose shadows have the given
+// arch and block count (0: nn's default).
+func trainDetector(ctx context.Context, w *world, arch nn.Arch, blocks int, p Params, shadowAttack attack.Config) (*bprom.Detector, error) {
 	if shadowAttack.Kind == "" {
 		shadowAttack = attack.Config{Kind: attack.BadNets, PoisonRate: 0.20}
 	}
@@ -44,7 +46,7 @@ func trainDetector(ctx context.Context, w *world, arch nn.Arch, p Params, shadow
 		ExternalTest:  w.tgtTest,
 		NumClean:      p.ShadowClean,
 		NumBackdoor:   p.ShadowBackdoor,
-		ShadowArch:    nn.ArchConfig{Arch: arch, Hidden: p.Hidden},
+		ShadowArch:    nn.ArchConfig{Arch: arch, Hidden: p.Hidden, Blocks: blocks},
 		ShadowTrain:   trainer.Config{Epochs: p.Epochs},
 		ShadowAttack:  shadowAttack,
 		PromptFrac:    p.PromptFrac,
@@ -66,8 +68,9 @@ type susModel struct {
 }
 
 // buildBattery trains the suspicious-model battery: SusClean clean models
-// plus SusPerAttack models per attack config. Training runs in parallel.
-func buildBattery(ctx context.Context, w *world, arch nn.Arch, p Params, attacks map[attack.Kind]attack.Config) ([]susModel, error) {
+// plus SusPerAttack models per attack config, each an arch with the given
+// block count (0: nn's default). Training runs in parallel.
+func buildBattery(ctx context.Context, w *world, arch nn.Arch, blocks int, p Params, attacks map[attack.Kind]attack.Config) ([]susModel, error) {
 	type job struct {
 		idx  int
 		kind attack.Kind
@@ -113,7 +116,7 @@ func buildBattery(ctx context.Context, w *world, arch nn.Arch, p Params, attacks
 				}
 				ds = poisoned
 			}
-			m, err := trainModel(ctx, ds, arch, p, p.Seed^jb.seed^uint64(i*131))
+			m, err := trainModel(ctx, ds, arch, blocks, p, p.Seed^jb.seed^uint64(i*131))
 			if err != nil {
 				errs[i] = fmt.Errorf("battery %s[%d]: %w", jb.kind, i, err)
 				return

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Registry lists them; cmd/tables runs them)
-// at three scales. "tiny" backs the benchmark suite and is cmd/tables'
-// default, "small" sits between, "full" runs the largest CPU-feasible
-// configuration.
+// at three scales. "tiny" is cmd/tables' default, "small" sits between,
+// "full" runs the largest CPU-feasible configuration. The package's tests
+// run every experiment at a scale below tiny.
 package exp
 
 import (
@@ -59,8 +59,8 @@ type Params struct {
 func ParamsFor(scale Scale) Params {
 	switch scale {
 	case Tiny:
-		// Sized so the FULL benchmark suite (33 experiments) completes in
-		// roughly ten minutes on a laptop-class CPU.
+		// Sized so all 33 experiments (`tables -all`) complete in roughly
+		// ten minutes on a laptop-class CPU.
 		return Params{
 			Scale: Tiny, SrcTrain: 22, SrcTest: 80, TgtTrain: 10, TgtTest: 8,
 			Epochs: 8, Hidden: 24, CMAIters: 15, WBEpochs: 5, PromptFrac: 0.83,

@@ -80,42 +80,58 @@ func TestBuildWorldCapsClasses(t *testing.T) {
 	}
 }
 
-func TestTable13Static(t *testing.T) {
-	// table13 is data-free and fast: a full correctness check.
-	tab, err := Run(context.Background(), "table13", ParamsFor(Tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 14 { // 7 attacks x 2 datasets
-		t.Fatalf("table13 has %d rows, want 14", len(tab.Rows))
-	}
+// microParams sizes every runner below Tiny: enough training for each table
+// to be built end to end, far too little for its numbers to mean anything.
+var microParams = Params{
+	SrcTrain: 8, SrcTest: 30, TgtTrain: 4, TgtTest: 4,
+	Epochs: 2, Hidden: 8, CMAIters: 3, WBEpochs: 1, PromptFrac: 0.83,
+	ShadowClean: 2, ShadowBackdoor: 2, SusClean: 2, SusPerAttack: 1,
+	ReservedFrac: 0.10, QuerySamples: 8, ForestTrees: 10, MaxClasses: 10,
+	InputAUROCSamples: 8, Seed: 1,
 }
 
-// TestTable2EndToEnd runs one real (tiny) experiment end to end: it verifies
-// the harness plumbing and the headline phenomenon's direction.
-func TestTable2EndToEnd(t *testing.T) {
+// TestRunners runs every registered experiment once at microParams and
+// checks its table's shape: at least one row, every row as wide as the
+// header, no empty and no NaN cell. table13 and table2 get a check of their
+// own on top.
+func TestRunners(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs model training")
+		t.Skip("trains the models of every table")
 	}
-	p := ParamsFor(Tiny)
-	p.SusPerAttack = 1
-	tab, err := Run(context.Background(), "table2", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("table2 rows: %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if len(row) != 4 {
-			t.Fatalf("table2 row width: %v", row)
-		}
-		for _, cell := range row[1:] {
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil || v < 0 || v > 1 {
-				t.Fatalf("table2 cell %q not a valid accuracy", cell)
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			tab, err := Run(context.Background(), id, microParams)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if len(tab.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			for i, row := range tab.Rows {
+				if len(row) != len(tab.Header) {
+					t.Fatalf("row %d has %d cells, header has %d", i, len(row), len(tab.Header))
+				}
+				for j, cell := range row {
+					if cell == "" || strings.Contains(cell, "NaN") {
+						t.Errorf("row %d cell %d (%s) is %q", i, j, tab.Header[j], cell)
+					}
+				}
+			}
+			switch id {
+			case "table13":
+				if len(tab.Rows) != 14 { // 7 attacks x 2 datasets
+					t.Fatalf("table13 has %d rows, want 14", len(tab.Rows))
+				}
+			case "table2":
+				for _, row := range tab.Rows {
+					for _, cell := range row[1:] {
+						if v, err := strconv.ParseFloat(cell, 64); err != nil || v < 0 || v > 1 {
+							t.Fatalf("table2 cell %q not a valid accuracy", cell)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,18 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-
-	"bprom/internal/attack"
-	"bprom/internal/bprom"
-	"bprom/internal/data"
-	"bprom/internal/meta"
-	"bprom/internal/nn"
-	"bprom/internal/rng"
-	"bprom/internal/trainer"
-	"bprom/internal/vp"
 )
 
 // Runner regenerates one table or figure.
@@ -79,102 +68,3 @@ func Run(ctx context.Context, id string, p Params) (*Table, error) {
 	}
 	return r(ctx, p)
 }
-
-// trainDetectorBlocks is trainDetector with an explicit block count
-// (the VitLite depth variants of Tables 24/25).
-func trainDetectorBlocks(ctx context.Context, w *world, arch nn.Arch, p Params, blocks int) (*bprom.Detector, error) {
-	return bprom.Train(ctx, bprom.Config{
-		Reserved:      w.reserved,
-		ExternalTrain: w.tgtTrain,
-		ExternalTest:  w.tgtTest,
-		NumClean:      p.ShadowClean,
-		NumBackdoor:   p.ShadowBackdoor,
-		ShadowArch:    nn.ArchConfig{Arch: arch, Hidden: p.Hidden, Blocks: blocks},
-		ShadowTrain:   trainer.Config{Epochs: p.Epochs},
-		ShadowAttack:  attack.Config{Kind: attack.BadNets, PoisonRate: 0.20},
-		PromptFrac:    p.PromptFrac,
-		WhiteBox:      vp.WhiteBoxConfig{Epochs: p.WBEpochs},
-		BlackBox:      vp.BlackBoxConfig{Iterations: p.CMAIters},
-		QuerySamples:  p.QuerySamples,
-		Forest:        meta.TrainConfig{Trees: p.ForestTrees},
-		Seed:          p.Seed,
-	})
-}
-
-// buildBatteryBlocks trains a suspicious battery with an explicit block
-// count.
-func buildBatteryBlocks(ctx context.Context, w *world, arch nn.Arch, p Params, blocks int, attacks map[attack.Kind]attack.Config) ([]susModel, error) {
-	type job struct {
-		kind attack.Kind
-		cfg  attack.Config
-		bd   bool
-	}
-	var jobs []job
-	for s := 0; s < p.SusClean; s++ {
-		jobs = append(jobs, job{kind: "clean"})
-	}
-	for _, kind := range attack.AllKinds() {
-		cfg, ok := attacks[kind]
-		if !ok {
-			continue
-		}
-		for s := 0; s < p.SusPerAttack; s++ {
-			c := cfg
-			c.Seed = p.Seed*7919 + uint64(s)
-			c.Target = (s * 3) % w.srcTrain.Classes
-			jobs = append(jobs, job{kind: kind, cfg: c, bd: true})
-		}
-	}
-	out := make([]susModel, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, jb := range jobs {
-		wg.Add(1)
-		go func(i int, jb job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ds := w.srcTrain
-			if jb.bd {
-				poisoned, _, err := attack.Poison(w.srcTrain, jb.cfg, rng.New(p.Seed).Split("blk-poison", i))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				ds = poisoned
-			}
-			m, err := nn.Build(nn.ArchConfig{
-				Arch: arch, C: ds.Shape.C, H: ds.Shape.H, W: ds.Shape.W,
-				NumClasses: ds.Classes, Hidden: p.Hidden, Blocks: blocks,
-			}, rng.New(p.Seed^uint64(4021+i*53)))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if _, err := trainer.Train(ctx, m, ds, trainer.Config{Epochs: p.Epochs}, rng.New(p.Seed).Split("blk-train", i)); err != nil {
-				errs[i] = err
-				return
-			}
-			sm := susModel{model: m, backdoor: jb.bd, kind: jb.kind, cfg: jb.cfg}
-			sm.acc = trainer.Evaluate(m, w.srcTest, 0)
-			if jb.bd {
-				if asr, err := attack.ASR(m, w.srcTest, jb.cfg); err == nil {
-					sm.asr = asr
-				}
-			}
-			out[i] = sm
-		}(i, jb)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("exp: battery job %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// unused import guards (data is referenced by table files only at some
-// scales); keep the import meaningful here:
-var _ = data.CIFAR10

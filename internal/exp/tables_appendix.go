@@ -16,11 +16,11 @@ func bpromOnly(ctx context.Context, p Params, source, external string, arch, sus
 	if err != nil {
 		return nil, err
 	}
-	det, err := trainDetector(ctx, w, arch, p, attack.Config{})
+	det, err := trainDetector(ctx, w, arch, 0, p, attack.Config{})
 	if err != nil {
 		return nil, err
 	}
-	battery, err := buildBattery(ctx, w, susArch, p, attackConfigsFor(source, kinds))
+	battery, err := buildBattery(ctx, w, susArch, 0, p, attackConfigsFor(source, kinds))
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +215,11 @@ func vitTable(ctx context.Context, p Params, id, caption string, blocks int) (*T
 		if err != nil {
 			return nil, err
 		}
-		det, err := trainDetectorBlocks(ctx, w, nn.ArchVitLite, p, blocks)
+		det, err := trainDetector(ctx, w, nn.ArchVitLite, blocks, p, attack.Config{})
 		if err != nil {
 			return nil, err
 		}
-		battery, err := buildBatteryBlocks(ctx, w, nn.ArchVitLite, p, blocks, attackConfigsFor(dsName, appendixKinds))
+		battery, err := buildBattery(ctx, w, nn.ArchVitLite, blocks, p, attackConfigsFor(dsName, appendixKinds))
 		if err != nil {
 			return nil, err
 		}

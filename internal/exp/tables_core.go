@@ -44,7 +44,7 @@ func RunTable1(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cleanModel, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, p, p.Seed^11)
+	cleanModel, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, 0, p, p.Seed^11)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func RunTable1(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		infected, err := trainModel(ctx, poisoned, nn.ArchConvLite, p, p.Seed^23)
+		infected, err := trainModel(ctx, poisoned, nn.ArchConvLite, 0, p, p.Seed^23)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func meanPromptedAcc(ctx context.Context, w *world, cfg attack.Config, p Params,
 		if err != nil {
 			return 0, err
 		}
-		m, err := trainModel(ctx, poisoned, nn.ArchConvLite, p, p.Seed+uint64(100+s*17))
+		m, err := trainModel(ctx, poisoned, nn.ArchConvLite, 0, p, p.Seed+uint64(100+s*17))
 		if err != nil {
 			return 0, err
 		}
@@ -316,7 +316,7 @@ func defenseComparison(ctx context.Context, p Params, id, caption string, datase
 			if err != nil {
 				return nil, err
 			}
-			infected, err := trainModel(ctx, poisoned, arch, p, p.Seed^uint64(len(kind)*977))
+			infected, err := trainModel(ctx, poisoned, arch, 0, p, p.Seed^uint64(len(kind)*977))
 			if err != nil {
 				return nil, err
 			}
@@ -361,7 +361,7 @@ func defenseComparison(ctx context.Context, p Params, id, caption string, datase
 			t.AddRow(append(row, f3(sum/float64(len(kinds))))...)
 		}
 		// MM-BD and BPROM are model-level: evaluate over the battery.
-		battery, err := buildBattery(ctx, w, arch, p, cfgs)
+		battery, err := buildBattery(ctx, w, arch, 0, p, cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +371,7 @@ func defenseComparison(ctx context.Context, p Params, id, caption string, datase
 		}
 		t.AddRow(append([]string{"mm-bd", dsName}, mmbdRow...)...)
 
-		det, err := trainDetector(ctx, w, arch, p, attack.Config{})
+		det, err := trainDetector(ctx, w, arch, 0, p, attack.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +447,7 @@ func RunTrainingTime(ctx context.Context, p Params) (*Table, error) {
 			pp := p
 			pp.ShadowClean, pp.ShadowBackdoor = n/2, n/2
 			start := time.Now()
-			if _, err := trainDetector(ctx, w, arch, pp, attack.Config{}); err != nil {
+			if _, err := trainDetector(ctx, w, arch, 0, pp, attack.Config{}); err != nil {
 				return nil, err
 			}
 			t.AddRow(string(arch), fmt.Sprint(n), time.Since(start).Round(time.Millisecond).String())
@@ -476,11 +476,11 @@ func RunFigure3(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cleanM, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, p, p.Seed^77)
+	cleanM, err := trainModel(ctx, w.srcTrain, nn.ArchConvLite, 0, p, p.Seed^77)
 	if err != nil {
 		return nil, err
 	}
-	infectedM, err := trainModel(ctx, poisoned, nn.ArchConvLite, p, p.Seed^78)
+	infectedM, err := trainModel(ctx, poisoned, nn.ArchConvLite, 0, p, p.Seed^78)
 	if err != nil {
 		return nil, err
 	}
@@ -567,7 +567,7 @@ func RunFigure5(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := trainDetector(ctx, w, nn.ArchConvLite, p, attack.Config{Kind: attack.Trojan, PoisonRate: 0.20})
+	det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, p, attack.Config{Kind: attack.Trojan, PoisonRate: 0.20})
 	if err != nil {
 		return nil, err
 	}

@@ -30,14 +30,14 @@ func RunTable7(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		battery, err := buildBattery(ctx, w, nn.ArchConvLite, p, attackConfigsFor(dsName, kinds))
+		battery, err := buildBattery(ctx, w, nn.ArchConvLite, 0, p, attackConfigsFor(dsName, kinds))
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range counts {
 			pp := p
 			pp.ShadowClean, pp.ShadowBackdoor = c[0], c[1]
-			det, err := trainDetector(ctx, w, nn.ArchConvLite, pp, attack.Config{})
+			det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, pp, attack.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -83,7 +83,7 @@ func sweepASRDetection(ctx context.Context, p Params, id, caption string, values
 		if err != nil {
 			return nil, err
 		}
-		det, err := trainDetector(ctx, w, nn.ArchConvLite, p, attack.Config{})
+		det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, p, attack.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +95,7 @@ func sweepASRDetection(ctx context.Context, p Params, id, caption string, values
 				apply(&cfg, v)
 				cfgs[k] = cfg
 			}
-			battery, err := buildBattery(ctx, w, nn.ArchConvLite, p, cfgs)
+			battery, err := buildBattery(ctx, w, nn.ArchConvLite, 0, p, cfgs)
 			if err != nil {
 				return nil, err
 			}
@@ -124,11 +124,11 @@ func RunTable10(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := trainDetector(ctx, w, nn.ArchConvLite, p, attack.Config{})
+	det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, p, attack.Config{})
 	if err != nil {
 		return nil, err
 	}
-	battery, err := buildBattery(ctx, w, nn.ArchMobileNetLite, p, attackConfigsFor(data.CIFAR10, kinds))
+	battery, err := buildBattery(ctx, w, nn.ArchMobileNetLite, 0, p, attackConfigsFor(data.CIFAR10, kinds))
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func RunTable11(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := trainDetector(ctx, w, nn.ArchConvLite, p, attack.Config{})
+	det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, p, attack.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func RunTable11(ctx context.Context, p Params) (*Table, error) {
 	// set size the same absolute poisoned-sample regime is 1%..20%.
 	for _, rate := range []float64{0.01, 0.02, 0.05, 0.10, 0.20} {
 		cfg := attack.Config{Kind: attack.BadNets, PoisonRate: rate}
-		battery, err := buildBattery(ctx, w, nn.ArchConvLite, p, map[attack.Kind]attack.Config{attack.BadNets: cfg})
+		battery, err := buildBattery(ctx, w, nn.ArchConvLite, 0, p, map[attack.Kind]attack.Config{attack.BadNets: cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -193,11 +193,11 @@ func RunTable12(ctx context.Context, p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		det, err := trainDetector(ctx, w, nn.ArchConvLite, p, attack.Config{})
+		det, err := trainDetector(ctx, w, nn.ArchConvLite, 0, p, attack.Config{})
 		if err != nil {
 			return nil, err
 		}
-		battery, err := buildBattery(ctx, w, nn.ArchConvLite, p, attackConfigsFor(dsName, kinds))
+		battery, err := buildBattery(ctx, w, nn.ArchConvLite, 0, p, attackConfigsFor(dsName, kinds))
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +262,7 @@ func accASRTable(ctx context.Context, p Params, id string, arch nn.Arch) (*Table
 		if err != nil {
 			return nil, err
 		}
-		battery, err := buildBattery(ctx, w, arch, p, attackConfigsFor(dsName, kinds))
+		battery, err := buildBattery(ctx, w, arch, 0, p, attackConfigsFor(dsName, kinds))
 		if err != nil {
 			return nil, err
 		}

@@ -38,27 +38,6 @@ type MigrationConfig struct {
 	// HealthInterval so ownership decisions move at the same cadence as
 	// the health picture they depend on.
 	Interval time.Duration
-	// MaxAttempts bounds re-submission attempts per job per sweep; a job
-	// that exhausts them stays tracked and is retried next sweep.
-	// Default 3.
-	MaxAttempts int
-	// BackoffBase and BackoffMax bound the capped, jittered exponential
-	// backoff after a failed migration pass. The supervisor never sleeps
-	// inside a sweep (one stubborn job must not delay every other tracked
-	// job): a job whose attempts all failed is deferred, and later sweeps
-	// skip it until the backoff deadline passes. Defaults 100ms / 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// AttemptTimeout bounds one re-submission attempt (the POST carrying
-	// the checkpoint frame). Default 10s.
-	AttemptTimeout time.Duration
-	// ForwardTTL bounds the supervisor's migration bookkeeping: a forward
-	// chain entry is dropped once its target job has been out of
-	// supervision (finished, failed, or deleted) for this long, and a
-	// pending stale-copy cancellation against a node that never returns is
-	// aged out the same way — without it both grow for the gateway's
-	// lifetime under churn. Default 15m.
-	ForwardTTL time.Duration
 	// APIKey is the credential the supervisor presents on its own calls —
 	// checkpoint polls, resume submissions, stale-copy cancellations.
 	// Against tenant-enabled nodes it must be a `service`-flagged key:
@@ -67,7 +46,31 @@ type MigrationConfig struct {
 	// the supervisor on purpose — proxied caller traffic keeps the
 	// caller's own bearer token (or none) and never inherits this one.
 	APIKey string
+
+	// backoffBase and backoffMax bound the capped, jittered exponential
+	// backoff after a failed migration pass. The supervisor never sleeps
+	// inside a sweep (one stubborn job must not delay every other tracked
+	// job): a job whose attempts all failed is deferred, and later sweeps
+	// skip it until the backoff deadline passes. Defaults 100ms / 2s; only
+	// tests set them.
+	backoffBase, backoffMax time.Duration
+	// forwardTTL bounds the supervisor's migration bookkeeping: a forward
+	// chain entry is dropped once its target job has been out of
+	// supervision (finished, failed, or deleted) for this long, and a
+	// pending stale-copy cancellation against a node that never returns is
+	// aged out the same way — without it both grow for the gateway's
+	// lifetime under churn. Default 15m; only tests set it.
+	forwardTTL time.Duration
 }
+
+const (
+	// migrateMaxAttempts bounds re-submission attempts per job per sweep; a
+	// job that exhausts them stays tracked and is retried next sweep.
+	migrateMaxAttempts = 3
+	// migrateAttemptTimeout bounds one re-submission attempt (the POST
+	// carrying the checkpoint frame).
+	migrateAttemptTimeout = 10 * time.Second
+)
 
 func (c *MigrationConfig) defaults(healthInterval time.Duration) {
 	if c.Grace <= 0 {
@@ -79,23 +82,14 @@ func (c *MigrationConfig) defaults(healthInterval time.Duration) {
 			c.Interval = 2 * time.Second
 		}
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+	if c.backoffBase <= 0 {
+		c.backoffBase = 100 * time.Millisecond
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
+	if c.backoffMax <= 0 {
+		c.backoffMax = 2 * time.Second
 	}
-	if c.BackoffMax < c.BackoffBase {
-		c.BackoffMax = 2 * time.Second
-		if c.BackoffMax < c.BackoffBase {
-			c.BackoffMax = c.BackoffBase
-		}
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 10 * time.Second
-	}
-	if c.ForwardTTL <= 0 {
-		c.ForwardTTL = 15 * time.Minute
+	if c.forwardTTL <= 0 {
+		c.forwardTTL = 15 * time.Minute
 	}
 }
 
@@ -120,12 +114,12 @@ type trackedJob struct {
 type staleJob struct {
 	node    *gatewayNode
 	localID string
-	since   time.Time // when the cancellation became pending (ForwardTTL aging)
+	since   time.Time // when the cancellation became pending (forwardTTL aging)
 }
 
 // forward is one migration forward-chain entry. seen is the last time the
 // chain's terminal job was still under supervision; once the job leaves
-// (terminal or deleted) the entry ages out after ForwardTTL.
+// (terminal or deleted) the entry ages out after forwardTTL.
 type forward struct {
 	to   string
 	seen time.Time
@@ -293,15 +287,15 @@ func (s *supervisor) poll(ctx context.Context, tj *trackedJob) {
 // migrate re-homes one job: healthy hosting nodes excluding the dead owner
 // are tried in placement order (the same order submission uses, so the job
 // lands where a fresh submission would), each attempt bounded by
-// AttemptTimeout. With no cached checkpoint the job restarts from
+// migrateAttemptTimeout. With no cached checkpoint the job restarts from
 // generation zero — identity (tenant, inspect_id) still carries over, so
 // the verdict is unchanged.
 //
 // Failure handling is three-way. A transient failure (transport error,
-// 5xx, 429) moves on to the next candidate; when the pass exhausts its
-// MaxAttempts (or the candidates), the job stays tracked and is deferred by
-// a capped jittered backoff — the sweep never sleeps in place, so other
-// jobs keep migrating on schedule. A deterministic rejection (any other
+// 5xx, 429) moves on to the next candidate; when the pass exhausts
+// migrateMaxAttempts (or the candidates), the job stays tracked and is
+// deferred by a capped jittered backoff — the sweep never sleeps in place,
+// so other jobs keep migrating on schedule. A deterministic rejection (any other
 // 4xx: oversized body, incompatible model, missing service credential) is
 // final — the fleet is uniform, so every replica would answer the same —
 // and the job is abandoned, counted in migration_failures instead of being
@@ -322,7 +316,7 @@ func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 		if n == tj.node || !n.isHealthy() {
 			continue
 		}
-		if attempts >= s.cfg.MaxAttempts {
+		if attempts >= migrateMaxAttempts {
 			break // defer below; a later sweep retries
 		}
 		attempts++
@@ -372,14 +366,14 @@ func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 		// capped-jitter backoff instead of sleeping here — the rest of the
 		// sweep (and the next ticks) must not wait on this job.
 		s.mu.Lock()
-		tj.nextTry = time.Now().Add(jitteredBackoff(s.cfg.BackoffBase, s.cfg.BackoffMax, tj.attempts))
+		tj.nextTry = time.Now().Add(jitteredBackoff(s.cfg.backoffBase, s.cfg.backoffMax, tj.attempts))
 		s.mu.Unlock()
 	}
 }
 
 // resubmit posts one resume submission to one candidate node.
 func (s *supervisor) resubmit(ctx context.Context, n *gatewayNode, modelID string, inspectID int, resume AuditResume) (audit.Job, error) {
-	actx, cancel := context.WithTimeout(ctx, s.cfg.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, migrateAttemptTimeout)
 	defer cancel()
 	c, err := n.predictClient(actx, modelID)
 	if err != nil {
@@ -424,7 +418,7 @@ func (s *supervisor) cancelStale(ctx context.Context) {
 // its history. A forward entry stays fresh while its chain's terminal job
 // is still supervised (a client may poll the original id for as long as
 // the job runs); once the job leaves supervision the entry survives one
-// more ForwardTTL for terminal-verdict polling and is then dropped. Stale
+// more forwardTTL for terminal-verdict polling and is then dropped. Stale
 // cancellations against nodes that never came back age out on the same
 // clock — if the node ever does return, its next journal replay is bounded
 // by the job's own lifecycle, not by the gateway remembering it.
@@ -444,13 +438,13 @@ func (s *supervisor) prune(now time.Time) {
 		if _, live := s.tracked[target]; live {
 			f.seen = now
 			s.forwards[id] = f
-		} else if now.Sub(f.seen) > s.cfg.ForwardTTL {
+		} else if now.Sub(f.seen) > s.cfg.forwardTTL {
 			delete(s.forwards, id)
 		}
 	}
 	keep := s.stale[:0]
 	for _, sj := range s.stale {
-		if now.Sub(sj.since) <= s.cfg.ForwardTTL {
+		if now.Sub(sj.since) <= s.cfg.forwardTTL {
 			keep = append(keep, sj)
 		}
 	}

@@ -749,8 +749,8 @@ func TestMigrationBackoffDefersNotSleeps(t *testing.T) {
 	cfg.Replication = 2
 	// A backoff so large that any inline sleep would hang the test — and any
 	// pass before the deadline proves the deferral was ignored.
-	cfg.Migration.BackoffBase = time.Hour
-	cfg.Migration.BackoffMax = time.Hour
+	cfg.Migration.backoffBase = time.Hour
+	cfg.Migration.backoffMax = time.Hour
 	cfg.Client.HTTPClient = &http.Client{Transport: chaos}
 	g, _ := startGatewayServer(t, cfg)
 	ctx := context.Background()
@@ -802,7 +802,7 @@ func TestMigrationBackoffDefersNotSleeps(t *testing.T) {
 
 // TestMigrationBookkeepingPruned pins the supervisor's memory bound: the
 // forward-chain entry and the pending stale-copy cancellation left behind by
-// a migration age out ForwardTTL after the migrated job leaves supervision,
+// a migration age out forwardTTL after the migrated job leaves supervision,
 // so a long-lived gateway under churn does not grow state forever.
 func TestMigrationBookkeepingPruned(t *testing.T) {
 	runningJob := `{"id":"a1","model_id":"m","inspect_id":3,"state":"running","created":"2026-01-01T00:00:00Z"}`
@@ -816,7 +816,7 @@ func TestMigrationBookkeepingPruned(t *testing.T) {
 	chaos := NewChaosTransport(nil)
 	cfg := migratingConfig(orderFleet(owner, target)...)
 	cfg.Replication = 2
-	cfg.Migration.ForwardTTL = 50 * time.Millisecond
+	cfg.Migration.forwardTTL = 50 * time.Millisecond
 	cfg.Client.HTTPClient = &http.Client{Transport: chaos}
 	g, _ := startGatewayServer(t, cfg)
 	ctx := context.Background()
@@ -849,10 +849,10 @@ func TestMigrationBookkeepingPruned(t *testing.T) {
 		t.Fatalf("forward for %s gone before TTL", job.ID)
 	}
 
-	time.Sleep(60 * time.Millisecond) // past ForwardTTL
+	time.Sleep(60 * time.Millisecond) // past forwardTTL
 	g.sup.sweep(ctx)
 	if f, s := counts(); f != 0 || s != 0 {
-		t.Fatalf("after ForwardTTL: %d forwards, %d stale; want both pruned", f, s)
+		t.Fatalf("after forwardTTL: %d forwards, %d stale; want both pruned", f, s)
 	}
 }
 
