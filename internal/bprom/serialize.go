@@ -132,9 +132,6 @@ func decode(r *binio.Reader) (*Detector, error) {
 	return d, nil
 }
 
-// Threshold reports the detector's OOB-calibrated decision threshold.
-func (d *Detector) Threshold() float64 { return d.threshold }
-
 // InputDim reports the flattened input width suspicious oracles must have
 // (the prompt canvas of the source domain).
 func (d *Detector) InputDim() int { return d.prompt.source.Dim() }

@@ -2,7 +2,6 @@ package defense
 
 import (
 	"context"
-	"math"
 
 	"bprom/internal/data"
 	"bprom/internal/nn"
@@ -364,20 +363,4 @@ func (c *CT) ScoreTraining(ctx context.Context, m *nn.Model, train *data.Dataset
 		}
 	}
 	return scores, nil
-}
-
-// --- helper shared by model-level defenses ------------------------------------------
-
-func softmaxMargin(row []float64) (top, margin float64, argmax int) {
-	best, second := math.Inf(-1), math.Inf(-1)
-	bi := 0
-	for j, v := range row {
-		if v > best {
-			second = best
-			best, bi = v, j
-		} else if v > second {
-			second = v
-		}
-	}
-	return best, best - second, bi
 }

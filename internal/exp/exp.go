@@ -195,4 +195,3 @@ func buildWorld(p Params, source, external string, seed uint64) (*world, error) 
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

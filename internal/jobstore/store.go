@@ -174,9 +174,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Path returns the journal file path (for diagnostics and tests).
-func (s *Store) Path() string { return s.path }
-
 // Stats returns the current job_store health section.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -137,13 +137,6 @@ func (t *Tenant) Spent() int64 {
 	return t.spent
 }
 
-// Charge adds n queries to the ledger.
-func (t *Tenant) Charge(n int64) {
-	t.mu.Lock()
-	t.spent += n
-	t.mu.Unlock()
-}
-
 // reserve atomically admits and charges a batch of n queries, rejecting with
 // a QuotaError when the batch would exceed the quota. Refund on oracle
 // failure keeps the ledger equal to successful spend, matching
@@ -207,7 +200,6 @@ func (t *Tenant) Allow(now time.Time) bool {
 type Tenancy struct {
 	byKey  map[string]*Tenant
 	byName map[string]*Tenant
-	order  []*Tenant
 }
 
 // NewTenancy builds the live tenant set from parsed configs, seeding each
@@ -223,7 +215,6 @@ func NewTenancy(configs []TenantConfig, seedSpend map[string]int64) *Tenancy {
 		t.spent = seedSpend[c.Name]
 		tn.byKey[c.Key] = t
 		tn.byName[c.Name] = t
-		tn.order = append(tn.order, t)
 	}
 	return tn
 }
@@ -239,9 +230,6 @@ func (tn *Tenancy) Lookup(name string) (*Tenant, bool) {
 	t, ok := tn.byName[name]
 	return t, ok
 }
-
-// Tenants returns tenants in key-file order.
-func (tn *Tenancy) Tenants() []*Tenant { return tn.order }
 
 // QuotaError reports an oracle query rejected because the tenant's budget is
 // exhausted. It carries the exact Counter-style accounting the structured

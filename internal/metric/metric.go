@@ -1,5 +1,5 @@
 // Package metric implements the detection-quality metrics the paper reports:
-// ROC curves with AUROC, and F1 / precision / recall at a threshold. Scores
+// AUROC, and F1 / precision / recall at a threshold. Scores
 // follow the convention "higher = more likely positive (backdoored /
 // poisoned / triggered)".
 package metric
@@ -57,56 +57,6 @@ func AUROC(scores []float64, labels []bool) (float64, error) {
 	}
 	u := rankSumPos - float64(pos)*float64(pos+1)/2
 	return u / (float64(pos) * float64(neg)), nil
-}
-
-// ROCPoint is one point of an ROC curve.
-type ROCPoint struct {
-	Threshold float64
-	FPR, TPR  float64
-}
-
-// ROC returns the full ROC curve, one point per distinct threshold, sweeping
-// from the highest score (strictest) to the lowest.
-func ROC(scores []float64, labels []bool) ([]ROCPoint, error) {
-	if len(scores) != len(labels) {
-		return nil, fmt.Errorf("metric: %d scores for %d labels", len(scores), len(labels))
-	}
-	var pos, neg int
-	for _, l := range labels {
-		if l {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return nil, fmt.Errorf("metric: ROC undefined with %d positives and %d negatives", pos, neg)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	var curve []ROCPoint
-	tp, fp := 0, 0
-	i := 0
-	for i < len(idx) {
-		th := scores[idx[i]]
-		for i < len(idx) && scores[idx[i]] == th {
-			if labels[idx[i]] {
-				tp++
-			} else {
-				fp++
-			}
-			i++
-		}
-		curve = append(curve, ROCPoint{
-			Threshold: th,
-			FPR:       float64(fp) / float64(neg),
-			TPR:       float64(tp) / float64(pos),
-		})
-	}
-	return curve, nil
 }
 
 // Confusion holds binary-classification counts at a threshold.

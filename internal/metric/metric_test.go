@@ -102,24 +102,6 @@ func TestAUROCInvarianceToMonotoneTransform(t *testing.T) {
 	}
 }
 
-func TestROCEndpoints(t *testing.T) {
-	scores := []float64{0.9, 0.7, 0.4, 0.2}
-	labels := []bool{true, false, true, false}
-	curve, err := ROC(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := curve[len(curve)-1]
-	if last.TPR != 1 || last.FPR != 1 {
-		t.Fatalf("ROC must end at (1,1), got (%v,%v)", last.FPR, last.TPR)
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].TPR < curve[i-1].TPR || curve[i].FPR < curve[i-1].FPR {
-			t.Fatal("ROC must be monotone")
-		}
-	}
-}
-
 func TestConfusionAndDerivedMetrics(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.6, 0.4, 0.2}
 	labels := []bool{true, false, true, false, false}

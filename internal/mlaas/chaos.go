@@ -77,13 +77,6 @@ func (t *ChaosTransport) Clear(host string) {
 	delete(t.rules, host)
 }
 
-// ClearAll heals the whole fleet.
-func (t *ChaosTransport) ClearAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rules = make(map[string]*ChaosRule)
-}
-
 // RoundTrip implements http.RoundTripper.
 func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Lock()

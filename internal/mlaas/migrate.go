@@ -386,7 +386,9 @@ func (s *supervisor) resubmit(ctx context.Context, n *gatewayNode, modelID strin
 // lost a job to migration comes back up, its local copy — orphaned, still
 // queued or running — is cancelled so two nodes never burn oracle queries
 // on the same audit. Best-effort: a failure leaves the entry for the next
-// sweep, and a 4xx (job already terminal or gone on the node) retires it.
+// sweep, and a 4xx (job already terminal or gone on the node) retires it —
+// except 429, which a tenancy-enabled node answers to a rate-limited DELETE
+// and which is transient, exactly as in migrate.
 func (s *supervisor) cancelStale(ctx context.Context) {
 	s.mu.Lock()
 	pending := s.stale
@@ -400,7 +402,7 @@ func (s *supervisor) cancelStale(ctx context.Context) {
 		}
 		if _, err := sj.node.api.CancelAudit(ctx, sj.localID); err != nil {
 			var se *StatusError
-			if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 {
+			if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 && se.Code != http.StatusTooManyRequests {
 				continue // already terminal or deleted: settled
 			}
 			keep = append(keep, sj)

@@ -321,19 +321,22 @@ func TestResumeTenantRequiresServiceCredential(t *testing.T) {
 
 // resumeRecord captures what a migration target actually received. A
 // non-zero rejectStatus scripts the target's answer to every submission
-// (with an error envelope) instead of the 202.
+// (with an error envelope) instead of the 202; a non-zero cancelStatus
+// does the same for cancellations instead of the 200.
 type resumeRecord struct {
 	mu           sync.Mutex
 	inspectID    int
 	resume       AuditResume
 	hits         int
 	rejectStatus int
+	cancels      int
+	cancelStatus int
 }
 
 // fakeFleetNode is a wire-compatible node hosting model "m" whose audit
 // behavior is scripted: jobJSON is the job it reports (and returns on
 // submit), ckptFrame (when non-nil) is served on the checkpoint route, and
-// rec (when non-nil) records incoming resume submissions.
+// rec (when non-nil) records incoming resume submissions and cancellations.
 func fakeFleetNode(t *testing.T, jobJSON string, ckptFrame []byte, rec *resumeRecord) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -382,6 +385,21 @@ func fakeFleetNode(t *testing.T, jobJSON string, ckptFrame []byte, rec *resumeRe
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(jobJSON))
 	})
+	if rec != nil {
+		mux.HandleFunc("DELETE /v1/audits/{id}", func(w http.ResponseWriter, r *http.Request) {
+			rec.mu.Lock()
+			rec.cancels++
+			status := rec.cancelStatus
+			rec.mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			if status != 0 {
+				w.WriteHeader(status)
+				_, _ = w.Write([]byte(`{"error":"scripted rejection","code":"scripted"}`))
+				return
+			}
+			_, _ = w.Write([]byte(jobJSON))
+		})
+	}
 	if ckptFrame != nil {
 		mux.HandleFunc("GET /v1/audits/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Audit-Generation", "1")
@@ -853,6 +871,47 @@ func TestMigrationBookkeepingPruned(t *testing.T) {
 	g.sup.sweep(ctx)
 	if f, s := counts(); f != 0 || s != 0 {
 		t.Fatalf("after forwardTTL: %d forwards, %d stale; want both pruned", f, s)
+	}
+}
+
+// TestStaleCancelRetriesRateLimit pins that a 429 on a stale-copy DELETE is
+// transient: a tenancy-enabled node rate-limits mutating requests with 429,
+// and retiring the cancellation then would leave the orphaned copy running
+// and billing the tenant twice. The entry must survive until the node
+// actually answers.
+func TestStaleCancelRetriesRateLimit(t *testing.T) {
+	runningJob := `{"id":"a1","model_id":"m","inspect_id":3,"state":"running","created":"2026-01-01T00:00:00Z"}`
+	rec := resumeRecord{cancelStatus: http.StatusTooManyRequests}
+	node := fakeFleetNode(t, runningJob, nil, &rec)
+	g, _ := startGatewayServer(t, migratingConfig(node.URL))
+	ctx := context.Background()
+
+	// The returned owner's orphaned copy, as migrate leaves it behind.
+	g.sup.mu.Lock()
+	g.sup.stale = append(g.sup.stale, staleJob{node: g.nodes[0], localID: "a1", since: time.Now()})
+	g.sup.mu.Unlock()
+	pending := func() int {
+		g.sup.mu.Lock()
+		defer g.sup.mu.Unlock()
+		return len(g.sup.stale)
+	}
+
+	g.sup.sweep(ctx) // the node answers 429
+	if got := pending(); got != 1 {
+		t.Fatalf("%d pending after the 429, want 1", got)
+	}
+
+	rec.mu.Lock()
+	rec.cancelStatus = 0
+	rec.mu.Unlock()
+	g.sup.sweep(ctx) // the node answers 200
+	if got := pending(); got != 0 {
+		t.Fatalf("%d pending after the 200, want 0", got)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.cancels != 2 {
+		t.Fatalf("node saw %d cancellations, want 2", rec.cancels)
 	}
 }
 

@@ -111,7 +111,6 @@ type regEntry struct {
 // Registry implements the provider interface, so NewRegistryServer exposes
 // it over HTTP; it is equally usable in-process (see examples/fleet).
 type Registry struct {
-	dir       string
 	cfg       RegistryConfig
 	defaultID string
 
@@ -139,7 +138,7 @@ func OpenRegistry(dir string, cfg RegistryConfig) (*Registry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mlaas: scan registry dir: %w", err)
 	}
-	r := &Registry{dir: dir, cfg: cfg, entries: make(map[string]*regEntry)}
+	r := &Registry{cfg: cfg, entries: make(map[string]*regEntry)}
 	for _, de := range dirents {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".bin") {
@@ -233,9 +232,6 @@ func OpenRegistry(dir string, cfg RegistryConfig) (*Registry, error) {
 	}
 	return r, nil
 }
-
-// Dir reports the scanned checkpoint directory.
-func (r *Registry) Dir() string { return r.dir }
 
 // Len reports how many checkpoints the registry hosts.
 func (r *Registry) Len() int { return len(r.ids) }

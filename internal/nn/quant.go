@@ -8,7 +8,7 @@ import (
 // matmul-bound layers (Dense, Conv2D) to the tensor package's per-channel
 // int8 representation and drops their float64 Value/Grad tensors, shrinking
 // the resident model several-fold and routing Infer through the int8 SWAR
-// kernels. Quantization is derived state: it is never serialized (Save
+// kernel (tensor.QMatMulInto). Quantization is derived state: it is never serialized (Save
 // refuses), and the fp-exact path — simply not calling Quantize — remains
 // the default everywhere bit-reproducibility matters (cmd/tables, the
 // experiment harness, golden tests).

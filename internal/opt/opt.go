@@ -1,11 +1,9 @@
 // Package opt provides the gradient-based optimizers used to train models
 // and (in the white-box path) visual prompts: plain SGD, SGD with momentum,
-// and Adam, plus global-norm gradient clipping and step-decay learning-rate
-// schedules.
+// and Adam, plus global-norm gradient clipping.
 package opt
 
 import (
-	"fmt"
 	"math"
 
 	"bprom/internal/nn"
@@ -131,32 +129,4 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 		p.Grad.Scale(scale)
 	}
 	return norm
-}
-
-// StepDecay returns a schedule that multiplies the base LR by factor every
-// interval epochs. Apply it at the start of each epoch:
-//
-//	optimizer.SetLR(schedule(epoch))
-func StepDecay(base, factor float64, interval int) func(epoch int) float64 {
-	if interval <= 0 {
-		panic(fmt.Sprintf("opt: StepDecay interval must be positive, got %d", interval))
-	}
-	return func(epoch int) float64 {
-		return base * math.Pow(factor, float64(epoch/interval))
-	}
-}
-
-// CosineDecay returns a schedule annealing from base to floor over total
-// epochs with the half-cosine shape.
-func CosineDecay(base, floor float64, total int) func(epoch int) float64 {
-	if total <= 0 {
-		panic(fmt.Sprintf("opt: CosineDecay total must be positive, got %d", total))
-	}
-	return func(epoch int) float64 {
-		if epoch >= total {
-			return floor
-		}
-		frac := float64(epoch) / float64(total)
-		return floor + (base-floor)*0.5*(1+math.Cos(math.Pi*frac))
-	}
 }

@@ -112,36 +112,3 @@ func TestClipGradNormDisabled(t *testing.T) {
 		t.Fatal("clip with maxNorm<=0 must be a no-op")
 	}
 }
-
-func TestStepDecay(t *testing.T) {
-	sched := StepDecay(1.0, 0.1, 5)
-	if sched(0) != 1.0 || sched(4) != 1.0 {
-		t.Fatal("decay before first interval")
-	}
-	if math.Abs(sched(5)-0.1) > 1e-12 || math.Abs(sched(10)-0.01) > 1e-12 {
-		t.Fatalf("StepDecay wrong: %v %v", sched(5), sched(10))
-	}
-}
-
-func TestCosineDecay(t *testing.T) {
-	sched := CosineDecay(1.0, 0.1, 10)
-	if sched(0) != 1.0 {
-		t.Fatalf("cosine start %v", sched(0))
-	}
-	if got := sched(10); got != 0.1 {
-		t.Fatalf("cosine end %v", got)
-	}
-	mid := sched(5)
-	if mid <= 0.1 || mid >= 1.0 {
-		t.Fatalf("cosine mid %v not between floor and base", mid)
-	}
-}
-
-func TestSchedulePanicsOnBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	StepDecay(1, 0.5, 0)
-}

@@ -420,22 +420,6 @@ func HighFreqEnergy(dct []float64, h, w, cutoff int) float64 {
 	return high / total
 }
 
-// --- Gram ------------------------------------------------------------------------
-
-// GramVector flattens the upper triangle of the Gram matrix vvᵀ of a feature
-// vector — the per-sample second-order statistic used by Beatrix-style
-// detectors and available for meta-features.
-func GramVector(v []float64) []float64 {
-	d := len(v)
-	out := make([]float64, 0, d*(d+1)/2)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			out = append(out, v[i]*v[j])
-		}
-	}
-	return out
-}
-
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {

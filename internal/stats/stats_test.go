@@ -248,16 +248,3 @@ func TestHighFreqEnergy(t *testing.T) {
 		t.Fatal("zero image must have zero high-freq share")
 	}
 }
-
-func TestGramVector(t *testing.T) {
-	g := GramVector([]float64{1, 2, 3})
-	want := []float64{1, 2, 3, 4, 6, 9}
-	if len(g) != len(want) {
-		t.Fatalf("gram length %d", len(g))
-	}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Fatalf("gram[%d] = %v, want %v", i, g[i], want[i])
-		}
-	}
-}

@@ -1,21 +1,21 @@
 package tensor
 
-// Naive reference forms of the quantized kernels (quant.go).
+// Naive reference form of the quantized kernel (quant.go).
 //
-// Like naive.go, these are deliberately free of unrolling, tiling and
-// parallel dispatch so a bug in the fast path cannot hide in a shared
-// shortcut. They DO share the canonical row quantizer (quantizeRow) and the
-// dequantization correction (QTensor.dequant) with the fast kernels — those
+// Like naive.go, it is deliberately free of unrolling, tiling and parallel
+// dispatch so a bug in the fast path cannot hide in a shared shortcut. It
+// DOES share the canonical row quantizer (quantizeRow) and the
+// dequantization correction (QTensor.dequant) with the fast kernel — those
 // are part of the quantization scheme's definition, not an optimization —
 // which is why the parity harness also bounds the quantized results against
 // the float64 NaiveMatMulInto output: a bug in the shared pieces would
 // survive Q-vs-NaiveQ parity but not the fp error bound.
 //
 // Integer accumulation is exact and the dequantization expression has a
-// fixed evaluation order, so the fast kernels must match these bitwise.
+// fixed evaluation order, so the fast kernel must match it bitwise.
 
-// NaiveQMatMulInto computes dst = x @ q for a per-column quantized q with
-// the straightforward triple loop and a single int32 accumulator.
+// NaiveQMatMulInto computes dst = x @ q for a quantized q with the
+// straightforward triple loop and a single int32 accumulator.
 func NaiveQMatMulInto(dst, x *Tensor, q *QTensor) {
 	m, k, n := checkQMatMulShapes("NaiveQMatMulInto", dst, x, q)
 	qx := make([]int8, k)
@@ -25,23 +25,6 @@ func NaiveQMatMulInto(dst, x *Tensor, q *QTensor) {
 			var s int32
 			for p := 0; p < k; p++ {
 				s += int32(qx[p]) * int32(q.Data[p*n+j])
-			}
-			dst.Data[i*n+j] = q.dequant(s, j, sx, zx, sumX)
-		}
-	}
-}
-
-// NaiveQMatMulTransBInto computes dst = x @ qᵀ for a per-row quantized q
-// with the straightforward triple loop and a single int32 accumulator.
-func NaiveQMatMulTransBInto(dst, x *Tensor, q *QTensor) {
-	m, k, n := checkQMatMulTransBShapes("NaiveQMatMulTransBInto", dst, x, q)
-	qx := make([]int8, k)
-	for i := 0; i < m; i++ {
-		sx, zx, sumX := quantizeRow(qx, x.Data[i*k:(i+1)*k])
-		for j := 0; j < n; j++ {
-			var s int32
-			for p := 0; p < k; p++ {
-				s += int32(qx[p]) * int32(q.Data[j*k+p])
 			}
 			dst.Data[i*n+j] = q.dequant(s, j, sx, zx, sumX)
 		}

@@ -1,14 +1,15 @@
 package tensor
 
-// Reduced-precision (int8) matmul kernel family.
+// Reduced-precision (int8) matmul kernel.
 //
-// A QTensor is a 2-D weight matrix quantized to int8 with per-channel affine
-// parameters (scale + zero-point), where "channel" is the output dimension:
-// columns for the [k,n] layout consumed by QMatMulInto (the Dense layer's
-// x @ W), rows for the [n,k] layout consumed by QMatMulTransBInto (the
-// Conv2D layer's im2col product col @ Wᵀ). Activations are quantized on the
-// fly, one affine pair per row, so every matmul is pure int8×int8 → int32
-// arithmetic followed by a per-element dequantization:
+// A QTensor is a [k,n] weight matrix quantized to int8 with one affine pair
+// (scale + zero-point) per column, i.e. per output channel of x @ W. There
+// is one layout and one kernel, QMatMulInto: the Dense layer quantizes its
+// W as is, and the Conv2D layer quantizes the transpose of its [OutC, k]
+// weights, so its im2col product col @ Wᵀ runs through the same kernel with
+// output channels still the quantization channels. Activations are
+// quantized on the fly, one affine pair per row, so every matmul is pure
+// int8×int8 → int32 arithmetic followed by a per-element dequantization:
 //
 //	dst[i][j] = sx_i·sw_j·( acc[i][j] − zw_j·Σp qx[i][p] − zx_i·Σp qw[p][j] + k·zx_i·zw_j )
 //
@@ -16,26 +17,23 @@ package tensor
 // correction terms fold both zero-points back out (the per-channel weight
 // sums are precomputed at quantization time; the per-row activation sums
 // fall out of the row quantization pass). Integer accumulation is exact, so
-// the fast kernels are *bitwise* reproducible against the NaiveQ* reference
-// forms (naive_quant.go) and under any worker-pool size — the parity/fuzz
-// harness pins both, exactly like the float64 kernels.
+// the kernel is *bitwise* reproducible against NaiveQMatMulInto
+// (naive_quant.go) and under any worker-pool size — the parity/fuzz harness
+// pins both, exactly like the float64 kernels.
 //
 // The im2col path stays float64: Im2Col is a pure gather with no arithmetic,
-// so the conv layer feeds its float64 col matrix straight into
-// QMatMulTransBInto, which quantizes the gathered rows on the fly. Padding
-// zeros survive quantization exactly — the row quantizer always includes 0
-// in the clamped range, so 0 maps to the zero-point and back to exactly 0.
+// so the conv layer feeds its float64 col matrix straight into QMatMulInto,
+// which quantizes the gathered rows on the fly. Padding zeros survive
+// quantization exactly — the row quantizer always includes 0 in the clamped
+// range, so 0 maps to the zero-point and back to exactly 0.
 //
-// The inner loops are 8-wide unrolled and gather-free. QMatMulInto is the
-// throughput kernel: it carries a SWAR-packed mirror of the weights (four
-// columns per uint64, 16-bit lanes, operands biased to unsigned) so one
-// 64-bit multiply performs four multiply-accumulates — pure integer, still
-// exact, and ~2-3x the fp64 kernel's single-core throughput without any
-// architecture-specific code. QMatMulTransBInto is the plain unrolled
-// signed form kept for the [n,k] layout; throughput-sensitive callers
-// (the conv path) pre-transpose into the per-column layout instead.
-// Reduction dims are bounded by qMaxK so no accumulator can overflow; the
-// dequantization correction runs in int64.
+// The inner loop is gather-free SWAR: the QTensor carries a packed mirror of
+// the weights (four columns per uint64, 16-bit lanes, operands biased to
+// unsigned) so one 64-bit multiply performs four multiply-accumulates —
+// pure integer, still exact, and ~2-3x the fp64 kernel's single-core
+// throughput without any architecture-specific code. Reduction dims are
+// bounded by qMaxK so no accumulator can overflow; the dequantization
+// correction runs in int64.
 //
 // Quantization is lossy (the fp-exact serving path remains the default
 // everywhere); the quantized path trades a bounded confidence error for
@@ -49,20 +47,18 @@ import (
 	"sync"
 )
 
-// qMaxK bounds the reduction dimension of the quantized kernels. The SWAR
+// qMaxK bounds the reduction dimension of the quantized kernel. The SWAR
 // fast path accumulates unsigned biased products (≤ 255·255 = 65025) in
 // 32-bit sublanes of a uint64, which stays exact for up to 2^16 terms
-// (65025·2^16 < 2^32); the signed path's int32 accumulator is safe to 2^17,
-// so the SWAR bound is the binding one. Larger reductions would overflow
-// silently; the shape checks panic instead.
+// (65025·2^16 < 2^32); the scalar remainder columns' signed int32
+// accumulator is safe to 2^17, so the SWAR bound is the binding one.
+// Larger reductions would overflow silently; the shape checks panic instead.
 const qMaxK = 1 << 16
 
-// QTensor is an int8-quantized 2-D matrix with per-channel affine
-// parameters. Channels run over the output dimension: columns when perRow
-// is false (QuantizePerCol, the [k,n] Dense weight layout), rows when
-// perRow is true (QuantizePerRow, the [n,k] transposed-B layout). The
-// fields are read-only after construction; a QTensor is safe for any number
-// of concurrent kernel calls.
+// QTensor is an int8-quantized [k,n] matrix with one affine pair per
+// column — the output channels of x @ W, as built by QuantizePerCol and
+// consumed by QMatMulInto. The fields are read-only after construction; a
+// QTensor is safe for any number of concurrent kernel calls.
 type QTensor struct {
 	// Data holds the quantized values in the source tensor's row-major
 	// layout.
@@ -75,40 +71,27 @@ type QTensor struct {
 	// can fold the activation zero-point back out without a second pass.
 	Sums []int32
 
-	// packed (per-column layout only) holds the weights biased to unsigned
-	// (q+128 ∈ [0,255]) and packed four adjacent columns per uint64 as
-	// 16-bit lanes: the SWAR inner loop multiplies a whole lane group by a
-	// biased activation scalar with one 64-bit multiply. Layout is
-	// group-major — packed[g*rows+p] covers columns 4g..4g+3 of weight row
-	// p — so the reduction walks packGroups contiguous streams. Remainder
-	// columns (cols mod 4) run through the scalar path over Data.
+	// packed holds the weights biased to unsigned (q+128 ∈ [0,255]) and
+	// packed four adjacent columns per uint64 as 16-bit lanes: the SWAR
+	// inner loop multiplies a whole lane group by a biased activation scalar
+	// with one 64-bit multiply. Layout is group-major — packed[g*rows+p]
+	// covers columns 4g..4g+3 of weight row p — so the reduction walks
+	// packGroups contiguous streams. Remainder columns (cols mod 4) run
+	// through the scalar path over Data.
 	packed     []uint64
 	packGroups int
 
 	rows, cols int
-	perRow     bool
 }
 
 // Shape returns the quantized matrix's dimensions (same layout as the
 // source tensor). Callers must not mutate the result.
 func (q *QTensor) Shape() []int { return []int{q.rows, q.cols} }
 
-// PerRow reports the channel axis: true for per-row channels (the [n,k]
-// QMatMulTransBInto layout), false for per-column channels ([k,n]).
-func (q *QTensor) PerRow() bool { return q.perRow }
-
 // Bytes reports the resident size of the quantized representation: the
 // int8 data, the SWAR-packed mirror, and the per-channel parameter arrays.
 func (q *QTensor) Bytes() int {
 	return len(q.Data) + 8*len(q.packed) + 8*len(q.Scales) + 4*len(q.ZeroPoints) + 4*len(q.Sums)
-}
-
-// reduceDim is the length of the dimension the kernels sum over.
-func (q *QTensor) reduceDim() int {
-	if q.perRow {
-		return q.cols
-	}
-	return q.rows
 }
 
 // rangeOf scans vals at the given stride for the [lo, hi] envelope,
@@ -165,9 +148,9 @@ func quantizeValue(v, scale float64, zp int32) int8 {
 	return int8(r)
 }
 
-// QuantizePerCol quantizes a [k,n] matrix with one affine pair per column —
-// the layout QMatMulInto consumes (columns are the output channels of
-// x @ W). The source tensor is not retained.
+// QuantizePerCol quantizes a [k,n] matrix with one affine pair per column
+// (columns are the output channels of x @ W). The source tensor is not
+// retained.
 func QuantizePerCol(t *Tensor) *QTensor {
 	if t.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: QuantizePerCol requires a 2-D tensor, got shape %v", t.shape))
@@ -211,54 +194,14 @@ func QuantizePerCol(t *Tensor) *QTensor {
 	return q
 }
 
-// QuantizePerRow quantizes an [n,k] matrix with one affine pair per row —
-// the layout QMatMulTransBInto consumes (rows are the output channels of
-// x @ Wᵀ, i.e. Conv2D's [OutC, InC·KH·KW] weights). The source tensor is
-// not retained.
-func QuantizePerRow(t *Tensor) *QTensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: QuantizePerRow requires a 2-D tensor, got shape %v", t.shape))
-	}
-	n, k := t.shape[0], t.shape[1]
-	q := &QTensor{
-		Data:       make([]int8, n*k),
-		Scales:     make([]float64, n),
-		ZeroPoints: make([]int32, n),
-		Sums:       make([]int32, n),
-		rows:       n,
-		cols:       k,
-		perRow:     true,
-	}
-	for j := 0; j < n; j++ {
-		row := t.Data[j*k : (j+1)*k]
-		scale, zp := affineParams(rangeOf(row, 1))
-		q.Scales[j], q.ZeroPoints[j] = scale, zp
-		dst := q.Data[j*k : (j+1)*k]
-		var sum int32
-		for p, v := range row {
-			qv := quantizeValue(v, scale, zp)
-			dst[p] = qv
-			sum += int32(qv)
-		}
-		q.Sums[j] = sum
-	}
-	return q
-}
-
 // Dequantize reconstructs the float64 matrix the quantized data represents
 // (tests and diagnostics; the kernels never materialize it).
 func (q *QTensor) Dequantize() *Tensor {
 	out := New(q.rows, q.cols)
-	for j := 0; j < len(q.Scales); j++ {
+	for j := 0; j < q.cols; j++ {
 		scale, zp := q.Scales[j], q.ZeroPoints[j]
-		if q.perRow {
-			for p := 0; p < q.cols; p++ {
-				out.Data[j*q.cols+p] = scale * float64(int32(q.Data[j*q.cols+p])-zp)
-			}
-		} else {
-			for p := 0; p < q.rows; p++ {
-				out.Data[p*q.cols+j] = scale * float64(int32(q.Data[p*q.cols+j])-zp)
-			}
+		for p := 0; p < q.rows; p++ {
+			out.Data[p*q.cols+j] = scale * float64(int32(q.Data[p*q.cols+j])-zp)
 		}
 	}
 	return out
@@ -272,7 +215,7 @@ func (q *QTensor) Dequantize() *Tensor {
 // kernels (and any pool partitioning) produce identical bits.
 func (q *QTensor) dequant(acc int32, j int, sx float64, zx, sumX int32) float64 {
 	zw := int64(q.ZeroPoints[j])
-	corr := int64(acc) - zw*int64(sumX) - int64(zx)*int64(q.Sums[j]) + int64(q.reduceDim())*int64(zx)*zw
+	corr := int64(acc) - zw*int64(sumX) - int64(zx)*int64(q.Sums[j]) + int64(q.rows)*int64(zx)*zw
 	return sx * q.Scales[j] * float64(corr)
 }
 
@@ -339,14 +282,10 @@ func quantizeRow(dst []int8, row []float64) (scale float64, zp int32, sum int32)
 	return scale, zp, sum
 }
 
-// checkQMatMulShapes validates dst = x @ q for a per-column QTensor and
-// returns (m, k, n).
+// checkQMatMulShapes validates dst = x @ q and returns (m, k, n).
 func checkQMatMulShapes(op string, dst, x *Tensor, q *QTensor) (m, k, n int) {
 	if x.Rank() != 2 || dst.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: %s requires 2-D tensors, got %v @ %v -> %v", op, x.shape, q.Shape(), dst.shape))
-	}
-	if q.perRow {
-		panic(fmt.Sprintf("tensor: %s requires a per-column QTensor (QuantizePerCol), got per-row %v", op, q.Shape()))
 	}
 	m, k = x.shape[0], x.shape[1]
 	n = q.cols
@@ -359,28 +298,8 @@ func checkQMatMulShapes(op string, dst, x *Tensor, q *QTensor) (m, k, n int) {
 	return m, k, n
 }
 
-// checkQMatMulTransBShapes validates dst = x @ qᵀ for a per-row QTensor and
-// returns (m, k, n).
-func checkQMatMulTransBShapes(op string, dst, x *Tensor, q *QTensor) (m, k, n int) {
-	if x.Rank() != 2 || dst.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: %s requires 2-D tensors, got %v @ᵀ %v -> %v", op, x.shape, q.Shape(), dst.shape))
-	}
-	if !q.perRow {
-		panic(fmt.Sprintf("tensor: %s requires a per-row QTensor (QuantizePerRow), got per-column %v", op, q.Shape()))
-	}
-	m, k = x.shape[0], x.shape[1]
-	n = q.rows
-	if k != q.cols || dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v @ᵀ %v -> %v", op, x.shape, q.Shape(), dst.shape))
-	}
-	if k > qMaxK {
-		panic(fmt.Sprintf("tensor: %s reduction dim %d exceeds the int32-safe bound %d", op, k, qMaxK))
-	}
-	return m, k, n
-}
-
-// QMatMulInto computes dst = x @ q for float64 x [m,k] and a per-column
-// quantized q [k,n]: x rows are quantized on the fly, the integer product
+// QMatMulInto computes dst = x @ q for float64 x [m,k] and a quantized
+// q [k,n]: x rows are quantized on the fly, the integer product
 // accumulates in int32, and each output element is dequantized in place.
 // Output blocks dispatch onto the shared worker pool above the same
 // work floor as the float64 kernels; results are bitwise independent of
@@ -492,55 +411,6 @@ func qMatMulRange(dst *Tensor, acts *qActs, q *QTensor, i0, i1, j0, j1 int) {
 	for ; j < j1; j++ {
 		for i := i0; i < i1; i++ {
 			scalarCol(i, j)
-		}
-	}
-}
-
-// QMatMulTransBInto computes dst = x @ qᵀ for float64 x [m,k] and a
-// per-row quantized q [n,k] — the quantized twin of MatMulTransBInto,
-// consumed by the conv path (col @ Wᵀ with per-output-channel scales).
-// Same contract as QMatMulInto: bitwise pool-size independent and
-// identical to NaiveQMatMulTransBInto.
-func QMatMulTransBInto(dst, x *Tensor, q *QTensor) {
-	m, k, n := checkQMatMulTransBShapes("QMatMulTransBInto", dst, x, q)
-	acts := quantizeActs(x, false)
-	defer acts.release()
-	if m*n*k < matMulParMin {
-		qMatMulTransBRange(dst, acts, q, 0, m, 0, n)
-		return
-	}
-	dispatchMatMul(m, n, func(i0, i1, j0, j1 int) { qMatMulTransBRange(dst, acts, q, i0, i1, j0, j1) })
-}
-
-// qMatMulTransBRange computes the dst block rows [i0,i1) × columns [j0,j1)
-// of x @ qᵀ as contiguous int8 dot products, 8-wide unrolled onto eight
-// independent accumulators (integer addition is associative, so the split
-// is exact).
-func qMatMulTransBRange(dst *Tensor, acts *qActs, q *QTensor, i0, i1, j0, j1 int) {
-	k, n := q.cols, q.rows
-	for i := i0; i < i1; i++ {
-		qa := acts.data[i*k : (i+1)*k]
-		di := dst.Data[i*n : (i+1)*n]
-		sx, zx, sumX := acts.scales[i], acts.zps[i], acts.sums[i]
-		for j := j0; j < j1; j++ {
-			qb := q.Data[j*k : (j+1)*k]
-			var s0, s1, s2, s3, s4, s5, s6, s7 int32
-			p := 0
-			for ; p+8 <= len(qa); p += 8 {
-				s0 += int32(qa[p]) * int32(qb[p])
-				s1 += int32(qa[p+1]) * int32(qb[p+1])
-				s2 += int32(qa[p+2]) * int32(qb[p+2])
-				s3 += int32(qa[p+3]) * int32(qb[p+3])
-				s4 += int32(qa[p+4]) * int32(qb[p+4])
-				s5 += int32(qa[p+5]) * int32(qb[p+5])
-				s6 += int32(qa[p+6]) * int32(qb[p+6])
-				s7 += int32(qa[p+7]) * int32(qb[p+7])
-			}
-			s := ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-			for ; p < len(qa); p++ {
-				s += int32(qa[p]) * int32(qb[p])
-			}
-			di[j] = q.dequant(s, j, sx, zx, sumX)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"bprom/internal/rng"
 )
 
-// Quantized-kernel parity harness, mirroring parity_test.go: the unrolled
-// parallel Q kernels must be *bitwise* identical to the NaiveQ* references
+// Quantized-kernel parity harness, mirroring parity_test.go: the SWAR
+// parallel Q kernel must be *bitwise* identical to NaiveQMatMulInto
 // (integer accumulation is exact) on every shape in the shared table and
 // under any pool width, and the whole scheme must stay within the analytic
 // quantization error bound of the float64 ground truth.
@@ -31,7 +31,7 @@ func dequantizeRow(q []int8, scale float64, zp int32) []float64 {
 	return out
 }
 
-// TestQMatMulMatchesNaiveQ: fast vs naive, both variants, bitwise.
+// TestQMatMulMatchesNaiveQ: fast vs naive, bitwise.
 func TestQMatMulMatchesNaiveQ(t *testing.T) {
 	root := rng.New(61)
 	for si, s := range quantShapes {
@@ -45,18 +45,11 @@ func TestQMatMulMatchesNaiveQ(t *testing.T) {
 		QMatMulInto(got, x, q)
 		NaiveQMatMulInto(want, x, q)
 		requireEqual(t, fmt.Sprintf("QMatMulInto %v", s), got, want)
-
-		wt := New(n, k)
-		fillRandom(r, wt)
-		qt := QuantizePerRow(wt)
-		QMatMulTransBInto(got, x, qt)
-		NaiveQMatMulTransBInto(want, x, qt)
-		requireEqual(t, fmt.Sprintf("QMatMulTransBInto %v", s), got, want)
 	}
 }
 
 // TestQMatMulSerialVsParallel: pool width must not change output bits —
-// the Q kernels partition output blocks and quantize activations per row,
+// the Q kernel partitions output blocks and quantizes activations per row,
 // so no accumulation crosses a partition boundary.
 func TestQMatMulSerialVsParallel(t *testing.T) {
 	defer SetWorkers(0)
@@ -64,24 +57,16 @@ func TestQMatMulSerialVsParallel(t *testing.T) {
 	for si, s := range [][3]int{{97, 130, 61}, {130, 257, 65}, {64, 64, 64}, {1, 300, 257}, {2, 513, 129}} {
 		m, k, n := s[0], s[1], s[2]
 		r := root.Split("qsvp", si)
-		x, w, wt := New(m, k), New(k, n), New(n, k)
-		fillRandom(r, x, w, wt)
-		q, qt := QuantizePerCol(w), QuantizePerRow(wt)
+		x, w := New(m, k), New(k, n)
+		fillRandom(r, x, w)
+		q := QuantizePerCol(w)
 
-		for _, v := range []struct {
-			name string
-			run  func(dst *Tensor)
-		}{
-			{"QMatMulInto", func(dst *Tensor) { QMatMulInto(dst, x, q) }},
-			{"QMatMulTransBInto", func(dst *Tensor) { QMatMulTransBInto(dst, x, qt) }},
-		} {
-			serial, parallel := New(m, n), New(m, n)
-			SetWorkers(1)
-			v.run(serial)
-			SetWorkers(8)
-			v.run(parallel)
-			requireEqual(t, fmt.Sprintf("%s %v serial-vs-parallel", v.name, s), parallel, serial)
-		}
+		serial, parallel := New(m, n), New(m, n)
+		SetWorkers(1)
+		QMatMulInto(serial, x, q)
+		SetWorkers(8)
+		QMatMulInto(parallel, x, q)
+		requireEqual(t, fmt.Sprintf("QMatMulInto %v serial-vs-parallel", s), parallel, serial)
 	}
 }
 
@@ -170,28 +155,16 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	for p := 0; p < 37; p++ {
 		w.Data[p*29+11] = 0
 	}
-	for _, tc := range []struct {
-		name string
-		q    *QTensor
-	}{
-		{"PerCol", QuantizePerCol(w)},
-		{"PerRow", QuantizePerRow(w)},
-	} {
-		back := tc.q.Dequantize()
-		for i := range w.Data {
-			var scale float64
-			if tc.q.perRow {
-				scale = tc.q.Scales[i/29]
-			} else {
-				scale = tc.q.Scales[i%29]
+	q := QuantizePerCol(w)
+	back := q.Dequantize()
+	for i := range w.Data {
+		scale := q.Scales[i%29]
+		if w.Data[i] == 0 {
+			if back.Data[i] != 0 {
+				t.Fatalf("exact zero at %d round-tripped to %v", i, back.Data[i])
 			}
-			if w.Data[i] == 0 {
-				if back.Data[i] != 0 {
-					t.Fatalf("%s: exact zero at %d round-tripped to %v", tc.name, i, back.Data[i])
-				}
-			} else if diff := math.Abs(back.Data[i] - w.Data[i]); diff > scale {
-				t.Fatalf("%s: element %d round-trip error %g exceeds scale %g", tc.name, i, diff, scale)
-			}
+		} else if diff := math.Abs(back.Data[i] - w.Data[i]); diff > scale {
+			t.Fatalf("element %d round-trip error %g exceeds scale %g", i, diff, scale)
 		}
 	}
 }
@@ -247,11 +220,9 @@ func TestQTensorBytes(t *testing.T) {
 }
 
 // TestQMatMulShapePanicsReportShapes mirrors TestMatMulShapePanicsReportShapes
-// for the quantized validators, including the layout-mismatch and
-// int32-overflow-bound panics.
+// for the quantized validators.
 func TestQMatMulShapePanicsReportShapes(t *testing.T) {
 	qcol := QuantizePerCol(New(3, 5)) // [k=3, n=5]
-	qrow := QuantizePerRow(New(4, 3)) // [n=4, k=3]
 	cases := []struct {
 		name string
 		call func()
@@ -260,13 +231,8 @@ func TestQMatMulShapePanicsReportShapes(t *testing.T) {
 		{"QMatMulInto-inner", func() { QMatMulInto(New(2, 5), New(2, 4), qcol) }, []string{"[2 4]", "[3 5]", "shape mismatch"}},
 		{"QMatMulInto-dst", func() { QMatMulInto(New(9, 9), New(2, 3), qcol) }, []string{"[2 3]", "[9 9]", "shape mismatch"}},
 		{"QMatMulInto-rank", func() { QMatMulInto(New(2, 5), New(2, 3, 1), qcol) }, []string{"requires 2-D", "[2 3 1]"}},
-		{"QMatMulInto-layout", func() { QMatMulInto(New(2, 4), New(2, 3), qrow) }, []string{"per-column", "per-row"}},
-		{"QMatMulTransBInto-inner", func() { QMatMulTransBInto(New(2, 4), New(2, 5), qrow) }, []string{"[2 5]", "[4 3]", "shape mismatch"}},
-		{"QMatMulTransBInto-layout", func() { QMatMulTransBInto(New(2, 5), New(2, 3), qcol) }, []string{"per-row", "per-column"}},
 		{"NaiveQMatMulInto", func() { NaiveQMatMulInto(New(2, 5), New(2, 4), qcol) }, []string{"[2 4]", "[3 5]", "shape mismatch"}},
-		{"NaiveQMatMulTransBInto", func() { NaiveQMatMulTransBInto(New(2, 4), New(2, 5), qrow) }, []string{"[2 5]", "[4 3]", "shape mismatch"}},
 		{"QuantizePerCol-rank", func() { QuantizePerCol(New(2, 3, 1)) }, []string{"2-D", "[2 3 1]"}},
-		{"QuantizePerRow-rank", func() { QuantizePerRow(New(6)) }, []string{"2-D", "[6]"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

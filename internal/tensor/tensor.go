@@ -264,16 +264,6 @@ func (t *Tensor) Scale(alpha float64) {
 	})
 }
 
-// AddScalar adds alpha to every element in place.
-func (t *Tensor) AddScalar(alpha float64) {
-	forEachRange(len(t.Data), func(lo, hi int) {
-		d := t.Data[lo:hi]
-		for i := range d {
-			d[i] += alpha
-		}
-	})
-}
-
 // Clamp limits every element to [lo, hi] in place.
 func (t *Tensor) Clamp(lo, hi float64) {
 	forEachRange(len(t.Data), func(i0, i1 int) {

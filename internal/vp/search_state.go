@@ -17,17 +17,6 @@ type SearchState struct {
 	BatchRNG [6]uint64
 }
 
-// Clone deep-copies the state so journal encoding never races the search.
-func (st *SearchState) Clone() *SearchState {
-	c := &SearchState{CMA: st.CMA, BatchRNG: st.BatchRNG}
-	c.CMA.Mean = append([]float64(nil), st.CMA.Mean...)
-	c.CMA.Diag = append([]float64(nil), st.CMA.Diag...)
-	c.CMA.Ps = append([]float64(nil), st.CMA.Ps...)
-	c.CMA.Pc = append([]float64(nil), st.CMA.Pc...)
-	c.CMA.Best = append([]float64(nil), st.CMA.Best...)
-	return c
-}
-
 // Save writes the search state to w.
 func (st *SearchState) Save(w *binio.Writer) {
 	for _, v := range []int{st.CMA.Iter, st.CMA.Evals, st.CMA.Stale} {
