@@ -81,7 +81,7 @@ func BenchmarkServerPredictParallel(b *testing.B) {
 // runner; on one core the tiling alone must not regress). CI runs these at
 // -benchtime=1x so they cannot silently rot. Reproduce locally with:
 //
-//	go test -bench 'MatMulNaive|MatMulTiled|ConvIm2Col' -benchtime=2s .
+//	go test -bench 'MatMulNaive|MatMulTiled|ConvInfer' -benchtime=2s .
 
 const benchMatDim = 192
 
@@ -130,10 +130,10 @@ func BenchmarkMatMulTiledParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkConvIm2Col measures the full conv path (im2col + matmul +
-// transpose) through a Conv2D layer on a batch, the serving path's hottest
-// layer type.
-func BenchmarkConvIm2Col(b *testing.B) {
+// BenchmarkConvInfer measures a Conv2D layer's float64 inference on a
+// batch — the implicit convolution, images split across the pool — the
+// serving path's hottest layer type.
+func BenchmarkConvInfer(b *testing.B) {
 	d := tensor.ConvDims{InC: 3, InH: 32, InW: 32, OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	conv := nn.NewConv2D(d, rng.New(4))
 	x := tensor.New(8, 3, 32, 32)

@@ -2,45 +2,28 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"bprom/internal/rng"
 	"bprom/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over batches shaped [N, C, H, W], implemented
-// with im2col + matmul. Weights are stored as [OutC, InC*KH*KW].
-// When Q is non-nil the layer is quantized: it holds the transposed weights
+// Conv2D is a 2-D convolution over batches shaped [N, C, H, W]. Weights are
+// stored as [OutC, InC*KH*KW]. Float64 passes, recording or not, convolve
+// straight from a zero-padded copy of each image (tensor.ConvInto); only
+// Backward and the quantized layer unroll an image with im2col, because the
+// weight gradient and the int8 kernel consume the unrolled matrix. When Q is
+// non-nil the layer is quantized: it holds the transposed weights
 // [InC*KH*KW, OutC] in per-output-channel int8 (so the im2col product runs
-// through the fast per-column kernel), W's float64 tensors are dropped, and
-// the layer is inference-only (Backward panics). See Model.Quantize.
+// through the per-column kernel), W's float64 tensors are dropped, and the
+// layer is inference-only (Backward panics). See Model.Quantize.
 type Conv2D struct {
 	Dims tensor.ConvDims
 	W    *Param // [OutC, InC*KH*KW]; Value/Grad nil once quantized
 	B    *Param // [1, OutC]; always float64
 	Q    *tensor.QTensor
-
-	// colPool recycles [OutH*OutW, InC*KH*KW] im2col matrices between a
-	// recording Forward and the Backward that consumes them, keeping the
-	// training loop's per-step allocations flat without giving up
-	// reentrancy (sync.Pool is concurrency-safe). Inference scratch comes
-	// from the pass's workspace instead.
-	colPool sync.Pool
 }
 
 var _ Layer = (*Conv2D)(nil)
-
-// conv2DCache holds the per-image im2col matrices Backward reuses.
-type conv2DCache struct {
-	cols []*tensor.Tensor
-}
-
-func (c *Conv2D) getCol(spatial, k int) *tensor.Tensor {
-	if t, ok := c.colPool.Get().(*tensor.Tensor); ok {
-		return t
-	}
-	return tensor.New(spatial, k)
-}
 
 // NewConv2D constructs a convolution layer. It panics on impossible
 // geometry, which indicates a programming error in architecture builders.
@@ -58,21 +41,29 @@ func NewConv2D(dims tensor.ConvDims, r *rng.RNG) *Conv2D {
 	return c
 }
 
-// forward runs the convolution, drawing the output and scratch from ws.
-// When cols is non-nil it receives one im2col matrix per image (kept for
-// Backward) from the layer's pool.
+// convScratch is one chunk's scratch. Float64 needs only the zero-padded
+// image (nil when the layer has no padding); int8 needs an im2col matrix and
+// a [spatial, OutC] product buffer.
+type convScratch struct {
+	padded   []float64
+	col, tmp *tensor.Tensor
+}
+
+func (c *Conv2D) Infer(x *tensor.Tensor) *tensor.Tensor { return c.infer(nil, x) }
+
+// infer runs the convolution, drawing the output and scratch from ws.
 //
 // Inside a planned pass (non-nil ws) every image runs on the block's
-// goroutine with the Serial* kernels. The chunk split below serves only the
-// nil-workspace path — the public Infer and the recording Forward — where the
-// batch is partitioned across the shared tensor worker pool: every image
-// writes a disjoint slice of the output (and its own cols entry), so chunks
-// are race-free. The split into chunks is fixed here rather than left to
-// ParallelFor because each chunk needs scratch of its own. The nested
-// Im2Col/MatMul calls dispatch onto the same shared pool, which bounds total
-// parallelism at the pool size instead of multiplying batch-level by
-// kernel-level workers.
-func (c *Conv2D) forward(ws *workspace, x *tensor.Tensor, cols []*tensor.Tensor) *tensor.Tensor {
+// goroutine. Without a workspace — the public Infer and the recording
+// Forward — a batch worth parallelizing is split into chunks of images across
+// the shared tensor worker pool: every image writes a disjoint slice of the
+// output, so chunks are race-free. The split is fixed here rather than left
+// to ParallelFor because each chunk needs scratch of its own. Float64 is
+// parallel over images only, since ConvInto runs on its caller. The int8
+// layer's nested Im2Col/QMatMulInto calls dispatch onto the same shared pool,
+// which bounds total parallelism at the pool size instead of multiplying
+// batch-level by kernel-level workers.
+func (c *Conv2D) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: Conv2D expects [N,C,H,W], got shape %v", x.Shape()))
 	}
@@ -80,71 +71,62 @@ func (c *Conv2D) forward(ws *workspace, x *tensor.Tensor, cols []*tensor.Tensor)
 	d := c.Dims
 	k := d.InC * d.KH * d.KW
 	spatial := d.OutH * d.OutW
-	// scratch draws one chunk's [spatial, OutC] product buffer and, unless
-	// cols keeps them, its im2col matrix.
-	scratch := func() (tmp, col *tensor.Tensor) {
-		tmp = ws.tensor(spatial, d.OutC)
-		if cols == nil {
-			col = ws.tensor(spatial, k)
+	scratch := func() (s convScratch) {
+		switch {
+		case c.Q != nil:
+			s.col, s.tmp = ws.tensor(spatial, k), ws.tensor(spatial, d.OutC)
+		case d.Pad > 0:
+			s.padded = ws.tensor(d.PaddedLen()).Data
 		}
-		return tmp, col
+		return s
 	}
 	// Per-image cost ≈ spatial*k*OutC multiplies; stay on this goroutine when
 	// the whole batch is cheaper than a few goroutine handoffs.
 	serial := ws.isSerial()
 	if serial || n == 1 || !tensor.WorthParallel(n*spatial*k*d.OutC) {
-		tmp, col := scratch()
+		s := scratch()
 		out := ws.tensor(n, d.OutC, d.OutH, d.OutW)
-		c.convImages(out, x, 0, n, tmp, col, cols, serial)
+		c.convImages(out, x, 0, n, s, serial)
 		return out
 	}
-	chunks := make([]struct{ tmp, col *tensor.Tensor }, min(n, 2*tensor.Workers()))
+	chunks := make([]convScratch, min(n, 2*tensor.Workers()))
 	for ch := range chunks {
-		chunks[ch].tmp, chunks[ch].col = scratch()
+		chunks[ch] = scratch()
 	}
 	out := ws.tensor(n, d.OutC, d.OutH, d.OutW)
 	tensor.ParallelFor(len(chunks), 1, func(lo, hi int) {
 		for ch := lo; ch < hi; ch++ {
-			c.convImages(out, x, ch*n/len(chunks), (ch+1)*n/len(chunks), chunks[ch].tmp, chunks[ch].col, cols, false)
+			c.convImages(out, x, ch*n/len(chunks), (ch+1)*n/len(chunks), chunks[ch], false)
 		}
 	})
 	return out
 }
 
 // convImages convolves images [lo, hi) of x into out with one chunk's
-// scratch: tmp holds an image's [spatial, OutC] product; its im2col matrix
-// goes to a pooled cols[i] when cols is non-nil and to col otherwise.
-func (c *Conv2D) convImages(out, x *tensor.Tensor, lo, hi int, tmp, col *tensor.Tensor, cols []*tensor.Tensor, serial bool) {
+// scratch s: float64 straight from the image, int8 through s.col and the
+// [spatial, OutC] product s.tmp, transposed into place.
+func (c *Conv2D) convImages(out, x *tensor.Tensor, lo, hi int, s convScratch, serial bool) {
 	d := c.Dims
-	k := d.InC * d.KH * d.KW
 	spatial := d.OutH * d.OutW
 	img := d.InC * d.InH * d.InW
 	for i := lo; i < hi; i++ {
-		if cols != nil {
-			cols[i] = c.getCol(spatial, k)
-			col = cols[i]
-		}
 		src := x.Data[i*img : (i+1)*img]
-		// tmp[pos, oc] = col[pos, :] · W[oc, :]
+		dst := out.Data[i*d.OutC*spatial : (i+1)*d.OutC*spatial]
+		if c.Q == nil {
+			tensor.ConvInto(dst, src, d, c.W.Value, c.B.Value.Data, s.padded)
+			continue
+		}
+		// tmp[pos, oc] = col[pos, :] · Wᵀ[:, oc]; Q holds Wᵀ [k, OutC]
 		if serial {
-			tensor.SerialIm2Col(src, d, col)
-			if c.Q != nil {
-				tensor.SerialQMatMulInto(tmp, col, c.Q) // Q holds Wᵀ [k, OutC]
-			} else {
-				tensor.SerialMatMulTransBInto(tmp, col, c.W.Value)
-			}
+			tensor.SerialIm2Col(src, d, s.col)
+			tensor.SerialQMatMulInto(s.tmp, s.col, c.Q)
 		} else {
-			tensor.Im2Col(src, d, col)
-			if c.Q != nil {
-				tensor.QMatMulInto(tmp, col, c.Q)
-			} else {
-				tensor.MatMulTransBInto(tmp, col, c.W.Value)
-			}
+			tensor.Im2Col(src, d, s.col)
+			tensor.QMatMulInto(s.tmp, s.col, c.Q)
 		}
 		// transpose into [OutC, OutH*OutW] layout of the output image
-		dst := out.Data[i*d.OutC*spatial : (i+1)*d.OutC*spatial]
 		for pos := 0; pos < spatial; pos++ {
-			row := tmp.Row(pos)
+			row := s.tmp.Row(pos)
 			for oc, v := range row {
 				dst[oc*spatial+pos] = v + c.B.Value.Data[oc]
 			}
@@ -152,48 +134,64 @@ func (c *Conv2D) convImages(out, x *tensor.Tensor, lo, hi int, tmp, col *tensor.
 	}
 }
 
-func (c *Conv2D) Infer(x *tensor.Tensor) *tensor.Tensor { return c.forward(nil, x, nil) }
-
-func (c *Conv2D) infer(ws *workspace, x *tensor.Tensor) *tensor.Tensor {
-	return c.forward(ws, x, nil)
-}
-
+// Forward caches the input; Backward unrolls it again, one image at a time.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
-	cc := &conv2DCache{cols: make([]*tensor.Tensor, x.Dim(0))}
-	return c.forward(nil, x, cc.cols), cc
+	return c.Infer(x), x
 }
 
+// Backward runs images in parallel chunks, as infer does: each image writes
+// its own dx slice and its own weight gradient, and those are summed into
+// W.Grad afterwards in image order, so the bits do not depend on the split.
 func (c *Conv2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	if c.Q != nil {
 		panic("nn: Backward on a quantized Conv2D layer (quantized models are inference-only)")
 	}
-	cc := cache.(*conv2DCache)
+	x := cache.(*tensor.Tensor)
 	n := grad.Dim(0)
 	d := c.Dims
 	k := d.InC * d.KH * d.KW
 	spatial := d.OutH * d.OutW
 	img := d.InC * d.InH * d.InW
 	dx := tensor.New(n, d.InC, d.InH, d.InW)
-	gcols := tensor.New(spatial, d.OutC) // per-image gradient in [pos, oc] layout
-	dcols := tensor.New(spatial, k)
-	dW := tensor.New(d.OutC, k)
+	dWs := make([]float64, n*d.OutC*k) // per-image weight gradients
+	images := func(lo, hi int) {
+		gcols := tensor.New(spatial, d.OutC) // an image's gradient in [pos, oc] layout
+		cols := tensor.New(spatial, k)       // its im2col matrix, then that matrix's gradient
+		dW := tensor.New(d.OutC, k)
+		for i := lo; i < hi; i++ {
+			src := grad.Data[i*d.OutC*spatial : (i+1)*d.OutC*spatial]
+			for oc := 0; oc < d.OutC; oc++ {
+				for pos := 0; pos < spatial; pos++ {
+					gcols.Data[pos*d.OutC+oc] = src[oc*spatial+pos]
+				}
+			}
+			// dW = gcolsᵀ @ cols  ([OutC, spatial] @ [spatial, k])
+			tensor.Im2Col(x.Data[i*img:(i+1)*img], d, cols)
+			tensor.MatMulTransAInto(dW, gcols, cols)
+			copy(dWs[i*d.OutC*k:], dW.Data)
+			// dcols = gcols @ W  ([spatial, OutC] @ [OutC, k])
+			tensor.MatMulInto(cols, gcols, c.W.Value)
+			tensor.Col2Im(cols, d, dx.Data[i*img:(i+1)*img])
+		}
+	}
+	chunks := 1 // a single chunk runs on this goroutine
+	if tensor.WorthParallel(n * spatial * k * d.OutC) {
+		chunks = min(n, 2*tensor.Workers())
+	}
+	tensor.ParallelFor(chunks, 1, func(lo, hi int) {
+		for ch := lo; ch < hi; ch++ {
+			images(ch*n/chunks, (ch+1)*n/chunks)
+		}
+	})
 	for i := 0; i < n; i++ {
-		src := grad.Data[i*d.OutC*spatial : (i+1)*d.OutC*spatial]
 		for oc := 0; oc < d.OutC; oc++ {
-			for pos := 0; pos < spatial; pos++ {
-				v := src[oc*spatial+pos]
-				gcols.Data[pos*d.OutC+oc] = v
+			for _, v := range grad.Data[(i*d.OutC+oc)*spatial : (i*d.OutC+oc+1)*spatial] {
 				c.B.Grad.Data[oc] += v
 			}
 		}
-		// dW += gcolsᵀ @ cols  ([OutC, spatial] @ [spatial, k])
-		tensor.MatMulTransAInto(dW, gcols, cc.cols[i])
-		c.colPool.Put(cc.cols[i])
-		cc.cols[i] = nil
-		tensor.AXPY(1, dW, c.W.Grad)
-		// dcols = gcols @ W  ([spatial, OutC] @ [OutC, k])
-		tensor.MatMulInto(dcols, gcols, c.W.Value)
-		tensor.Col2Im(dcols, d, dx.Data[i*img:(i+1)*img])
+		for j, v := range dWs[i*d.OutC*k : (i+1)*d.OutC*k] {
+			c.W.Grad.Data[j] += v
+		}
 	}
 	return dx
 }

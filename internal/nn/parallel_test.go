@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -90,6 +91,38 @@ func TestPredictSerialPoolMatchesParallel(t *testing.T) {
 		if serial.Data[i] != parallel.Data[i] {
 			t.Fatalf("pool width changed Predict output at element %d: serial %v, parallel %v",
 				i, serial.Data[i], parallel.Data[i])
+		}
+	}
+}
+
+// TestConv2DBackwardPoolWidth: Conv2D.Backward splits a batch worth
+// parallelizing into image chunks, and its input and parameter gradients
+// must not depend on how wide the pool is.
+func TestConv2DBackwardPoolWidth(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	d := tensor.ConvDims{InC: 3, InH: 12, InW: 12, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	x := tensor.New(9, 3, 12, 12)
+	rng.New(37).Gaussian(x.Data, 0, 1)
+	if !tensor.WorthParallel(9 * 144 * 27 * 8) {
+		t.Fatal("batch too small to take the parallel path")
+	}
+	run := func(workers int) (dx, dw, db []float64) {
+		tensor.SetWorkers(workers)
+		c := NewConv2D(d, rng.New(41))
+		out, cache := c.Forward(x, true)
+		dx = c.Backward(cache, out).Data
+		return dx, c.W.Grad.Data, c.B.Grad.Data
+	}
+	dx1, dw1, db1 := run(1)
+	dx4, dw4, db4 := run(4)
+	for _, g := range []struct {
+		name         string
+		serial, wide []float64
+	}{{"dx", dx1, dx4}, {"W.Grad", dw1, dw4}, {"B.Grad", db1, db4}} {
+		for i := range g.serial {
+			if math.Float64bits(g.serial[i]) != math.Float64bits(g.wide[i]) {
+				t.Fatalf("%s[%d]: 1 worker %v, 4 workers %v", g.name, i, g.serial[i], g.wide[i])
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ type inferer interface {
 }
 
 // workspace is the activation arena of one inference pass over one row
-// block: layer outputs, im2col and matmul scratch and residual joins are
+// block: layer outputs, conv and matmul scratch and residual joins are
 // bump-allocated from buf and their headers recycled, so a warm pass
 // allocates nothing. A pass that outgrows buf gets the excess as one-off
 // allocations and reset then sizes buf to what the pass asked for, so the

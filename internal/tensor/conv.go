@@ -2,10 +2,14 @@ package tensor
 
 import "fmt"
 
-// Conv2D support via im2col: an input batch [N, C, H, W] is unrolled into a
-// matrix of sliding-window patches so the convolution becomes one MatMul.
-// This is the standard CPU strategy; the unrolled buffer is reused by the nn
-// layer between calls to avoid per-batch allocation.
+// Conv2D support, two ways. The float64 forward convolves implicitly
+// (ConvInto): each output element is a dot product read straight from a
+// zero-padded copy of the image, with no unrolled matrix and no transpose.
+// The backward pass unrolls each image with im2col into a matrix of
+// sliding-window patches, because the weight gradient is one MatMul against
+// it and Col2Im scatters the input gradient back from the same layout (the
+// int8 forward consumes it too). ConvInto gives the bits of the MatMul over
+// that matrix.
 //
 // Parallelism: Im2Col is a pure gather, so output rows are partitioned
 // across the shared pool directly. Col2Im scatters into the image gradient
@@ -32,6 +36,13 @@ type ConvDims struct {
 func (d *ConvDims) Resolve() error {
 	if d.Stride <= 0 {
 		return fmt.Errorf("tensor: conv stride must be positive, got %d", d.Stride)
+	}
+	// Checked before dividing: Go's division truncates toward zero, so a
+	// kernel that overhangs the padded input by less than one stride would
+	// otherwise resolve to one window reading past the image.
+	if d.KH > d.InH+2*d.Pad || d.KW > d.InW+2*d.Pad {
+		return fmt.Errorf("tensor: conv kernel %dx%d exceeds padded input %dx%d",
+			d.KH, d.KW, d.InH+2*d.Pad, d.InW+2*d.Pad)
 	}
 	d.OutH = (d.InH+2*d.Pad-d.KH)/d.Stride + 1
 	d.OutW = (d.InW+2*d.Pad-d.KW)/d.Stride + 1
@@ -94,6 +105,112 @@ func im2colRows(x []float64, d ConvDims, cols *Tensor, oy0, oy1 int) {
 			}
 			row++
 		}
+	}
+}
+
+// PaddedLen is the scratch length ConvInto needs for its zero-padded copy of
+// one image: 0 when the geometry has no padding and the image is read as is.
+func (d ConvDims) PaddedLen() int {
+	if d.Pad == 0 {
+		return 0
+	}
+	return d.InC * (d.InH + 2*d.Pad) * (d.InW + 2*d.Pad)
+}
+
+// convTapsOnStack bounds the patch size whose tap offsets ConvInto keeps in
+// a stack array; larger patches allocate theirs.
+const convTapsOnStack = 512
+
+// ConvInto convolves one image without unrolling it: dst (OutC×OutH×OutW,
+// channel-major) gets w [OutC, InC*KH*KW] applied to every window of x
+// (InC×InH×InW) plus bias. The image is first copied into padded
+// (PaddedLen floats, contents undefined on entry) with a zero border, so
+// every tap of every window is one load at a fixed offset from the window's
+// corner, padding taps included. Each output element is then the same dot
+// product the im2col matrix's row gives — the same taps, zeros included,
+// multiplied by the same weights and summed p ascending in one accumulator
+// per output channel, four channels at a time — so the result equals
+// MatMulTransBInto over Im2Col's matrix plus bias bit for bit. It runs on the
+// calling goroutine; callers parallelize over images.
+func ConvInto(dst, x []float64, d ConvDims, w *Tensor, bias, padded []float64) {
+	k := d.InC * d.KH * d.KW
+	if w.Rank() != 2 || w.shape[0] != d.OutC || w.shape[1] != k || len(bias) != d.OutC ||
+		len(x) != d.InC*d.InH*d.InW || len(dst) != d.OutC*d.OutH*d.OutW || len(padded) != d.PaddedLen() {
+		panic(fmt.Sprintf("tensor: ConvInto shape mismatch for %+v: weights %v, bias %d, image %d, dst %d, padded %d",
+			d, w.shape, len(bias), len(x), len(dst), len(padded)))
+	}
+	img, ph, pw := x, d.InH, d.InW
+	if d.Pad > 0 {
+		img, ph, pw = padded, d.InH+2*d.Pad, d.InW+2*d.Pad
+		padImage(padded, x, d)
+	}
+	// taps[p] is where tap p of a window sits relative to the window's
+	// top-left corner, in im2col's column order (channel, row, column).
+	var onStack [convTapsOnStack]int
+	taps := onStack[:0]
+	if k > convTapsOnStack {
+		taps = make([]int, 0, k)
+	}
+	for c := 0; c < d.InC; c++ {
+		for ky := 0; ky < d.KH; ky++ {
+			for kx := 0; kx < d.KW; kx++ {
+				taps = append(taps, (c*ph+ky)*pw+kx)
+			}
+		}
+	}
+	spatial := d.OutH * d.OutW
+	for oy := 0; oy < d.OutH; oy++ {
+		for ox := 0; ox < d.OutW; ox++ {
+			pos := oy*d.OutW + ox
+			win := img[oy*d.Stride*pw+ox*d.Stride:]
+			oc := 0
+			for ; oc+4 <= d.OutC; oc += 4 {
+				// The [:len(taps)] reslices let the compiler drop the bounds
+				// checks on the weight loads.
+				w0 := w.Data[oc*k : (oc+1)*k][:len(taps)]
+				w1 := w.Data[(oc+1)*k : (oc+2)*k][:len(taps)]
+				w2 := w.Data[(oc+2)*k : (oc+3)*k][:len(taps)]
+				w3 := w.Data[(oc+3)*k : (oc+4)*k][:len(taps)]
+				var s0, s1, s2, s3 float64
+				for p, t := range taps {
+					v := win[t]
+					s0 += v * w0[p]
+					s1 += v * w1[p]
+					s2 += v * w2[p]
+					s3 += v * w3[p]
+				}
+				dst[oc*spatial+pos] = s0 + bias[oc]
+				dst[(oc+1)*spatial+pos] = s1 + bias[oc+1]
+				dst[(oc+2)*spatial+pos] = s2 + bias[oc+2]
+				dst[(oc+3)*spatial+pos] = s3 + bias[oc+3]
+			}
+			for ; oc < d.OutC; oc++ {
+				wo := w.Data[oc*k : (oc+1)*k][:len(taps)]
+				s := 0.0
+				for p, t := range taps {
+					s += win[t] * wo[p]
+				}
+				dst[oc*spatial+pos] = s + bias[oc]
+			}
+		}
+	}
+}
+
+// padImage copies the image x into padded with a zero border d.Pad wide.
+func padImage(padded, x []float64, d ConvDims) {
+	pw := d.InW + 2*d.Pad
+	border := d.Pad * pw // the rows above (and below) each channel's image
+	i := 0
+	for c := 0; c < d.InC; c++ {
+		clear(padded[i : i+border+d.Pad])
+		i += border + d.Pad
+		for y := 0; y < d.InH; y++ {
+			copy(padded[i:i+d.InW], x[(c*d.InH+y)*d.InW:])
+			clear(padded[i+d.InW : i+pw])
+			i += pw
+		}
+		clear(padded[i : i+border-d.Pad])
+		i += border - d.Pad
 	}
 }
 

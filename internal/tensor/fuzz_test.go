@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -127,17 +128,20 @@ func FuzzQMatMul(f *testing.F) {
 	})
 }
 
+// FuzzIm2Col checks both convolution paths on geometries the fuzzer
+// invents: the parallel im2col/col2im against the naive gather and scatter,
+// and the implicit ConvInto against the naive im2col product.
 func FuzzIm2Col(f *testing.F) {
-	f.Add(uint8(1), uint8(4), uint8(4), uint8(3), uint8(3), uint8(1), uint8(1), uint64(1), []byte{})
-	f.Add(uint8(3), uint8(8), uint8(8), uint8(3), uint8(3), uint8(1), uint8(1), uint64(2), []byte{9, 9, 9, 9, 9, 9, 9, 9})
-	f.Add(uint8(2), uint8(13), uint8(7), uint8(2), uint8(4), uint8(2), uint8(2), uint64(5), []byte{})
-	f.Add(uint8(5), uint8(30), uint8(30), uint8(5), uint8(5), uint8(1), uint8(2), uint64(8), []byte{1})
-	f.Fuzz(func(t *testing.T, rc, rh, rw, rkh, rkw, rstride, rpad uint8, seed uint64, raw []byte) {
+	f.Add(uint8(1), uint8(1), uint8(4), uint8(4), uint8(3), uint8(3), uint8(1), uint8(1), uint64(1), []byte{})
+	f.Add(uint8(3), uint8(8), uint8(12), uint8(12), uint8(3), uint8(3), uint8(1), uint8(1), uint64(2), []byte{9, 9, 9, 9, 9, 9, 9, 9}) // the zoo's conv1
+	f.Add(uint8(2), uint8(5), uint8(13), uint8(7), uint8(2), uint8(4), uint8(2), uint8(2), uint64(5), []byte{})
+	f.Add(uint8(5), uint8(12), uint8(30), uint8(30), uint8(5), uint8(5), uint8(1), uint8(2), uint64(8), []byte{1})
+	f.Fuzz(func(t *testing.T, rc, rout, rh, rw, rkh, rkw, rstride, rpad uint8, seed uint64, raw []byte) {
 		d := ConvDims{
 			InC:    int(rc)%6 + 1,
 			InH:    int(rh)%40 + 1,
 			InW:    int(rw)%40 + 1,
-			OutC:   1, // OutC does not affect im2col/col2im
+			OutC:   int(rout)%13 + 1, // only the ConvInto leg reads it
 			KH:     int(rkh)%7 + 1,
 			KW:     int(rkw)%7 + 1,
 			Stride: int(rstride)%4 + 1,
@@ -175,5 +179,21 @@ func FuzzIm2Col(f *testing.F) {
 					d, i, gotDx[i], wantDx[i])
 			}
 		}
+
+		// ConvInto: the implicit convolution must give the im2col product's
+		// bits, into output and padding scratch an arena hands out unzeroed.
+		w := New(d.OutC, k)
+		fillFromFuzz(w.Data, seed+3, raw)
+		bias := make([]float64, d.OutC)
+		fillFromFuzz(bias, seed+4, nil)
+		gotY := make([]float64, d.OutC*d.OutH*d.OutW)
+		padded := make([]float64, d.PaddedLen())
+		for _, s := range [][]float64{gotY, padded} {
+			for i := range s {
+				s[i] = math.NaN()
+			}
+		}
+		ConvInto(gotY, x, d, w, bias, padded)
+		requireSameBits(t, fmt.Sprintf("ConvInto %+v", d), gotY, naiveConv(x, d, w, bias))
 	})
 }

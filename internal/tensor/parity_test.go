@@ -152,6 +152,7 @@ var convGeometries = []ConvDims{
 	{InC: 5, InH: 13, InW: 11, OutC: 2, KH: 3, KW: 3, Stride: 3, Pad: 1},
 	{InC: 4, InH: 32, InW: 32, OutC: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, // above threshold
 	{InC: 1, InH: 40, InW: 40, OutC: 1, KH: 7, KW: 7, Stride: 2, Pad: 3},
+	{InC: 64, InH: 3, InW: 4, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}, // 576 taps: more than convTapsOnStack
 }
 
 // TestIm2ColCol2ImMatchesNaive: the parallel gather/scatter must reproduce
@@ -181,6 +182,72 @@ func TestIm2ColCol2ImMatchesNaive(t *testing.T) {
 		NaiveCol2Im(g, d, wantDx)
 		requireEqual(t, fmt.Sprintf("Col2Im %+v", d),
 			FromSlice(gotDx, len(gotDx)), FromSlice(wantDx, len(wantDx)))
+	}
+}
+
+// naiveConv is the im2col convolution ConvInto replaces: unroll, one
+// TransB product, bias added in the output's channel-major layout.
+func naiveConv(x []float64, d ConvDims, w *Tensor, bias []float64) []float64 {
+	spatial := d.OutH * d.OutW
+	cols := New(spatial, d.InC*d.KH*d.KW)
+	NaiveIm2Col(x, d, cols)
+	prod := New(spatial, d.OutC)
+	NaiveMatMulTransBInto(prod, cols, w)
+	out := make([]float64, d.OutC*spatial)
+	for pos := 0; pos < spatial; pos++ {
+		for oc, v := range prod.Row(pos) {
+			out[oc*spatial+pos] = v + bias[oc]
+		}
+	}
+	return out
+}
+
+// requireSameBits fails unless got and want hold the same float64 bits,
+// NaNs excepted (a NaN's payload is not part of the contract).
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, g, w)
+		}
+	}
+}
+
+// TestConvIntoMatchesIm2Col: the implicit convolution must give the im2col
+// path's bits on every geometry, with its output and padding scratch
+// poisoned the way an unzeroed arena hands them out, for output channel
+// counts on both sides of the four-channel register block, and with
+// non-finite and signed-zero pixels (a padding tap multiplies a weight by
+// +0 on both paths, so even -0 and Inf·0 agree).
+func TestConvIntoMatchesIm2Col(t *testing.T) {
+	root := rng.New(41)
+	for gi, d := range convGeometries {
+		for _, outC := range []int{1, 4, 7, 12} {
+			d.OutC = outC
+			if err := d.Resolve(); err != nil {
+				t.Fatalf("geometry %d: %v", gi, err)
+			}
+			r := root.Split("convinto", gi*100+outC)
+			x := make([]float64, d.InC*d.InH*d.InW)
+			r.Gaussian(x, 0, 1)
+			x[0], x[len(x)/2], x[len(x)-1] = math.Copysign(0, -1), math.Inf(1), math.NaN()
+			w := New(outC, d.InC*d.KH*d.KW)
+			bias := make([]float64, outC)
+			r.Gaussian(w.Data, 0, 1)
+			r.Gaussian(bias, 0, 1)
+
+			got := make([]float64, outC*d.OutH*d.OutW)
+			padded := make([]float64, d.PaddedLen())
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			for i := range padded {
+				padded[i] = math.NaN()
+			}
+			ConvInto(got, x, d, w, bias, padded)
+			requireSameBits(t, fmt.Sprintf("ConvInto %+v", d), got, naiveConv(x, d, w, bias))
+		}
 	}
 }
 
@@ -288,10 +355,6 @@ func TestSerialEntryPointsMatchDispatching(t *testing.T) {
 		SerialMatMulInto(got, a, b)
 		MatMulInto(want, a, b)
 		requireEqual(t, fmt.Sprintf("SerialMatMulInto %v", s), got, want)
-
-		SerialMatMulTransBInto(got, a, bt)
-		MatMulTransBInto(want, a, bt)
-		requireEqual(t, fmt.Sprintf("SerialMatMulTransBInto %v", s), got, want)
 
 		q := QuantizePerCol(b)
 		SerialQMatMulInto(got, a, q)

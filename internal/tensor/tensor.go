@@ -1,6 +1,6 @@
 // Package tensor implements the dense numerical arrays underlying the neural
 // network substrate. It supports the small set of operations the repository
-// needs — matrix multiplication, im2col convolution, pooling, elementwise
+// needs — matrix multiplication, convolution, pooling, elementwise
 // arithmetic and reductions — on float64 data stored in row-major order.
 //
 // Design notes: shapes are plain []int; a Tensor owns its backing slice
@@ -550,13 +550,6 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 		return
 	}
 	dispatchMatMul(m, n, func(i0, i1, j0, j1 int) { matMulTransBRange(dst, a, b, i0, i1, j0, j1) })
-}
-
-// SerialMatMulTransBInto is MatMulTransBInto run entirely on the calling
-// goroutine (see SerialMatMulInto).
-func SerialMatMulTransBInto(dst, a, b *Tensor) {
-	m, _, n := checkMatMulTransBShapes("SerialMatMulTransBInto", dst, a, b)
-	matMulTransBRange(dst, a, b, 0, m, 0, n)
 }
 
 // matMulTransBRange computes the dst block rows [i0, i1) × columns [j0, j1)

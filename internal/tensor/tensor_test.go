@@ -374,6 +374,12 @@ func TestConvDimsResolveErrors(t *testing.T) {
 	if err := d.Resolve(); err == nil {
 		t.Fatal("expected error for zero stride")
 	}
+	// A 4-tall kernel over a 1-row input padded to 3 overhangs by less than
+	// the stride of 2: truncating division made this one window.
+	d = ConvDims{InC: 1, InH: 1, InW: 5, KH: 4, KW: 4, Stride: 2, Pad: 1}
+	if err := d.Resolve(); err == nil {
+		t.Fatalf("expected error for a kernel taller than the padded input, resolved %dx%d", d.OutH, d.OutW)
+	}
 }
 
 func TestAvgPoolForwardBackward(t *testing.T) {
