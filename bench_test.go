@@ -21,10 +21,11 @@ import (
 
 // --- Serving-path throughput -------------------------------------------------
 //
-// End-to-end throughput through the HTTP stack. The model-level narrow pair
-// (one caller vs every proc) sits beside its kernels in internal/nn:
+// End-to-end throughput through the HTTP stack sits beside the server in
+// internal/mlaas, the model-level narrow pair (one caller vs every proc)
+// beside its kernels in internal/nn:
 //
-//	go test -bench 'ServerPredictParallel' -benchtime=2s .
+//	go test -bench 'PredictLoopback' -benchtime=2s ./internal/mlaas
 //	go test -bench 'PredictNarrow' -benchtime=2s ./internal/nn
 
 func benchModel(b *testing.B) *nn.Model {
@@ -42,33 +43,6 @@ func benchBatch(m *nn.Model, seed uint64) *tensor.Tensor {
 	x := tensor.New(8, m.InputDim)
 	rng.New(seed).Uniform(x.Data, 0, 1)
 	return x
-}
-
-// BenchmarkServerPredictParallel measures end-to-end throughput through the
-// full HTTP stack: JSON, the request queue, the micro-batcher, and the
-// concurrent forward passes.
-func BenchmarkServerPredictParallel(b *testing.B) {
-	m := benchModel(b)
-	s := mlaas.NewServer(m, mlaas.ServerConfig{Name: "bench", MaxBatch: 256})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	c, err := mlaas.Dial(context.Background(), srv.URL, mlaas.ClientConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		x := benchBatch(m, 4)
-		for pb.Next() {
-			if _, err := c.Predict(ctx, x); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }
 
 // --- Kernel regression guard ---------------------------------------------------
@@ -413,8 +387,8 @@ func BenchmarkTrainBlackBoxBatchedRemoteRTT(b *testing.B) {
 // --- Inline screening serving overhead (PR 7) ---------------------------------
 //
 // Three-way decomposition of what inline screening costs the serving plane,
-// on the same HTTP stack, micro-batcher, and model as
-// BenchmarkServerPredictParallel:
+// on the same HTTP stack, micro-batcher, and model as internal/mlaas's
+// BenchmarkPredictLoopback:
 //
 //   - Unscreened: baseline server, no screener configured.
 //   - ScreenedOptOut: screener configured, but the traffic is plain Predict

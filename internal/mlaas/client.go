@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bprom/internal/audit"
@@ -71,15 +73,49 @@ func (c *ClientConfig) defaults() {
 }
 
 // defaultHTTPClient is what every client without a ClientConfig.HTTPClient
-// shares: http.DefaultTransport's settings, except that a host may keep as
-// many idle connections as Predict opens against it at once. With the
-// stock limit of 2, each chunked generation closed two of its four
-// connections on completion and dialled them again for the next one.
+// shares: http.DefaultTransport's settings, except that
+//   - a host may keep as many idle connections as Predict opens against it at
+//     once. With the stock limit of 2, each chunked generation closed two of
+//     its four connections on completion and dialled them again for the next
+//     one;
+//   - every connection is dialled as a copyConn, so that request bodies are
+//     written through a pooled copy buffer. A caller-supplied HTTPClient
+//     keeps net/http's own, which allocates one per request body.
 var defaultHTTPClient = func() *http.Client {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConnsPerHost = maxInflightChunks
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &copyConn{conn}, nil
+	}
 	return &http.Client{Transport: t}
 }()
+
+// copyConnBufPool holds copyConn's copy buffers.
+var copyConnBufPool = sync.Pool{New: func() any {
+	buf := make([]byte, 32<<10) // io.Copy's own buffer size
+	return &buf
+}}
+
+// copyConn is a connection whose ReadFrom — what net/http's transport reaches
+// through io.Copy when it writes a request body larger than its write buffer
+// — copies through a pooled buffer. A *net.TCPConn copies a body that is no
+// file or socket through a buffer it allocates for each call.
+type copyConn struct{ net.Conn }
+
+// connWriter is copyConn without its ReadFrom: the writer io.CopyBuffer must
+// see so that it uses the buffer it is given.
+type connWriter copyConn
+
+func (c *copyConn) ReadFrom(r io.Reader) (int64, error) {
+	buf := copyConnBufPool.Get().(*[]byte)
+	defer copyConnBufPool.Put(buf)
+	return io.CopyBuffer((*connWriter)(c), r, *buf)
+}
 
 // Client is an oracle.Oracle backed by one model on a remote MLaaS
 // endpoint. It is safe for concurrent use; batches larger than the
@@ -280,10 +316,15 @@ func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 		return nil, nil, fmt.Errorf("mlaas: input shape %v, want [N %d]", x.Shape(), c.inputDim)
 	}
 	n := x.Dim(0)
-	if c.maxBatch <= 0 || n <= c.maxBatch {
-		return c.predictBatch(ctx, x, screen)
-	}
+	// Each request's reply is decoded straight into its rows of out.
 	out := tensor.New(n, c.classes)
+	if c.maxBatch <= 0 || n <= c.maxBatch {
+		screening, err := c.predictBatch(ctx, x.Data, out.Data, screen)
+		if err != nil {
+			return nil, nil, err
+		}
+		return out, screening, nil
+	}
 	var screening []Screening
 	sem := make(chan struct{}, maxInflightChunks)
 	var wg sync.WaitGroup
@@ -305,8 +346,7 @@ func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 			if failed {
 				return
 			}
-			chunk := tensor.FromSlice(x.Data[start*c.inputDim:end*c.inputDim], end-start, c.inputDim)
-			probs, scr, err := c.predictBatch(ctx, chunk, screen)
+			scr, err := c.predictBatch(ctx, x.Data[start*c.inputDim:end*c.inputDim], out.Data[start*c.classes:end*c.classes], screen)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -315,7 +355,6 @@ func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 				mu.Unlock()
 				return
 			}
-			copy(out.Data[start*c.classes:end*c.classes], probs.Data)
 			if scr != nil {
 				mu.Lock()
 				if screening == nil {
@@ -373,17 +412,17 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// predictBatch sends one already-sized batch with the retry loop.
-func (c *Client) predictBatch(ctx context.Context, x *tensor.Tensor, screen bool) (*tensor.Tensor, []Screening, error) {
-	n := x.Dim(0)
-	buf := wireBufPool.Get().(*[]byte)
-	defer wireBufPool.Put(buf)
+// predictBatch sends one already-sized batch of inputs with the retry loop
+// and decodes the reply into out, len(out)/classes rows.
+func (c *Client) predictBatch(ctx context.Context, inputs, out []float64, screen bool) ([]Screening, error) {
+	payload := newRequestPayload()
+	defer payload.release()
 	// Screening is server-default-on, so the only flag worth bytes is the
 	// opt-out — and only against endpoints that actually screen.
-	payload, err := appendPredictRequest((*buf)[:0], c.contentType, x.Data, c.inputDim, !screen && c.screened)
-	*buf = payload
+	encoded, err := appendPredictRequest((*payload.buf)[:0], c.contentType, inputs, c.inputDim, !screen && c.screened)
+	*payload.buf = encoded
 	if err != nil {
-		return nil, nil, fmt.Errorf("mlaas: encode batch: %w", err)
+		return nil, fmt.Errorf("mlaas: encode batch: %w", err)
 	}
 	var lastErr error
 	var hint time.Duration
@@ -392,12 +431,12 @@ func (c *Client) predictBatch(ctx context.Context, x *tensor.Tensor, screen bool
 			select {
 			case <-time.After(retryBackoff(attempt, hint)):
 			case <-ctx.Done():
-				return nil, nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
+				return nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
 			}
 		}
-		out, scr, retryable, retryAfter, err := c.predictOnce(ctx, payload, n)
+		scr, retryable, retryAfter, err := c.predictOnce(ctx, payload, out)
 		if err == nil {
-			return out, scr, nil
+			return scr, nil
 		}
 		lastErr = err
 		hint = retryAfter
@@ -408,13 +447,79 @@ func (c *Client) predictBatch(ctx context.Context, x *tensor.Tensor, screen bool
 		// reply may have landed before the cancellation did, so the error
 		// names the cancellation itself rather than the reply.
 		if ctx.Err() != nil {
-			return nil, nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
+			return nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
 		}
 		if !retryable {
 			break
 		}
 	}
-	return nil, nil, fmt.Errorf("mlaas: predict failed: %w", lastErr)
+	return nil, fmt.Errorf("mlaas: predict failed: %w", lastErr)
+}
+
+// requestPayload is one encoded predict request, shared by every attempt
+// predictBatch makes. net/http may still be writing a request body after the
+// round trip has returned — a node that answers 404, 401, 413 or 429 early,
+// before reading the body, is enough — and closes the body when it is done.
+// So the buffer goes back to wireBufPool only once predictBatch has released
+// its reference and the transport has closed every body made over it.
+type requestPayload struct {
+	buf  *[]byte
+	refs atomic.Int32
+}
+
+// newRequestPayload returns an empty payload over a pooled buffer, holding
+// the caller's reference.
+func newRequestPayload() *requestPayload {
+	p := &requestPayload{buf: wireBufPool.Get().(*[]byte)}
+	p.refs.Store(1)
+	return p
+}
+
+func (p *requestPayload) release() {
+	if p.refs.Add(-1) == 0 {
+		wireBufPool.Put(p.buf)
+	}
+}
+
+// body returns a request body over the payload, holding a reference until
+// it is closed.
+func (p *requestPayload) body() io.ReadCloser {
+	p.refs.Add(1)
+	b := &payloadBody{p: p}
+	b.r.Reset(*p.buf)
+	return b
+}
+
+// errBodyClosed is what a request body read after its Close returns.
+var errBodyClosed = errors.New("mlaas: read from a closed request body")
+
+// payloadBody is one request's body over a requestPayload. The lock makes
+// Close wait out a Read in progress and fail every later one, so that no
+// read of the buffer can follow its release, whichever goroutine closes.
+type payloadBody struct {
+	mu sync.Mutex
+	p  *requestPayload // nil once closed
+	r  bytes.Reader
+}
+
+func (b *payloadBody) Read(dst []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.p == nil {
+		return 0, errBodyClosed
+	}
+	return b.r.Read(dst)
+}
+
+func (b *payloadBody) Close() error {
+	b.mu.Lock()
+	p := b.p
+	b.p = nil
+	b.mu.Unlock()
+	if p != nil {
+		p.release()
+	}
+	return nil
 }
 
 // --- Audit-as-a-service helpers -----------------------------------------------------
@@ -699,26 +804,31 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// predictOnce sends one encoded batch. Transport errors, 5xx and 429 are
-// retryable: the server is unreachable, broken or pushing back, and in the
-// last two cases may name its own recovery horizon via Retry-After (which
-// the backoff honors as a floor).
-func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *tensor.Tensor, _ []Screening, retryable bool, retryAfter time.Duration, _ error) {
+// predictOnce sends one encoded batch and decodes the reply into out,
+// len(out)/classes rows. Transport errors, 5xx and 429 are retryable: the
+// server is unreachable, broken or pushing back, and in the last two cases
+// may name its own recovery horizon via Retry-After (which the backoff
+// honors as a floor).
+func (c *Client) predictOnce(ctx context.Context, payload *requestPayload, out []float64) (_ []Screening, retryable bool, retryAfter time.Duration, _ error) {
+	n := len(out) / c.classes
 	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.route("predict"), bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.route("predict"), nil)
 	if err != nil {
-		return nil, nil, false, 0, err
+		return nil, false, 0, err
 	}
+	req.Body = payload.body()
+	req.GetBody = func() (io.ReadCloser, error) { return payload.body(), nil }
+	req.ContentLength = int64(len(*payload.buf))
 	req.Header.Set("Content-Type", c.contentType)
 	resp, err := c.do(req)
 	if err != nil {
 		var se *StatusError
 		if !errors.As(err, &se) {
-			return nil, nil, true, 0, err
+			return nil, true, 0, err
 		}
 		transient := se.Code >= 500 || se.Code == http.StatusTooManyRequests
-		return nil, nil, transient, time.Duration(se.RetryAfter) * time.Second, err
+		return nil, transient, time.Duration(se.RetryAfter) * time.Second, err
 	}
 	defer resp.Body.Close()
 	// The reply says how it is spelled; a server answers in the type it was
@@ -732,11 +842,11 @@ func (c *Client) predictOnce(ctx context.Context, payload []byte, n int) (_ *ten
 	body, err := readCapped(*buf, resp.Body, resp.ContentLength, limit)
 	*buf = body
 	if err != nil {
-		return nil, nil, true, 0, fmt.Errorf("read response: %w", err)
+		return nil, true, 0, fmt.Errorf("read response: %w", err)
 	}
 	if int64(len(body)) > limit {
-		return nil, nil, true, 0, fmt.Errorf("decode response: reply to %d rows exceeds %d bytes", n, limit)
+		return nil, true, 0, fmt.Errorf("decode response: reply to %d rows exceeds %d bytes", n, limit)
 	}
-	out, screening, malformed, err := parsePredictResponse(contentType, body, n, c.classes)
-	return out, screening, malformed, 0, err
+	_, screening, malformed, err := parsePredictResponse(out, contentType, body, n, c.classes)
+	return screening, malformed, 0, err
 }

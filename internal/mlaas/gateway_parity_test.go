@@ -205,7 +205,7 @@ func TestGatewayPredictWireParity(t *testing.T) {
 				if status != 200 || gotCT != ct {
 					t.Fatalf("%s via %s in %s: %d %s %q", id, name, ct, status, gotCT, raw)
 				}
-				got, scr, malformed, err := parsePredictResponse(ct, raw, 6, ref.NumClasses())
+				got, scr, malformed, err := parsePredictResponse(nil, ct, raw, 6, ref.NumClasses())
 				if err != nil || malformed {
 					t.Fatalf("%s via %s in %s: %v", id, name, ct, err)
 				}

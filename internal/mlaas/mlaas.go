@@ -473,6 +473,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handlePredict serves one predict, on a node and on a gateway alike: the
+// body is read into a wireBufPool buffer, its rows decoded into rowPool
+// storage, and the reply encoded over the request's bytes — so no allocation
+// grows with the body. The rows go back to rowPool only once the provider has
+// returned success.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string) {
 	info, err := s.prov.Info(id)
 	if err != nil {
@@ -487,7 +492,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	// can need in that spelling.
 	limit := predictBodyLimit(contentType, maxBatch, info.InputDim)
 	// One pooled buffer carries the request body in and, once the rows are
-	// in the tensor, the response body out.
+	// in the tensor, the response body out: nothing on the way allocates in
+	// proportion to the body.
 	buf := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(buf)
 	body, err := readCapped(*buf, r.Body, r.ContentLength, limit)
@@ -502,8 +508,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	}
 	// Screening defaults ON for screened models; a request may opt out
 	// ("screen": false) and pay nothing. Unscreened models ignore the flag.
-	x, screen, err := parsePredictRequest(contentType, body, maxBatch, info.InputDim)
+	// The rows land in pooled storage, which goes back only on success (see
+	// rowPool): a failed predict may leave them queued for a worker.
+	rows := rowPool.Get().(*[]float64)
+	x, screen, err := parsePredictRequest(*rows, contentType, body, maxBatch, info.InputDim)
 	if err != nil {
+		rowPool.Put(rows)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
@@ -512,6 +522,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 		s.writeError(w, err)
 		return
 	}
+	*rows = x.Data
+	rowPool.Put(rows)
 	var screening []Screening
 	if scores != nil {
 		reject := s.screenPolicy == ScreenReject

@@ -77,8 +77,27 @@ func predictReplyLimit(contentType string, n, classes int) int64 {
 }
 
 // wireBufPool holds the byte scratch of the predict hot path: request and
-// response bodies on the node, the gateway and the client.
+// response bodies on the node, the gateway and the client. A buffer goes back
+// once nothing can read it any more. For a node's bodies and a client's reply
+// that is when the handler or the attempt returns; a client's request body is
+// a requestPayload, which net/http may still be writing after the attempt has
+// returned, so it goes back when the transport closes the last body over it.
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// rowPool holds the storage handlePredict decodes request rows into: up to
+// max_batch × input_dim values. A handler returns its slice only after
+// prov.Predict has returned success, when every reader of the rows — engine
+// worker, screener, a gateway's node client — is done with them. On any error
+// return, a cancelled context or errEngineClosed above all, a predictJob still
+// in the engine's queue may read the rows later, so the slice is left to the
+// GC.
+var rowPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// rowsInto returns len-n storage for decoded rows: dst's own when its
+// capacity allows, else fresh. Every value is overwritten by the caller.
+func rowsInto(dst []float64, n int) []float64 {
+	return slices.Grow(dst[:0], n)[:n]
+}
 
 // readBody reads r to EOF into buf's storage (always to EOF: a body left
 // half-read costs the HTTP connection). sizeHint, when positive, presizes
@@ -182,19 +201,20 @@ func appendJSON(dst []byte, v any) ([]byte, error) {
 // --- Decoding ----------------------------------------------------------------------
 
 // parsePredictRequest decodes a predict request body in contentType's
-// spelling into an [n, dim] tensor and the effective screen flag (absent means
-// true), enforcing 1 ≤ n ≤ maxBatch and the row width. Any error is the 400
-// message.
-func parsePredictRequest(contentType string, body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
+// spelling into an [n, dim] tensor over dst's storage (fresh storage when dst
+// is too small; nil always allocates) and the effective screen flag (absent
+// means true), enforcing 1 ≤ n ≤ maxBatch and the row width. Any error is the
+// 400 message.
+func parsePredictRequest(dst []float64, contentType string, body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
 	if contentType == ContentTypeBinaryPredict {
-		return predictRequestBinary(body, maxBatch, dim)
+		return predictRequestBinary(dst, body, maxBatch, dim)
 	}
-	return predictRequestJSON(body, maxBatch, dim)
+	return predictRequestJSON(dst, body, maxBatch, dim)
 }
 
 // predictRequestJSON is the JSON path of parsePredictRequest: encoding/json
 // decides what parses, and the shape checks after it word every other 400.
-func predictRequestJSON(body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
+func predictRequestJSON(dst []float64, body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
 	var req predictRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, false, fmt.Errorf("decode: %w", err)
@@ -206,7 +226,7 @@ func predictRequestJSON(body []byte, maxBatch, dim int) (*tensor.Tensor, bool, e
 	if n > maxBatch {
 		return nil, false, fmt.Errorf("batch %d exceeds limit %d", n, maxBatch)
 	}
-	x := tensor.New(n, dim)
+	x := tensor.FromSlice(rowsInto(dst, n*dim), n, dim)
 	for i, row := range req.Inputs {
 		if len(row) != dim {
 			return nil, false, fmt.Errorf("sample %d has %d values, want %d", i, len(row), dim)
@@ -218,19 +238,20 @@ func predictRequestJSON(body []byte, maxBatch, dim int) (*tensor.Tensor, bool, e
 
 // parsePredictResponse decodes a predict response body in contentType's
 // spelling, expected to hold n rows of classes confidences, into an [n,
-// classes] tensor plus the screening block, if one came. malformed marks an
-// error as "this is not a predict response at all" — a broken, truncated or
-// bit-flipped reply, worth a retry — as opposed to a well-formed reply of the
-// wrong shape.
-func parsePredictResponse(contentType string, body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
+// classes] tensor over dst's storage (as parsePredictRequest's) plus the
+// screening block, if one came. malformed marks an error as "this is not a
+// predict response at all" — a broken, truncated or bit-flipped reply, worth
+// a retry — as opposed to a well-formed reply of the wrong shape. A malformed
+// reply leaves dst untouched.
+func parsePredictResponse(dst []float64, contentType string, body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
 	if contentType == ContentTypeBinaryPredict {
-		return predictResponseBinary(body, n, classes)
+		return predictResponseBinary(dst, body, n, classes)
 	}
-	return predictResponseJSON(body, n, classes)
+	return predictResponseJSON(dst, body, n, classes)
 }
 
 // predictResponseJSON is the JSON path of parsePredictResponse.
-func predictResponseJSON(body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
+func predictResponseJSON(dst []float64, body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
 	var pr predictResponse
 	if err := json.Unmarshal(body, &pr); err != nil {
 		return nil, nil, true, fmt.Errorf("decode response: %w", err)
@@ -244,10 +265,11 @@ func predictResponseJSON(body []byte, n, classes int) (out *tensor.Tensor, scree
 		}
 		screening = pr.Screening
 	}
-	out = tensor.New(n, classes)
+	out = tensor.FromSlice(rowsInto(dst, n*classes), n, classes)
 	for i, row := range pr.Confidences {
 		if len(row) == 0 && screening != nil && screening[i].Rejected {
-			continue // withheld by the reject policy: confidences stay zero
+			clear(out.Data[i*classes : (i+1)*classes]) // withheld by the reject policy: confidences are zero
+			continue
 		}
 		if len(row) != classes {
 			return nil, nil, false, fmt.Errorf("row %d has %d classes, want %d", i, len(row), classes)

@@ -136,7 +136,7 @@ func appendPredictResponseBinary(dst []byte, probs []float64, classes int, scree
 // in the JSON path's order — not a message at all, empty, too many rows,
 // wrong width — and sizes the tensor only from a row count already held
 // against maxBatch and a payload length already held against the row count.
-func predictRequestBinary(body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
+func predictRequestBinary(dst []float64, body []byte, maxBatch, dim int) (*tensor.Tensor, bool, error) {
 	payload, err := binio.DecodeFrame(body)
 	if err != nil {
 		return nil, false, fmt.Errorf("decode: %w", err)
@@ -160,7 +160,7 @@ func predictRequestBinary(body []byte, maxBatch, dim int) (*tensor.Tensor, bool,
 	case flags&^binFlagNoScreen != 0:
 		return nil, false, fmt.Errorf("decode: unknown flag bits %#02x", flags)
 	}
-	x := tensor.New(int(rows), dim)
+	x := tensor.FromSlice(rowsInto(dst, int(rows)*dim), int(rows), dim)
 	if err := floatsLE(x.Data, floats, dim); err != nil {
 		return nil, false, err
 	}
@@ -170,7 +170,7 @@ func predictRequestBinary(body []byte, maxBatch, dim int) (*tensor.Tensor, bool,
 // predictResponseBinary is the binary path of parsePredictResponse. A body
 // that is not one whole, CRC-clean, self-consistent frame is malformed; a
 // clean frame announcing the wrong shape is the endpoint's mistake and is not.
-func predictResponseBinary(body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
+func predictResponseBinary(dst []float64, body []byte, n, classes int) (out *tensor.Tensor, screening []Screening, malformed bool, err error) {
 	payload, err := binio.DecodeFrame(body)
 	if err != nil {
 		return nil, nil, true, fmt.Errorf("decode response: %w", err)
@@ -208,7 +208,7 @@ func predictResponseBinary(body []byte, n, classes int) (out *tensor.Tensor, scr
 			screening = entries
 		}
 	}
-	out = tensor.New(n, classes)
+	out = tensor.FromSlice(rowsInto(dst, n*classes), n, classes)
 	if err := floatsLE(out.Data, floats, classes); err != nil {
 		return nil, nil, false, fmt.Errorf("endpoint returned a %w", err)
 	}

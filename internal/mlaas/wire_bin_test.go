@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,7 +112,7 @@ func binarySeeds(t testing.TB) map[string][]byte {
 // (identical bytes when it carries no screening block, whose JSON has more
 // than one spelling).
 func checkBinaryDecoders(t *testing.T, body []byte) {
-	if x, screen, err := parsePredictRequest(ContentTypeBinaryPredict, body, fuzzMaxBatch, fuzzWidth); err == nil {
+	if x, screen, err := parsePredictRequest(nil, ContentTypeBinaryPredict, body, fuzzMaxBatch, fuzzWidth); err == nil {
 		if x.Dim(0) < 1 || x.Dim(0) > fuzzMaxBatch || x.Dim(1) != fuzzWidth {
 			t.Fatalf("accepted a request of shape %v: %x", x.Shape(), body)
 		}
@@ -128,7 +129,7 @@ func checkBinaryDecoders(t *testing.T, body []byte) {
 	if len(body) >= binio.FrameHeaderSize+4 {
 		n = int(binary.LittleEndian.Uint32(body[binio.FrameHeaderSize:])%8) + 1
 	}
-	out, scr, _, err := parsePredictResponse(ContentTypeBinaryPredict, body, n, fuzzWidth)
+	out, scr, _, err := parsePredictResponse(nil, ContentTypeBinaryPredict, body, n, fuzzWidth)
 	if err != nil {
 		if out != nil {
 			t.Fatalf("refused response came with a tensor: %x", body)
@@ -146,7 +147,7 @@ func checkBinaryDecoders(t *testing.T, body []byte) {
 	if scr == nil && len(again) == len(body) && !bytes.Equal(again, body) {
 		t.Fatalf("accepted response does not re-encode to itself:\n got %x\nwant %x", again, body)
 	}
-	out2, scr2, malformed, err := parsePredictResponse(ContentTypeBinaryPredict, again, n, fuzzWidth)
+	out2, scr2, malformed, err := parsePredictResponse(nil, ContentTypeBinaryPredict, again, n, fuzzWidth)
 	if err != nil || malformed {
 		t.Fatalf("re-encoded response refused (malformed=%v): %v", malformed, err)
 	}
@@ -197,7 +198,7 @@ func TestPredictBinarySeeds(t *testing.T) {
 		"empty body":           "decode: binio: frame corrupt: 0-byte frame is shorter than its header",
 		"json":                 "decode: binio: frame corrupt: frame claims",
 	} {
-		x, screen, err := parsePredictRequest(ContentTypeBinaryPredict, seeds[name], fuzzMaxBatch, fuzzWidth)
+		x, screen, err := parsePredictRequest(nil, ContentTypeBinaryPredict, seeds[name], fuzzMaxBatch, fuzzWidth)
 		switch {
 		case want == "" && err != nil:
 			t.Errorf("%s: refused: %v", name, err)
@@ -231,7 +232,7 @@ func TestPredictBinarySeeds(t *testing.T) {
 		"trailing bytes":        {n: 2, malformed: true, err: "decode response: binio: frame corrupt"},
 		"json":                  {n: 1, malformed: true, err: "decode response: binio: frame corrupt"},
 	} {
-		out, _, malformed, err := parsePredictResponse(ContentTypeBinaryPredict, seeds[name], want.n, fuzzWidth)
+		out, _, malformed, err := parsePredictResponse(nil, ContentTypeBinaryPredict, seeds[name], want.n, fuzzWidth)
 		switch {
 		case want.err == "" && err != nil:
 			t.Errorf("%s: refused: %v", name, err)
@@ -243,11 +244,11 @@ func TestPredictBinarySeeds(t *testing.T) {
 			t.Errorf("%s: refused with a tensor", name)
 		}
 	}
-	if _, _, malformed, err := parsePredictResponse(ContentTypeBinaryPredict, seeds["response"], 3, fuzzWidth); err == nil || malformed ||
+	if _, _, malformed, err := parsePredictResponse(nil, ContentTypeBinaryPredict, seeds["response"], 3, fuzzWidth); err == nil || malformed ||
 		err.Error() != "endpoint returned 2 rows for 3 inputs" {
 		t.Errorf("two rows for three inputs: malformed=%v err=%v", malformed, err)
 	}
-	if _, _, malformed, err := parsePredictResponse(ContentTypeBinaryPredict, seeds["response"], 2, 4); err == nil || malformed ||
+	if _, _, malformed, err := parsePredictResponse(nil, ContentTypeBinaryPredict, seeds["response"], 2, 4); err == nil || malformed ||
 		err.Error() != "rows have 3 classes, want 4" {
 		t.Errorf("three classes for four: malformed=%v err=%v", malformed, err)
 	}
@@ -264,8 +265,8 @@ func TestPredictBinaryRefusalAllocatesNoMoreThanTheBody(t *testing.T) {
 		for range 5 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, reqErr := parsePredictRequest(ContentTypeBinaryPredict, body, 1<<20, fuzzWidth)
-			_, _, _, respErr := parsePredictResponse(ContentTypeBinaryPredict, body, 1, fuzzWidth)
+			_, _, reqErr := parsePredictRequest(nil, ContentTypeBinaryPredict, body, 1<<20, fuzzWidth)
+			_, _, _, respErr := parsePredictResponse(nil, ContentTypeBinaryPredict, body, 1, fuzzWidth)
 			runtime.ReadMemStats(&after)
 			if reqErr == nil || respErr == nil {
 				best = 0 // accepted by one of them: not this test's business
@@ -307,7 +308,7 @@ func TestPredictCodecsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, screen, err := parsePredictRequest(ct, req, x.Dim(0), x.Dim(1))
+		in, screen, err := parsePredictRequest(nil, ct, req, x.Dim(0), x.Dim(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +316,7 @@ func TestPredictCodecsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, scr, malformed, err := parsePredictResponse(ct, resp, probs.Dim(0), probs.Dim(1))
+		out, scr, malformed, err := parsePredictResponse(nil, ct, resp, probs.Dim(0), probs.Dim(1))
 		if err != nil || malformed {
 			t.Fatalf("%s response: malformed=%v err=%v", ct, malformed, err)
 		}
@@ -539,7 +540,7 @@ func TestBinaryPredictRefusalsOverHTTP(t *testing.T) {
 	if status != 200 || ct != ContentTypeBinaryPredict {
 		t.Fatalf("full batch: %d %s %q", status, ct, raw)
 	}
-	got, _, malformed, err := parsePredictResponse(ct, raw, 2, 3)
+	got, _, malformed, err := parsePredictResponse(nil, ct, raw, 2, 3)
 	if err != nil || malformed {
 		t.Fatal(err)
 	}
@@ -616,7 +617,7 @@ func TestBinaryPredictRejectPolicyWithholdsConfidences(t *testing.T) {
 	if status != 200 || ct != ContentTypeBinaryPredict {
 		t.Fatalf("%d %s %q", status, ct, raw)
 	}
-	out, scr, _, err := parsePredictResponse(ct, raw, 3, 3)
+	out, scr, _, err := parsePredictResponse(nil, ct, raw, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,7 +639,7 @@ func TestBinaryPredictRejectPolicyWithholdsConfidences(t *testing.T) {
 	// The opt-out flag is honoured in this spelling too.
 	req, _ = appendPredictRequest(nil, ContentTypeBinaryPredict, x.Data, 16, true)
 	_, ct, raw = postPredict(t, srv.URL+"/v1/predict", ContentTypeBinaryPredict, req)
-	out, scr, _, err = parsePredictResponse(ct, raw, 3, 3)
+	out, scr, _, err = parsePredictResponse(nil, ct, raw, 3, 3)
 	if err != nil || scr != nil {
 		t.Fatalf("opt-out: screening %+v, err %v", scr, err)
 	}
@@ -693,11 +694,13 @@ func TestChaosCorruptedBinaryReplyIsRetried(t *testing.T) {
 		x := tensor.New(int(seed*seed), 16)
 		rng.New(seed).Uniform(x.Data, 0, 1)
 		want := m.Predict(x.Clone())
-		payload, _ := appendPredictRequest(nil, ContentTypeBinaryPredict, x.Data, 16, false)
+		payload := newRequestPayload()
+		*payload.buf, _ = appendPredictRequest((*payload.buf)[:0], ContentTypeBinaryPredict, x.Data, 16, false)
 
 		chaos.Set(host, ChaosRule{CorruptPath: "/predict"})
-		out, _, retryable, _, err := once.predictOnce(ctx, payload, x.Dim(0))
-		if err == nil || !retryable || out != nil || !strings.Contains(err.Error(), "frame corrupt") {
+		out := make([]float64, x.Dim(0)*once.classes)
+		_, retryable, _, err := once.predictOnce(ctx, payload, out)
+		if err == nil || !retryable || slices.ContainsFunc(out, func(f float64) bool { return f != 0 }) || !strings.Contains(err.Error(), "frame corrupt") {
 			t.Fatalf("seed %d: corrupted reply: retryable=%v err=%v", seed, retryable, err)
 		}
 		if _, err := once.Predict(ctx, x); err == nil {

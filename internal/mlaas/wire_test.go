@@ -14,6 +14,7 @@ import (
 	"net/http/httptrace"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -133,7 +134,7 @@ const (
 // float bits and screen flag; an accepted response does the same with its
 // screening block, a withheld row coming back as zeros.
 func checkJSONDecoders(t *testing.T, body []byte) {
-	if x, screen, err := parsePredictRequest(contentTypeJSON, body, fuzzMaxBatch, fuzzWidth); err == nil {
+	if x, screen, err := parsePredictRequest(nil, contentTypeJSON, body, fuzzMaxBatch, fuzzWidth); err == nil {
 		if x.Dim(0) < 1 || x.Dim(0) > fuzzMaxBatch || x.Dim(1) != fuzzWidth {
 			t.Fatalf("accepted a request of shape %v: %q", x.Shape(), body)
 		}
@@ -141,7 +142,7 @@ func checkJSONDecoders(t *testing.T, body []byte) {
 		if err != nil {
 			t.Fatalf("accepted request does not re-encode: %v: %q", err, body)
 		}
-		x2, screen2, err := parsePredictRequest(contentTypeJSON, again, fuzzMaxBatch, fuzzWidth)
+		x2, screen2, err := parsePredictRequest(nil, contentTypeJSON, again, fuzzMaxBatch, fuzzWidth)
 		if err != nil || screen2 != screen {
 			t.Fatalf("re-encoded request %q: screen %v, want %v (%v)", again, screen2, screen, err)
 		}
@@ -150,7 +151,7 @@ func checkJSONDecoders(t *testing.T, body []byte) {
 		t.Fatalf("refused request came with a tensor: %q", body)
 	}
 	for n := 1; n <= 3; n++ {
-		out, scr, _, err := parsePredictResponse(contentTypeJSON, body, n, fuzzWidth)
+		out, scr, _, err := parsePredictResponse(nil, contentTypeJSON, body, n, fuzzWidth)
 		if err != nil {
 			if out != nil {
 				t.Fatalf("refused response came with a tensor: %q", body)
@@ -164,7 +165,7 @@ func checkJSONDecoders(t *testing.T, body []byte) {
 		if err != nil {
 			t.Fatalf("accepted response does not re-encode: %v: %q", err, body)
 		}
-		out2, scr2, malformed, err := parsePredictResponse(contentTypeJSON, again, n, fuzzWidth)
+		out2, scr2, malformed, err := parsePredictResponse(nil, contentTypeJSON, again, n, fuzzWidth)
 		if err != nil || malformed {
 			t.Fatalf("re-encoded response %q refused (malformed=%v): %v", again, malformed, err)
 		}
@@ -241,8 +242,11 @@ func FuzzPredictWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkJSONDecoders(t, body) })
 }
 
-// Decode + encode of both binary messages allocates the two result tensors
-// and nothing else, however many rows go through.
+// Decode of both binary messages into warm caller storage, plus their encode
+// into a warm buffer, allocates the two tensor headers and nothing else,
+// however many rows go through: the node decodes a request into pooled rows
+// and the client a reply into its output's rows, so no allocation on the
+// codec grows with the body.
 func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
 	ct := ContentTypeBinaryPredict
 	for _, rows := range []int{wireNarrow, wireWide} {
@@ -250,11 +254,12 @@ func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
 		req, _ := appendPredictRequest(nil, ct, x.Data, wireCols, true)
 		resp, _ := appendPredictResponse(nil, ct, probs.Data, wireClasses, nil)
 		scratch := make([]byte, 0, 2*len(req))
+		in, out := make([]float64, rows*wireCols), make([]float64, rows*wireClasses)
 		codec := testing.AllocsPerRun(20, func() {
-			if _, _, err := parsePredictRequest(ct, req, rows, wireCols); err != nil {
+			if _, _, err := parsePredictRequest(in, ct, req, rows, wireCols); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := parsePredictResponse(ct, resp, rows, wireClasses); err != nil {
+			if _, _, _, err := parsePredictResponse(out, ct, resp, rows, wireClasses); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := appendPredictRequest(scratch[:0], ct, x.Data, wireCols, true); err != nil {
@@ -264,11 +269,11 @@ func TestPredictWireAllocsIndependentOfRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		tensors := testing.AllocsPerRun(20, func() {
-			wireSink += tensor.New(rows, wireCols).Len() + tensor.New(rows, wireClasses).Len()
+		headers := testing.AllocsPerRun(20, func() {
+			wireSink += tensor.FromSlice(in, rows, wireCols).Len() + tensor.FromSlice(out, rows, wireClasses).Len()
 		})
-		if codec != tensors {
-			t.Errorf("%d rows: decode+encode makes %v allocations, its two tensors account for %v", rows, codec, tensors)
+		if codec != headers {
+			t.Errorf("%d rows: decode+encode makes %v allocations, its two tensor headers account for %v", rows, codec, headers)
 		}
 	}
 }
@@ -492,7 +497,9 @@ func TestClientCapsPredictReply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload, _ := appendPredictRequest(nil, c.contentType, make([]float64, n*dim), dim, false)
+			payload := newRequestPayload()
+			*payload.buf, _ = appendPredictRequest((*payload.buf)[:0], c.contentType, make([]float64, n*dim), dim, false)
+			out := make([]float64, n*classes)
 			// TotalAlloc is process-wide, the node included: take the quietest
 			// of a few tries. (The pooled read buffer would hide a lost cap
 			// after the first try; the byte count does not.)
@@ -501,9 +508,9 @@ func TestClientCapsPredictReply(t *testing.T) {
 				wire.read = 0
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				out, _, retryable, _, err := c.predictOnce(ctx, payload, n)
+				_, retryable, _, err := c.predictOnce(ctx, payload, out)
 				runtime.ReadMemStats(&after)
-				if err == nil || !retryable || out != nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d bytes", limit)) {
+				if err == nil || !retryable || slices.ContainsFunc(out, func(f float64) bool { return f != 0 }) || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d bytes", limit)) {
 					t.Fatalf("%s, endless=%v: retryable=%v err=%v", ct, endless, retryable, err)
 				}
 				if wire.read != limit+1 {
@@ -638,9 +645,11 @@ var wireCodecs = []string{contentTypeJSON, ContentTypeBinaryPredict}
 var wireLegs = [][2]string{{"json", contentTypeJSON}, {"bin", ContentTypeBinaryPredict}}
 
 // benchDecode times the server's decode of a request plus the client's
-// decode of the matching response, through parsePredict* in each spelling.
+// decode of the matching response, through parsePredict* in each spelling,
+// into warm storage as the node and the client decode.
 func benchDecode(b *testing.B, rows int) {
 	x, probs := wireMessage(rows)
+	in, out := make([]float64, rows*wireCols), make([]float64, rows*wireClasses)
 	for _, leg := range wireLegs {
 		ct := leg[1]
 		req, _ := appendPredictRequest(nil, ct, x.Data, wireCols, true)
@@ -649,12 +658,12 @@ func benchDecode(b *testing.B, rows int) {
 			b.SetBytes(int64(len(req) + len(resp)))
 			b.ReportAllocs()
 			for b.Loop() {
-				in, _, err1 := parsePredictRequest(ct, req, rows, wireCols)
-				out, _, _, err2 := parsePredictResponse(ct, resp, rows, wireClasses)
+				request, _, err1 := parsePredictRequest(in, ct, req, rows, wireCols)
+				reply, _, _, err2 := parsePredictResponse(out, ct, resp, rows, wireClasses)
 				if err1 != nil || err2 != nil {
 					b.Fatal(err1, err2)
 				}
-				wireSink += in.Len() + out.Len()
+				wireSink += request.Len() + reply.Len()
 			}
 		})
 	}
