@@ -119,183 +119,6 @@ func BenchmarkConvInfer(b *testing.B) {
 	}
 }
 
-// --- Quantized int8 kernels (PR 6) --------------------------------------------
-//
-// The before/after pair for the int8 serving path: BenchmarkMatMulTiledSerial
-// above is the float64 single-core baseline on the same 192² shape;
-// BenchmarkQMatMulInt8Serial runs the per-channel quantized kernel, including
-// the on-the-fly activation quantization it performs every call. The model-
-// level pair (ModelPredictDenseFP64/Int8) measures the same trade through a
-// matmul-bound dense stack and reports resident weight bytes.
-//
-// Expect the model-level speedup to undershoot the kernel-level one: past the
-// first layer the activations are post-ReLU, so roughly half of them are
-// exactly zero and the fp kernel's zero-skip (matMulRange) drops those panels
-// entirely, while the int8 kernel always runs dense (a quantized zero is the
-// zero-point byte, indistinguishable mid-kernel). On dense operands — the
-// kernel pair here, and any non-ReLU activation pattern — the full gap shows.
-// BENCH_6.json is the historical record of these. Reproduce locally with:
-//
-//	go test -bench 'QMatMul|ModelPredictDense' -benchtime=3s .
-
-// BenchmarkQMatMulInt8Serial pins the pool to one worker so the delta vs
-// MatMulTiledSerial is pure int8 arithmetic, not parallelism.
-func BenchmarkQMatMulInt8Serial(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	dst, x, y := benchMatPair(b)
-	q := tensor.QuantizePerCol(y)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.QMatMulInto(dst, x, q)
-	}
-}
-
-// benchServingMatPair is the serving path's dominant matmul shape: a
-// predict-block of activation rows against a 512-wide Dense weight matrix
-// (the hidden layers of the dense stack below). The 192³ pair above keeps
-// the historical tier-1 shape; this one is what `-quantize` actually buys
-// per request.
-func benchServingMatPair(b *testing.B) (dst, x, y *tensor.Tensor) {
-	b.Helper()
-	r := rng.New(12)
-	x, y = tensor.New(64, 512), tensor.New(512, 512)
-	r.Gaussian(x.Data, 0, 1)
-	r.Gaussian(y.Data, 0, 1)
-	return tensor.New(64, 512), x, y
-}
-
-// BenchmarkMatMulTiledServing is the fp64 single-core baseline at the
-// serving shape.
-func BenchmarkMatMulTiledServing(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	dst, x, y := benchServingMatPair(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(dst, x, y)
-	}
-}
-
-// BenchmarkQMatMulInt8Serving runs the quantized kernel at the serving
-// shape (target: ≥2x BenchmarkMatMulTiledServing on one core).
-func BenchmarkQMatMulInt8Serving(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	dst, x, y := benchServingMatPair(b)
-	q := tensor.QuantizePerCol(y)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.QMatMulInto(dst, x, q)
-	}
-}
-
-// benchFleetWeights builds nw independent 512² weight matrices, simulating a
-// registry hot-set where consecutive predicts hit different models so no
-// single weight matrix stays cache-resident between calls. This is the
-// condition `-quantize` targets: the fp64 fleet (nw × 2 MiB) streams from
-// memory every call, while the int8 fleet (nw × ~0.6 MiB) largely stays in
-// cache — on top of the int8 arithmetic advantage the single-matrix pair
-// above isolates.
-const benchFleetModels = 8
-
-func benchFleetWeights(b *testing.B) (dst, x *tensor.Tensor, ys []*tensor.Tensor) {
-	b.Helper()
-	r := rng.New(12)
-	x = tensor.New(64, 512)
-	r.Gaussian(x.Data, 0, 1)
-	for i := 0; i < benchFleetModels; i++ {
-		y := tensor.New(512, 512)
-		r.Gaussian(y.Data, 0, 1)
-		ys = append(ys, y)
-	}
-	return tensor.New(64, 512), x, ys
-}
-
-// BenchmarkMatMulTiledFleet is the fp64 baseline under hot-set rotation.
-func BenchmarkMatMulTiledFleet(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	dst, x, ys := benchFleetWeights(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(dst, x, ys[i%benchFleetModels])
-	}
-}
-
-// BenchmarkQMatMulInt8Fleet rotates the same hot-set through the quantized
-// kernel (target: ≥2x BenchmarkMatMulTiledFleet on one core).
-func BenchmarkQMatMulInt8Fleet(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	dst, x, ys := benchFleetWeights(b)
-	qs := make([]*tensor.QTensor, benchFleetModels)
-	for i, y := range ys {
-		qs[i] = tensor.QuantizePerCol(y)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.QMatMulInto(dst, x, qs[i%benchFleetModels])
-	}
-}
-
-// benchDenseModel is a matmul-bound dense stack (256→512→512→10): wide
-// enough that the Dense kernels dominate and the quantized path's speedup
-// is visible at the Predict level, not just per kernel.
-func benchDenseModel(b *testing.B) *nn.Model {
-	b.Helper()
-	r := rng.New(6)
-	m := &nn.Model{
-		Arch:       nn.ArchConvLite,
-		InputDim:   256,
-		NumClasses: 10,
-		Layers: []nn.Layer{
-			nn.NewDense(256, 512, r),
-			&nn.ReLU{},
-			nn.NewDense(512, 512, r),
-			&nn.ReLU{},
-			nn.NewDense(512, 10, r),
-		},
-	}
-	if err := m.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-func benchModelPredict(b *testing.B, m *nn.Model) {
-	b.Helper()
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	x := tensor.New(64, m.InputDim)
-	rng.New(7).Uniform(x.Data, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
-	}
-	b.ReportMetric(float64(m.WeightBytes()), "weight_bytes")
-}
-
-// BenchmarkModelPredictDenseFP64 is the single-core fp baseline for the
-// quantized variant below; weight_bytes reports the resident footprint.
-func BenchmarkModelPredictDenseFP64(b *testing.B) {
-	benchModelPredict(b, benchDenseModel(b))
-}
-
-// BenchmarkModelPredictDenseInt8 serves the same stack through the int8
-// path (target: ≥2x the fp64 variant, ~4x+ smaller weight_bytes).
-func BenchmarkModelPredictDenseInt8(b *testing.B) {
-	m := benchDenseModel(b)
-	m.Quantize(0)
-	benchModelPredict(b, m)
-}
-
 // --- Generation-batched CMA-ES evaluation ------------------------------------
 //
 // TrainBlackBox end to end — candidate-invariant resize cache plus one fused

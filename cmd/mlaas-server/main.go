@@ -13,16 +13,8 @@
 //
 //	mlaas-server -addr :8080 -model model.bin
 //	mlaas-server -addr :8080 -models zoo/ -max-loaded 4    # serve a zoo
-//	mlaas-server -addr :8080 -models zoo/ -quantize        # int8 serving
 //	mlaas-server -addr :8080 -models zoo/ -detector detector.bpd   # + audits
 //	mlaas-server -addr :8080 -demo badnets    # train a backdoored demo model
-//
-// -quantize switches serving to the reduced-precision int8 inference path:
-// weights are quantized as each checkpoint loads (never on disk), shrinking
-// hot-set residency ~4x and roughly doubling matmul-bound predict
-// throughput at a small, bounded confidence error. A checkpoint sidecar's
-// "precision" field pins individual models to "fp64" (bit-exact) or "int8"
-// regardless of the flag.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight predict
 // requests drain through http.Server.Shutdown, and running audit jobs are
@@ -64,7 +56,6 @@ func run() error {
 		modelsDir     = flag.String("models", "", "checkpoint directory to serve as a multi-model registry")
 		defaultModel  = flag.String("default", "", "registry model id served by the legacy /v1/info and /v1/predict routes (default: 'clean' if present, else first id)")
 		maxLoaded     = flag.Int("max-loaded", 0, "registry LRU hot-set size: models resident at once (0: default 4)")
-		quantize      = flag.Bool("quantize", false, "serve int8-quantized models: quantize weights at load (~4x smaller resident, ~2x faster matmul-bound predict); sidecar \"precision\" overrides per model")
 		demo          = flag.String("demo", "", "train a demo model instead: 'clean' or an attack name (badnets, blend, ...)")
 		seed          = flag.Uint64("seed", 1, "demo training seed")
 		maxBatch      = flag.Int("max-batch", 0, "samples per request and micro-batch coalescing target (0: default 512)")
@@ -122,7 +113,6 @@ func run() error {
 			MaxBatch:      *maxBatch,
 			MaxConcurrent: *maxConcurrent,
 			Default:       *defaultModel,
-			Quantize:      *quantize,
 			Screener:      screener,
 			ScreenPolicy:  *screenPolicy,
 		})
@@ -134,7 +124,7 @@ func run() error {
 			fmt.Printf("serving %d models from %s on http://%s (default %q, hot-set %d); Ctrl-C to stop\n",
 				reg.Len(), *modelsDir, addr, reg.DefaultID(), reg.MaxLoaded())
 			for _, mi := range reg.Models() {
-				fmt.Printf("  /v1/models/%s  (%s, classes=%d dim=%d, %s)\n", mi.ID, mi.Arch, mi.Classes, mi.InputDim, mi.Precision)
+				fmt.Printf("  /v1/models/%s  (%s, classes=%d dim=%d)\n", mi.ID, mi.Arch, mi.Classes, mi.InputDim)
 			}
 		}
 	} else {
@@ -152,9 +142,6 @@ func run() error {
 				return err
 			}
 			model = m
-		}
-		if *quantize {
-			model.Quantize(0)
 		}
 		if screener != nil && screener.InputDim() != model.InputDim {
 			return fmt.Errorf("-screen: screener canvas %d does not match model input %d", screener.InputDim(), model.InputDim)

@@ -291,10 +291,7 @@ func (o *providerOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor
 	// Audit traffic is never screened (screen=false): an inspection issues
 	// thousands of probe queries that only need raw confidences, and its
 	// verdict must stay bit-identical whether or not the hosted model also
-	// serves screened predict traffic. This also keeps quantized models
-	// auditable — screening and auditing alike are pure inference, and
-	// nothing on this path may reach the training-only APIs a quantized
-	// model panics on (nn.Model.NewPass / Dense.Backward).
+	// serves screened predict traffic.
 	if maxBatch <= 0 || n <= maxBatch {
 		probs, _, err := o.prov.Predict(ctx, o.id, x, false)
 		return probs, err

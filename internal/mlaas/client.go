@@ -130,7 +130,6 @@ type Client struct {
 	classes      int
 	inputDim     int
 	maxBatch     int
-	precision    string
 	screened     bool
 	screenPolicy string
 	contentType  string // spelling of predict requests: binary where advertised, else JSON
@@ -169,8 +168,7 @@ func dial(ctx context.Context, baseURL, modelID string, cfg ClientConfig) (*Clie
 	c.name = info.Name
 	c.classes = info.Classes
 	c.inputDim = info.InputDim
-	c.maxBatch = info.MaxBatch   // 0 for endpoints that do not advertise one
-	c.precision = info.Precision // "" for endpoints that predate the field
+	c.maxBatch = info.MaxBatch // 0 for endpoints that do not advertise one
 	c.screened = info.Screened
 	c.screenPolicy = info.ScreenPolicy
 	// Endpoints that list the binary predict frame get it; anything else —
@@ -253,11 +251,6 @@ func (c *Client) NumClasses() int { return c.classes }
 
 // InputDim reports the bound model's flattened input width.
 func (c *Client) InputDim() int { return c.inputDim }
-
-// Precision reports the endpoint's advertised serving precision for the
-// bound model ("fp64", "int8", or "" when the endpoint does not advertise
-// one).
-func (c *Client) Precision() string { return c.precision }
 
 // MaxBatch reports the endpoint's advertised per-request batch limit
 // (0 when the endpoint does not advertise one). It implements

@@ -770,13 +770,16 @@ func (g *Gateway) cancelAudit(ctx context.Context, jobID string) (audit.Job, err
 // listAudits merges every healthy node's job list (best-effort: a node
 // failing mid-list is skipped and takes a health strike), ordered by
 // submission time then id. A fleet whose every healthy node answers 501
-// answers ErrAuditsDisabled, as each of them would.
+// answers ErrAuditsDisabled, as each of them would. When no node answers
+// at all, the last node error (or ErrNoHealthyReplica, when no node is
+// healthy) passes through: an empty list is only ever a fleet's answer.
 func (g *Gateway) listAudits(ctx context.Context) ([]audit.Job, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var jobs []audit.Job
-	var asked int
-	var disabled atomic.Int32
+	var asked, disabled int
+	var answered bool
+	var lastErr error
 	for _, n := range g.nodes {
 		if !n.isHealthy() {
 			continue
@@ -786,24 +789,31 @@ func (g *Gateway) listAudits(ctx context.Context) ([]audit.Job, error) {
 		go func(n *gatewayNode) {
 			defer wg.Done()
 			nodeJobs, err := n.api.ListAudits(ctx)
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				g.nodeRouteErr(n, err) // strike bookkeeping only
 				var se *StatusError
 				if errors.As(err, &se) && se.Code == http.StatusNotImplemented {
-					disabled.Add(1)
+					disabled++
 				}
+				lastErr = g.nodeRouteErr(n, err)
 				return
 			}
-			mu.Lock()
+			answered = true
 			for _, j := range nodeJobs {
 				jobs = append(jobs, namespaceJob(n, j))
 			}
-			mu.Unlock()
 		}(n)
 	}
 	wg.Wait()
-	if asked > 0 && int(disabled.Load()) == asked {
+	if asked > 0 && disabled == asked {
 		return nil, ErrAuditsDisabled
+	}
+	if !answered {
+		if lastErr == nil {
+			lastErr = fmt.Errorf("%w: audit list (no healthy node)", ErrNoHealthyReplica)
+		}
+		return nil, lastErr
 	}
 	sort.Slice(jobs, func(i, j int) bool {
 		if !jobs[i].Created.Equal(jobs[j].Created) {

@@ -393,6 +393,75 @@ func TestGatewayAuditPollSurvivesNodeKill(t *testing.T) {
 	}
 }
 
+// TestGatewayListAuditsReportsUnreachableFleet: GET /v1/audits through a
+// gateway is "no jobs" only when some node said so. A fleet whose every
+// node fails the list answers with the node error, a fleet with no healthy
+// node answers 503, and a partial answer from the nodes that did reply
+// stays a 200.
+func TestGatewayListAuditsReportsUnreachableFleet(t *testing.T) {
+	var failing [2]atomic.Bool
+	var nodes []string
+	for i := range failing {
+		inner := fakeAuditNode(t).Config.Handler
+		flag := &failing[i]
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet || r.URL.Path != "/v1/audits" {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if flag.Load() {
+				w.WriteHeader(http.StatusInternalServerError)
+				_, _ = w.Write([]byte(`{"error":"journal unreadable"}`))
+				return
+			}
+			_, _ = w.Write([]byte(`{"jobs":[{"id":"a1","model_id":"m","state":"running","created":"2026-01-01T00:00:00Z"}]}`))
+		}))
+		t.Cleanup(srv.Close)
+		nodes = append(nodes, srv.URL)
+	}
+	cfg := gwTestConfig(nodes...)
+	cfg.Client.Retries = NoRetries
+	g, err := NewGateway(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := NewGatewayServer(g)
+	t.Cleanup(gs.Close)
+	gwSrv := httptest.NewServer(gs.Handler())
+	t.Cleanup(gwSrv.Close)
+	list := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(gwSrv.URL + "/v1/audits")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		_, _ = body.ReadFrom(resp.Body)
+		return resp.StatusCode, body.String()
+	}
+
+	failing[0].Store(true)
+	failing[1].Store(true)
+	if status, body := list(); status != http.StatusInternalServerError {
+		t.Fatalf("every node failed the list: %d %s, want the nodes' 500", status, body)
+	}
+	// Each 500 struck its node down (MarkDownAfter 1): nothing is healthy.
+	if g.HealthyNodes() != 0 {
+		t.Fatalf("%d nodes still healthy after failing the list", g.HealthyNodes())
+	}
+	if status, body := list(); status != http.StatusServiceUnavailable {
+		t.Fatalf("no healthy node: %d %s, want 503", status, body)
+	}
+
+	failing[0].Store(false)
+	g.probeAll(context.Background())
+	if status, body := list(); status != http.StatusOK || !strings.Contains(body, `"n0.a1"`) {
+		t.Fatalf("one node answered: %d %s, want 200 with its job", status, body)
+	}
+}
+
 // TestWaitAuditTolerates503Blip: a transient 503 (node flap behind a
 // gateway) must not abort a fleet wait — the regression the 503 path never
 // had coverage for.

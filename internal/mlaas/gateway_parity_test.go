@@ -18,7 +18,6 @@ import (
 	"bprom/internal/audit"
 	"bprom/internal/bprom"
 	"bprom/internal/jobstore"
-	"bprom/internal/nn"
 	"bprom/internal/rng"
 	"bprom/internal/tensor"
 )
@@ -26,37 +25,24 @@ import (
 // Gateway-vs-single-node bit-parity suite: the routing layer must be
 // behaviorally invisible. Confidences, screening scores, and audit
 // verdicts through a gateway over N nodes are asserted bit-identical to
-// one in-process node serving the same zoo — for fp64 AND int8 models —
-// extending the PR 3/4 parity chain (in-process == wire == artifact
-// round-trip) across one more boundary. Anything less is drift an
-// adaptive attacker can exploit to tell audit traffic from the real
-// serving path.
+// one in-process node serving the same zoo, extending the parity chain
+// (in-process == wire == artifact round-trip) across one more boundary.
+// Anything less is drift an adaptive attacker can exploit to tell audit
+// traffic from the real serving path.
 
-// gatewayParityZoo copies the shared audit zoo's trained checkpoints and
-// adds int8-pinned twins ("-i8" sidecar precision override), so every
-// parity assertion runs once per serving precision.
+// gatewayParityZoo copies the shared audit zoo's trained checkpoints, the
+// models every parity assertion runs over.
 func gatewayParityZoo(t *testing.T) string {
 	t.Helper()
 	env := sharedAuditEnv(t)
 	dir := t.TempDir()
-	for _, id := range []string{"clean", "badnets"} {
+	for _, id := range parityModelIDs() {
 		raw, err := os.ReadFile(filepath.Join(env.zoo, id+".bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, variant := range []struct {
-			id        string
-			precision string
-		}{{id, ""}, {id + "-i8", nn.PrecisionInt8}} {
-			path := filepath.Join(dir, variant.id+".bin")
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if variant.precision != "" {
-				if err := (nn.Sidecar{Precision: variant.precision}).WriteFile(path); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if err := os.WriteFile(filepath.Join(dir, id+".bin"), raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return dir
@@ -112,12 +98,11 @@ func startParityGateway(t *testing.T, zoo string, nodeCount int) (*httptest.Serv
 }
 
 func parityModelIDs() []string {
-	return []string{"clean", "badnets", "clean-i8", "badnets-i8"}
+	return []string{"clean", "badnets"}
 }
 
 // TestGatewayPredictParity asserts confidences AND screening outcomes
-// through the gateway are bit-identical to a single node, per model and
-// per serving precision.
+// through the gateway are bit-identical to a single node, per model.
 func TestGatewayPredictParity(t *testing.T) {
 	zoo := gatewayParityZoo(t)
 	single := startParityNode(t, zoo)
@@ -134,7 +119,7 @@ func TestGatewayPredictParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gw.NumClasses() != ref.NumClasses() || gw.InputDim() != ref.InputDim() ||
-			gw.Precision() != ref.Precision() || gw.Screened() != ref.Screened() ||
+			gw.Screened() != ref.Screened() ||
 			gw.ScreenPolicy() != ref.ScreenPolicy() {
 			t.Fatalf("%s: gateway metadata diverges from node: %+v vs %+v", id, gw, ref)
 		}
@@ -225,7 +210,7 @@ func TestGatewayPredictWireParity(t *testing.T) {
 // TestGatewayAuditVerdictParity is the fleet-audit acceptance check:
 // submitting the same (model, inspect id) audit through the gateway and
 // against a single node must yield bit-identical verdicts for every model
-// in the golden zoo, fp64 and int8 alike. Jobs routed by the gateway carry
+// in the golden zoo. Jobs routed by the gateway carry
 // their namespaced id and node tag.
 func TestGatewayAuditVerdictParity(t *testing.T) {
 	zoo := gatewayParityZoo(t)

@@ -115,11 +115,6 @@ type ModelInfo struct {
 	InputDim int `json:"input_dim"`
 	// Params is the trainable-scalar count (0 when unknown).
 	Params int `json:"params,omitempty"`
-	// Precision is the serving precision: "fp64" for the bit-exact float
-	// path, "int8" for the quantized inference path (registry default or
-	// sidecar override; quantization is derived at load, checkpoints stay
-	// full-precision on disk).
-	Precision string `json:"precision,omitempty"`
 	// Screened reports whether inline request screening covers this model:
 	// the server carries a screener, the model's input width matches its
 	// prompt canvas, and no sidecar opted the model out.
@@ -128,7 +123,7 @@ type ModelInfo struct {
 	// right now (single-model servers are always loaded).
 	Loaded bool `json:"loaded"`
 	// ResidentBytes is the weight bytes the model occupies while resident
-	// (0 when cold). Quantized models charge their int8 footprint.
+	// (0 when cold).
 	ResidentBytes int `json:"resident_bytes,omitempty"`
 }
 
@@ -289,7 +284,6 @@ func NewServer(model *nn.Model, cfg ServerConfig) *Server {
 			Classes:       model.NumClasses,
 			InputDim:      model.InputDim,
 			Params:        model.ParamCount(),
-			Precision:     model.Precision(),
 			Screened:      cfg.Screener != nil,
 			Loaded:        true,
 			ResidentBytes: model.WeightBytes(),
@@ -372,10 +366,6 @@ type infoResponse struct {
 	Classes  int    `json:"classes"`
 	InputDim int    `json:"input_dim"`
 	MaxBatch int    `json:"max_batch"`
-	// Precision advertises the serving precision ("fp64" or "int8") so
-	// clients know whether confidences come from the bit-exact float path
-	// or the quantized one. Omitted by servers that predate the field.
-	Precision string `json:"precision,omitempty"`
 	// Screened advertises inline request screening on this model's predict
 	// route. Omitted (false) by servers without a screener.
 	Screened bool `json:"screened,omitempty"`
@@ -455,14 +445,13 @@ func (s *Server) handleInfo(w http.ResponseWriter, id string) {
 		return
 	}
 	resp := infoResponse{
-		ID:        info.ID,
-		Name:      info.Name,
-		Arch:      info.Arch,
-		Classes:   info.Classes,
-		InputDim:  info.InputDim,
-		MaxBatch:  s.prov.MaxBatch(),
-		Precision: info.Precision,
-		Screened:  info.Screened,
+		ID:       info.ID,
+		Name:     info.Name,
+		Arch:     info.Arch,
+		Classes:  info.Classes,
+		InputDim: info.InputDim,
+		MaxBatch: s.prov.MaxBatch(),
+		Screened: info.Screened,
 	}
 	if info.Screened {
 		resp.ScreenPolicy = s.screenPolicy

@@ -36,16 +36,6 @@ type RegistryConfig struct {
 	// Empty means: the checkpoint named "clean" if present, else the first
 	// id in sorted order.
 	Default string
-	// Quantize makes int8 the registry's default serving precision: models
-	// are quantized right after their weights load (nn.Model.Quantize with
-	// the default weight floor), so hot-set residency is charged at int8
-	// size — roughly 4x more checkpoints fit the same memory budget.
-	// Checkpoints are always stored full-precision on disk; quantization is
-	// derived at load and never persisted. A sidecar "precision" field
-	// overrides the default per model in either direction: "fp64" pins a
-	// model to the bit-exact float path (experiment reproducibility),
-	// "int8" quantizes one model on an otherwise full-precision registry.
-	Quantize bool
 	// Screener enables inline request screening (typically derived from a
 	// detector artifact via bprom.Detector.Screener) on every hosted model
 	// whose input width matches the screener's prompt canvas; incompatible
@@ -81,9 +71,6 @@ type regEntry struct {
 	id   string
 	path string
 	info ModelInfo
-	// quantize is the precision resolved at scan time: the registry default,
-	// unless the sidecar's "precision" field overrode it for this model.
-	quantize bool
 	// screen is the screening coverage resolved at scan time: the registry
 	// carries a compatible screener and the sidecar did not opt out.
 	screen bool
@@ -93,8 +80,8 @@ type regEntry struct {
 	refs    int
 	lastUse uint64
 	// residentBytes is what this entry currently charges against the
-	// registry's resident-weight total: the loaded model's WeightBytes()
-	// (int8-sized for quantized entries), 0 while cold.
+	// registry's resident-weight total: the loaded model's WeightBytes(),
+	// 0 while cold.
 	residentBytes int
 }
 
@@ -158,23 +145,11 @@ func OpenRegistry(dir string, cfg RegistryConfig) (*Registry, error) {
 		if display == "" {
 			display = id
 		}
-		// Serving precision: registry default, unless the sidecar pins this
-		// model. Unknown values are a scan error — a typo silently serving
-		// the wrong precision would defeat the fp-exact fallback.
-		quantize := cfg.Quantize
-		switch sc.Precision {
-		case "":
-		case nn.PrecisionFP64:
-			quantize = false
-		case nn.PrecisionInt8:
-			quantize = true
-		default:
-			return nil, fmt.Errorf("mlaas: checkpoint %q: sidecar precision %q (want %q or %q)",
-				id, sc.Precision, nn.PrecisionFP64, nn.PrecisionInt8)
-		}
-		precision := nn.PrecisionFP64
-		if quantize {
-			precision = nn.PrecisionInt8
+		// Every model serves the exact float64 path, so a sidecar asking for
+		// any other precision (an older zoo's "int8") fails the scan rather
+		// than being served fp64 without a word.
+		if sc.Precision != "" && sc.Precision != "fp64" {
+			return nil, fmt.Errorf("mlaas: checkpoint %q: sidecar precision %q: int8 serving was removed, only \"fp64\" is served", id, sc.Precision)
 		}
 		// Screening coverage: default on for every model the screener's
 		// prompt canvas fits, with a per-model sidecar override. "on" is an
@@ -197,20 +172,18 @@ func OpenRegistry(dir string, cfg RegistryConfig) (*Registry, error) {
 			return nil, fmt.Errorf("mlaas: checkpoint %q: sidecar screen %q (want \"on\" or \"off\")", id, sc.Screen)
 		}
 		r.entries[id] = &regEntry{
-			id:       id,
-			path:     path,
-			quantize: quantize,
-			screen:   screen,
+			id:     id,
+			path:   path,
+			screen: screen,
 			info: ModelInfo{
-				ID:        id,
-				Name:      display,
-				Arch:      string(h.Arch),
-				Note:      sc.Note,
-				Classes:   h.NumClasses,
-				InputDim:  h.InputDim,
-				Params:    sc.Params,
-				Precision: precision,
-				Screened:  screen,
+				ID:       id,
+				Name:     display,
+				Arch:     string(h.Arch),
+				Note:     sc.Note,
+				Classes:  h.NumClasses,
+				InputDim: h.InputDim,
+				Params:   sc.Params,
+				Screened: screen,
 			},
 		}
 		r.ids = append(r.ids, id)
@@ -253,10 +226,8 @@ func (r *Registry) LoadedCount() int {
 }
 
 // ResidentBytes reports the total weight bytes held by resident models
-// right now: quantized entries charge their int8 footprint, full-precision
-// entries their float64 one. The LRU bound itself stays count-based
-// (MaxLoaded); this is the observability hook that shows what Quantize
-// buys within that count.
+// right now. The LRU bound itself stays count-based (MaxLoaded); this is
+// the observability hook for the memory that count costs.
 func (r *Registry) ResidentBytes() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -343,13 +314,6 @@ func (r *Registry) acquire(id string) (*regEntry, *engine, error) {
 	if err != nil {
 		r.release(e)
 		return nil, nil, fmt.Errorf("mlaas: load model %q: %w", id, err)
-	}
-	if e.quantize {
-		// Quantization is derived here, at load, from the full-precision
-		// checkpoint — never persisted. Layers under the weight floor stay
-		// fp inside the model; residency is charged at whatever the mixed
-		// representation actually occupies.
-		m.Quantize(0)
 	}
 	var screener *vp.Screener
 	if e.screen {

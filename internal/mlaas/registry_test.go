@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,57 +42,6 @@ func writeZoo(t *testing.T, n int) (string, map[string]*nn.Model) {
 		models[id] = m
 	}
 	return dir, models
-}
-
-// writeQuantZoo saves n checkpoints whose hidden layers clear the default
-// quantization weight floor (Dense 64x32 = 2048 weights), so opening the
-// dir with Quantize: true actually converts them. Returns the dir and the
-// in-memory fp models keyed by id ("big-a", "big-b", ...).
-func writeQuantZoo(t *testing.T, n int) (string, map[string]*nn.Model) {
-	t.Helper()
-	dir := t.TempDir()
-	models := make(map[string]*nn.Model)
-	for i := 0; i < n; i++ {
-		id := "big-" + string(rune('a'+i))
-		r := rng.New(uint64(200 + i))
-		m := &nn.Model{
-			Arch:       nn.ArchConvLite,
-			InputDim:   64,
-			NumClasses: 3,
-			Layers: []nn.Layer{
-				nn.NewDense(64, 32, r),
-				&nn.ReLU{},
-				nn.NewDense(32, 3, r),
-			},
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, id+".bin")
-		if err := m.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		models[id] = m
-	}
-	return dir, models
-}
-
-// quantizedCopy round-trips m through the serializer and quantizes the
-// copy with the registry's own policy (default weight floor) — the
-// reference for what a quantize-on-load registry must serve.
-func quantizedCopy(t *testing.T, m *nn.Model) *nn.Model {
-	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.bin")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	q, err := nn.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Quantize(0)
-	return q
 }
 
 func TestRegistryScanAndDefaults(t *testing.T) {
@@ -223,7 +173,7 @@ func TestRegistryServingMatchesInProcess(t *testing.T) {
 }
 
 func TestRegistryLRUEviction(t *testing.T) {
-	dir, _ := writeZoo(t, 3) // 4 checkpoints incl. clean
+	dir, models := writeZoo(t, 3) // 4 checkpoints incl. clean
 	reg, err := OpenRegistry(dir, RegistryConfig{MaxLoaded: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -249,16 +199,32 @@ func TestRegistryLRUEviction(t *testing.T) {
 		return set
 	}
 
+	// Every checkpoint has the same shape, so each resident model charges
+	// the same weight bytes and eviction refunds exactly that.
+	perModel := models["clean"].WeightBytes()
+	resident := func(want int) {
+		t.Helper()
+		if got := reg.ResidentBytes(); got != want*perModel {
+			t.Fatalf("resident %d bytes, want %d models x %d", got, want, perModel)
+		}
+	}
+
+	resident(0)
 	touch("clean")
 	touch("zoo-a")
 	if n := reg.LoadedCount(); n != 2 {
 		t.Fatalf("loaded %d, want 2", n)
 	}
+	resident(2)
 	// Loading a third must evict the least recently used (clean).
 	touch("zoo-b")
 	set := loaded()
 	if len(set) != 2 || set["clean"] || !set["zoo-a"] || !set["zoo-b"] {
 		t.Fatalf("hot-set after eviction: %v", set)
+	}
+	resident(2)
+	if info, _ := reg.Info("clean"); info.ResidentBytes != 0 {
+		t.Fatalf("evicted model still charges %d bytes", info.ResidentBytes)
 	}
 	// Re-touch zoo-a so zoo-b becomes LRU, then load a fourth.
 	touch("zoo-a")
@@ -272,6 +238,8 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if n := reg.LoadedCount(); n != 2 {
 		t.Fatalf("loaded %d after reload, want 2", n)
 	}
+	reg.Close()
+	resident(0)
 }
 
 func TestRegistryConcurrentLoadAndEvictionUnderLoad(t *testing.T) {
@@ -330,214 +298,45 @@ func TestRegistryConcurrentLoadAndEvictionUnderLoad(t *testing.T) {
 	}
 }
 
-// TestRegistryQuantizeOnLoad: a Quantize registry advertises int8, serves
-// predictions bitwise identical to quantizing the checkpoint in-process,
-// and charges residency at the shrunken footprint.
-func TestRegistryQuantizeOnLoad(t *testing.T) {
-	dir, models := writeQuantZoo(t, 2)
-	reg, err := OpenRegistry(dir, RegistryConfig{Quantize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-
-	info, err := reg.Info("big-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Precision != nn.PrecisionInt8 {
-		t.Fatalf("advertised precision %q, want int8", info.Precision)
-	}
-	if info.ResidentBytes != 0 || reg.ResidentBytes() != 0 {
-		t.Fatal("cold models must charge no resident bytes")
-	}
-
-	ctx := context.Background()
-	x := tensor.New(4, 64)
-	rng.New(21).Uniform(x.Data, 0, 1)
-	got, _, err := reg.Predict(ctx, "big-a", x.Clone(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := quantizedCopy(t, models["big-a"]).Predict(x.Clone())
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("value %d: registry %v != in-process quantized %v", i, got.Data[i], want.Data[i])
+// TestRegistryRejectsInt8Sidecar: int8 serving was removed, so a sidecar
+// that still asks for it — or for any precision but fp64 — fails the scan
+// with an error naming the removal instead of being served fp64 in silence.
+// "fp64" (and no precision at all) still load and serve the exact path.
+func TestRegistryRejectsInt8Sidecar(t *testing.T) {
+	dir, models := writeZoo(t, 1)
+	path := filepath.Join(dir, "zoo-a.bin")
+	sc := nn.SidecarFor(models["zoo-a"], "", "")
+	for _, precision := range []string{"int8", "bf16"} {
+		sc.Precision = precision
+		if err := sc.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenRegistry(dir, RegistryConfig{})
+		if err == nil || !strings.Contains(err.Error(), "int8 serving was removed") {
+			t.Fatalf("sidecar precision %q: scan error %v, want one naming the int8 removal", precision, err)
 		}
 	}
 
-	// Residency is charged at the quantized size: well under half the fp
-	// footprint (the small head stays fp, so the ratio is between 2x and
-	// the pure-int8 ~5x).
-	fpBytes := models["big-a"].WeightBytes()
-	qBytes := reg.ResidentBytes()
-	if qBytes == 0 || qBytes*2 > fpBytes {
-		t.Fatalf("resident %d bytes for a quantized model, fp footprint %d", qBytes, fpBytes)
-	}
-	info, _ = reg.Info("big-a")
-	if info.ResidentBytes != qBytes {
-		t.Fatalf("info.ResidentBytes %d != registry total %d", info.ResidentBytes, qBytes)
-	}
-}
-
-// TestRegistrySidecarPrecisionOverride: the sidecar "precision" field pins
-// individual models against the registry default, in both directions. The
-// fp-pinned model on a quantized registry is the experiment harness's
-// bit-reproducibility escape hatch, so its predictions must be bitwise
-// identical to the in-process fp model.
-func TestRegistrySidecarPrecisionOverride(t *testing.T) {
-	dir, models := writeQuantZoo(t, 2)
-	sc := nn.SidecarFor(models["big-a"], "", "pinned fp")
-	sc.Precision = nn.PrecisionFP64
-	if err := sc.WriteFile(filepath.Join(dir, "big-a.bin")); err != nil {
+	sc.Precision = "fp64"
+	if err := sc.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	reg, err := OpenRegistry(dir, RegistryConfig{Quantize: true})
+	reg, err := OpenRegistry(dir, RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	ctx := context.Background()
-	x := tensor.New(3, 64)
+	x := tensor.New(3, 16)
 	rng.New(23).Uniform(x.Data, 0, 1)
-
-	info, _ := reg.Info("big-a")
-	if info.Precision != nn.PrecisionFP64 {
-		t.Fatalf("fp-pinned model advertises %q", info.Precision)
-	}
-	got, _, err := reg.Predict(ctx, "big-a", x.Clone(), false)
+	got, _, err := reg.Predict(context.Background(), "zoo-a", x.Clone(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := models["big-a"].Predict(x.Clone())
+	want := models["zoo-a"].Predict(x.Clone())
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
-			t.Fatalf("fp-pinned model not bit-identical to in-process fp at %d", i)
+			t.Fatalf("fp64-pinned model not bit-identical to in-process fp at %d", i)
 		}
-	}
-	// The sibling without an override follows the registry default.
-	if info, _ := reg.Info("big-b"); info.Precision != nn.PrecisionInt8 {
-		t.Fatalf("default-precision model advertises %q, want int8", info.Precision)
-	}
-	reg.Close()
-
-	// Other direction: int8 override on an otherwise fp registry.
-	sc.Precision = nn.PrecisionInt8
-	if err := sc.WriteFile(filepath.Join(dir, "big-a.bin")); err != nil {
-		t.Fatal(err)
-	}
-	reg2, err := OpenRegistry(dir, RegistryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Close()
-	if info, _ := reg2.Info("big-a"); info.Precision != nn.PrecisionInt8 {
-		t.Fatalf("int8-pinned model advertises %q", info.Precision)
-	}
-	if info, _ := reg2.Info("big-b"); info.Precision != nn.PrecisionFP64 {
-		t.Fatalf("default model advertises %q, want fp64", info.Precision)
-	}
-	got2, _, err := reg2.Predict(ctx, "big-a", x.Clone(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantQ := quantizedCopy(t, models["big-a"]).Predict(x.Clone())
-	for i := range wantQ.Data {
-		if got2.Data[i] != wantQ.Data[i] {
-			t.Fatalf("int8-pinned model not identical to in-process quantized at %d", i)
-		}
-	}
-
-	// Unknown precision values are a scan error, not a silent default.
-	sc.Precision = "bf16"
-	if err := sc.WriteFile(filepath.Join(dir, "big-a.bin")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenRegistry(dir, RegistryConfig{}); err == nil {
-		t.Fatal("expected scan error for unknown sidecar precision")
-	}
-}
-
-// TestRegistryMixedPrecisionResidency: LRU byte accounting with fp and
-// int8 entries side by side — loading charges each entry's own footprint,
-// eviction refunds exactly what was charged, and MaxLoaded semantics are
-// unchanged by precision.
-func TestRegistryMixedPrecisionResidency(t *testing.T) {
-	dir, models := writeQuantZoo(t, 3)
-	// big-a pinned fp on a quantized registry; big-b and big-c follow the
-	// int8 default.
-	sc := nn.SidecarFor(models["big-a"], "", "")
-	sc.Precision = nn.PrecisionFP64
-	if err := sc.WriteFile(filepath.Join(dir, "big-a.bin")); err != nil {
-		t.Fatal(err)
-	}
-	reg, err := OpenRegistry(dir, RegistryConfig{Quantize: true, MaxLoaded: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	ctx := context.Background()
-	x := tensor.New(1, 64)
-	rng.New(29).Uniform(x.Data, 0, 1)
-	touch := func(id string) {
-		t.Helper()
-		if _, _, err := reg.Predict(ctx, id, x.Clone(), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resident := func(id string) int {
-		t.Helper()
-		info, err := reg.Info(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.ResidentBytes
-	}
-
-	touch("big-a")
-	fpBytes := resident("big-a")
-	if fpBytes != models["big-a"].WeightBytes() {
-		t.Fatalf("fp entry charges %d bytes, want its full fp footprint %d", fpBytes, models["big-a"].WeightBytes())
-	}
-	if reg.ResidentBytes() != fpBytes {
-		t.Fatalf("registry total %d != sole entry %d", reg.ResidentBytes(), fpBytes)
-	}
-
-	touch("big-b")
-	qBytes := resident("big-b")
-	if qBytes == 0 || qBytes*2 > fpBytes {
-		t.Fatalf("int8 entry charges %d bytes vs fp %d, want a big shrink", qBytes, fpBytes)
-	}
-	if reg.ResidentBytes() != fpBytes+qBytes {
-		t.Fatalf("registry total %d != fp %d + int8 %d", reg.ResidentBytes(), fpBytes, qBytes)
-	}
-
-	// Loading a third evicts the LRU (big-a, the fp entry): the refund must
-	// be fp-sized, leaving exactly the two int8 footprints.
-	touch("big-c")
-	if n := reg.LoadedCount(); n != 2 {
-		t.Fatalf("loaded %d, want MaxLoaded 2", n)
-	}
-	if resident("big-a") != 0 {
-		t.Fatal("evicted fp entry still charges bytes")
-	}
-	if got := reg.ResidentBytes(); got != qBytes+resident("big-c") {
-		t.Fatalf("after fp eviction total %d, want %d", got, qBytes+resident("big-c"))
-	}
-
-	// Evict an int8 entry (big-b is now LRU): the refund must be int8-sized.
-	touch("big-a")
-	if resident("big-b") != 0 {
-		t.Fatal("evicted int8 entry still charges bytes")
-	}
-	if got := reg.ResidentBytes(); got != fpBytes+resident("big-c") {
-		t.Fatalf("after int8 eviction total %d, want fp %d + int8 %d", got, fpBytes, resident("big-c"))
-	}
-
-	reg.Close()
-	if reg.ResidentBytes() != 0 {
-		t.Fatal("Close must drop all resident bytes")
 	}
 }
 

@@ -39,17 +39,6 @@ func testScreener(t testing.TB, threshold float64) *vp.Screener {
 	return s
 }
 
-// startModelServer serves an already-built model (startTestServer always
-// builds a fresh fp64 testModel; quantized-serving tests need their own).
-func startModelServer(t *testing.T, m *nn.Model, cfg ServerConfig) *httptest.Server {
-	t.Helper()
-	s := NewServer(m, cfg)
-	t.Cleanup(s.Close)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 // TestScreeningAnnotateKeepsConfidencesBitIdentical is the tentpole's
 // non-negotiable: turning screening on (annotate policy) must not move a
 // single confidence bit. Plain rows sit at the same offsets of the fused
@@ -277,56 +266,6 @@ func TestScreenRejectPolicyWithholdsFlaggedRows(t *testing.T) {
 	}
 }
 
-// TestScreeningQuantizedAgreesWithFp64 serves the same weights fp64 and
-// int8 behind the same screener: screening scores must stay close, and the
-// verdicts must agree for every row whose score is not sitting on the
-// threshold — the fused path may not assume float64 layers.
-func TestScreeningQuantizedAgreesWithFp64(t *testing.T) {
-	ctx := context.Background()
-	sc := testScreener(t, 0) // default threshold
-	mF := testModel(t)
-	mQ := testModel(t)
-	mQ.Quantize(0)
-	srvF := startModelServer(t, mF, ServerConfig{Screener: sc})
-	srvQ := startModelServer(t, mQ, ServerConfig{Screener: sc})
-	cF, err := Dial(ctx, srvF.URL, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cQ, err := Dial(ctx, srvQ.URL, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const n, tol = 16, 0.05
-	x := tensor.New(n, 16)
-	rng.New(15).Uniform(x.Data, 0, 1)
-	_, sf, err := cF.PredictScreened(ctx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sq, err := cQ.PredictScreened(ctx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		diff := sf[i].Score - sq[i].Score
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > tol {
-			t.Fatalf("row %d: fp64 score %.4f vs int8 score %.4f (tol %v)", i, sf[i].Score, sq[i].Score, tol)
-		}
-		margin := sf[i].Score - sf[i].Threshold
-		if margin < 0 {
-			margin = -margin
-		}
-		if margin > tol && sf[i].Flagged != sq[i].Flagged {
-			t.Fatalf("row %d: verdicts disagree away from threshold: fp64 %+v vs int8 %+v", i, sf[i], sq[i])
-		}
-	}
-}
-
 // TestRegistrySidecarScreenOverrides covers per-model screening resolution:
 // compatible models screen by default under a registry screener, "off" opts
 // one out, and "on" without a screener fails the scan.
@@ -379,49 +318,6 @@ func TestRegistrySidecarScreenOverrides(t *testing.T) {
 	}
 	if _, err := OpenRegistry(dir, RegistryConfig{Screener: testScreener(t, 0.5)}); err == nil {
 		t.Fatal("sidecar screen \"maybe\" did not fail the scan")
-	}
-}
-
-// TestQuantizedRegistryAuditCompletes audits an int8-served model through
-// the in-process provider oracle. Screening and audits are pure inference;
-// a quantized model must never be pushed onto the training-only APIs it
-// panics on, so the audit has to complete with a verdict.
-func TestQuantizedRegistryAuditCompletes(t *testing.T) {
-	ctx := context.Background()
-	env := sharedAuditEnv(t)
-	loaded, err := bprom.LoadFile(env.artPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := OpenRegistry(env.zoo, RegistryConfig{MaxLoaded: 2, Quantize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewRegistryServer(reg)
-	if err := s.EnableAudits(loaded, AuditConfig{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-
-	c, err := DialModel(ctx, srv.URL, "badnets", ClientConfig{AuditPoll: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Precision() != nn.PrecisionInt8 {
-		t.Fatalf("registry serves %q, want int8", c.Precision())
-	}
-	job, err := c.AuditModel(ctx, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := c.WaitAudit(ctx, job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != audit.StateDone || final.Verdict == nil {
-		t.Fatalf("quantized audit ended %q (error %q), want done with a verdict", final.State, final.Error)
 	}
 }
 

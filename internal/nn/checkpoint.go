@@ -66,10 +66,10 @@ type Sidecar struct {
 	NumClasses int `json:"classes,omitempty"`
 	// Params is the trainable-scalar count of the saved model.
 	Params int `json:"params,omitempty"`
-	// Precision optionally overrides the registry's serving precision for
-	// this model: "int8" forces quantize-on-load, "fp64" forces the exact
-	// float64 path even when the registry default is quantized. Empty means
-	// follow the registry default. The checkpoint itself is always float64.
+	// Precision is kept so older zoos still parse: every model is served on
+	// the exact float64 path, so "" and "fp64" are the only values a
+	// serving registry accepts. Anything else (notably "int8", from before
+	// int8 serving was removed) fails the registry scan.
 	Precision string `json:"precision,omitempty"`
 	// Screen optionally overrides a serving registry's inline request
 	// screening for this model: "off" opts a model out (e.g. a calibration

@@ -184,9 +184,9 @@ func TestZooPredictDigest(t *testing.T) {
 			t.Fatalf("%s: nothing quantized", fp.Arch)
 		}
 		for _, m := range []*Model{fp, q} {
-			precision := PrecisionFP64
+			precision := "fp64"
 			if m == q {
-				precision = PrecisionInt8
+				precision = "int8"
 			}
 			for _, rows := range []int{benchNarrowRows, 40} {
 				x := tensor.New(rows, m.InputDim)

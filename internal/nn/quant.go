@@ -18,13 +18,9 @@ import (
 // Backward methods panic, and Save returns an error. Biases and every other
 // layer type (LayerNorm, activations, pooling) stay float64 — they are a
 // vanishing fraction of both the bytes and the work.
-
-// Precision labels for a model's weight representation, as advertised by
-// the MLaaS model info endpoint.
-const (
-	PrecisionFP64 = "fp64"
-	PrecisionInt8 = "int8"
-)
+//
+// Nothing serves a quantized model: the MLaaS plane is float64-only. The
+// conversion stays for the int8 probes of the benchmark harness.
 
 // DefaultQuantMinWeights is the layer-size floor below which Quantize
 // leaves a weight matrix in float64: tiny layers contribute nothing to
@@ -85,16 +81,6 @@ func (m *Model) Quantize(minWeights int) int {
 // Quantized reports whether any layer has been converted to int8 (making
 // the model inference-only).
 func (m *Model) Quantized() bool { return m.quantized }
-
-// Precision returns the label describing the model's weight representation:
-// PrecisionInt8 once Quantize has converted at least one layer,
-// PrecisionFP64 otherwise.
-func (m *Model) Precision() string {
-	if m.quantized {
-		return PrecisionInt8
-	}
-	return PrecisionFP64
-}
 
 // WeightBytes returns the resident bytes held by parameter tensors:
 // float64 Values and Grads at 8 bytes per scalar plus the quantized

@@ -105,9 +105,9 @@ func TestArenaSafety(t *testing.T) {
 
 	for _, fp := range arenaModels(t) {
 		for _, m := range []*Model{fp, nil} {
-			precision := PrecisionFP64
+			precision := "fp64"
 			if m == nil {
-				precision = PrecisionInt8
+				precision = "int8"
 				m = cloneModel(t, fp)
 				if m.Quantize(-1) == 0 { // every layer, so the conv path runs in int8 too
 					t.Fatalf("%s: nothing quantized", fp.Arch)

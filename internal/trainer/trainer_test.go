@@ -2,8 +2,8 @@ package trainer
 
 import (
 	"context"
+	"errors"
 	"testing"
-	"time"
 
 	"bprom/internal/data"
 	"bprom/internal/nn"
@@ -74,11 +74,10 @@ func TestTrainContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	time.Sleep(2 * time.Millisecond)
-	if _, err := Train(ctx, m, ds, Config{Epochs: 100}, rng.New(10)); err == nil {
-		t.Fatal("expected cancellation error")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before Train starts: no wall-clock race to lose
+	if _, err := Train(ctx, m, ds, Config{Epochs: 100}, rng.New(10)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Train on a cancelled context: %v, want context.Canceled", err)
 	}
 }
 

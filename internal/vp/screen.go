@@ -14,7 +14,7 @@ package vp
 //
 // The screener is deliberately inference-only: scoring row i needs exactly
 // two confidence rows — the plain input and its prompted view — from ANY
-// oracle-equivalent forward pass, fp64 or int8. The serving engine
+// oracle-equivalent forward pass. The serving engine
 // (internal/mlaas) fuses the prompted views into the same micro-batched
 // Predict tick as the plain rows, so screening rides the existing forward
 // pass instead of doubling inference calls.
@@ -142,8 +142,7 @@ func (s *Screener) Score(plain, prompted []float64) ScreenResult {
 // rows and one for their prompted views, then per-row Score. The fused
 // serving path must agree with this bit-for-bit (nn.Model.Predict outputs
 // are row-independent, so fusing the two passes into one tensor changes
-// nothing); the parity tests hold the two together. Works on fp64 and
-// quantized models alike — screening only ever needs inference.
+// nothing); the parity tests hold the two together.
 func (s *Screener) Screen(model *nn.Model, x *tensor.Tensor) []ScreenResult {
 	n := x.Dim(0)
 	plain := model.Predict(x)
