@@ -437,6 +437,9 @@ func (m *Manager) SubmitResume(modelID, tenant string, sus oracle.Oracle, inspec
 			}
 		}
 	}
+	// The acknowledgement is the job as submitted: once it is pending, a
+	// worker may start it before this goroutine reads it again.
+	ack := j.snap
 	m.pending = append(m.pending, j)
 	m.jobs[j.snap.ID] = j
 	m.order = append(m.order, j.snap.ID)
@@ -445,7 +448,7 @@ func (m *Manager) SubmitResume(modelID, tenant string, sus oracle.Oracle, inspec
 	case m.wake <- struct{}{}:
 	default:
 	}
-	return j.snapshot(), nil
+	return ack, nil
 }
 
 // RetryAfter estimates how long a submitter rejected with ErrQueueFull

@@ -11,16 +11,18 @@ import (
 	"bprom/internal/tensor"
 )
 
-// gateOracle forwards Predicts to the real model until the gate is shut,
-// then parks until the context dies — the deterministic way to freeze an
-// inspection mid-run so a shutdown lands between generations.
+// gateOracle forwards its first open Predicts to the real model, then parks
+// every later one until the context dies — the deterministic way to freeze
+// an inspection mid-run so a shutdown lands between generations. With open
+// = 1 the first generation's fused query passes and the second parks, so
+// the job is held after generation 1 however fast a generation runs.
 type gateOracle struct {
 	inner oracle.Oracle
-	shut  atomic.Bool
+	open  atomic.Int64
 }
 
 func (o *gateOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if o.shut.Load() {
+	if o.open.Add(-1) < 0 {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -50,11 +52,12 @@ func TestKillRestartResumesBitExact(t *testing.T) {
 		return oracle.NewModelOracle(sus), nil
 	}
 
-	// First life: run the job past generation 1, then freeze its oracle and
-	// shut down gracefully mid-inspection.
+	// First life: run the job through generation 1, with its oracle frozen
+	// from generation 2 on, then shut down gracefully mid-inspection.
 	store1 := openStore(t, dir)
 	m1 := mustManager(t, det, Config{Workers: 1, Store: store1, OracleFor: oracleFor})
 	gate := &gateOracle{inner: oracle.NewModelOracle(sus)}
+	gate.open.Store(1)
 	j, err := m1.Submit("m0", "acme", gate, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +68,6 @@ func TestKillRestartResumesBitExact(t *testing.T) {
 	if mid.State.Terminal() {
 		t.Fatalf("job finished before it could be interrupted: %+v", mid)
 	}
-	gate.shut.Store(true)
 	m1.Close()
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
@@ -111,6 +113,7 @@ func TestCloseFlushesFinalCheckpoint(t *testing.T) {
 	store1 := openStore(t, dir)
 	m1 := mustManager(t, det, Config{Workers: 1, Store: store1, OracleFor: oracleFor, CheckpointEvery: 1000})
 	gate := &gateOracle{inner: oracle.NewModelOracle(sus)}
+	gate.open.Store(1)
 	j, err := m1.Submit("m0", "", gate, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +124,6 @@ func TestCloseFlushesFinalCheckpoint(t *testing.T) {
 	if mid.State.Terminal() {
 		t.Fatalf("job finished before it could be interrupted: %+v", mid)
 	}
-	gate.shut.Store(true)
 	m1.Close()
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)

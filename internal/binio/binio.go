@@ -83,6 +83,21 @@ func (w *Writer) Failf(format string, args ...any) {
 	}
 }
 
+// Reset points a destination-less Writer at dst: later fields are appended
+// after dst's contents, in dst's storage while its capacity lasts, and any
+// latched failure is cleared. A caller that encodes into a buffer it keeps —
+// the job store builds every journal frame in one — allocates only when a
+// record outgrows it.
+func (w *Writer) Reset(dst []byte) { w.buf, w.err = dst, nil }
+
+// Grow makes room for n more bytes, so an encoding whose length is known
+// up front is written into one exactly sized allocation.
+func (w *Writer) Grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
+	}
+}
+
 // Bytes returns what a destination-less Writer has encoded. Check Err
 // first: after a failure the bytes are an unusable prefix.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -143,6 +143,12 @@ type Detector struct {
 	blackBox  vp.BlackBoxConfig
 	seed      uint64
 
+	// windows is extTrain resized into the prompt's inner window: built by
+	// the first inspection, then shared read-only by every later one,
+	// concurrent audits included.
+	windowsOnce sync.Once
+	windows     *vp.Windows
+
 	// Shadows are retained for analysis (Figure 5 PCA, ablations).
 	Shadows []Shadow
 }
@@ -377,9 +383,12 @@ type Progress struct {
 // is derived from the detector seed and inspectID, so repeated inspections
 // are reproducible and independent.
 //
-// Inspect only reads detector state, and every per-inspection workspace
-// (prompt, query counter, RNG stream) is call-local, so one trained
-// detector may audit any number of suspicious oracles concurrently — the
+// Inspect only reads detector state — the one thing it adds, the prompt
+// training set resized into the prompt window on the first inspection, is
+// built once under a sync.Once and read-only after — and every
+// per-inspection workspace (prompt, query counter, RNG stream) is
+// call-local, so one trained detector may audit any number of suspicious
+// oracles concurrently — the
 // fleet-audit mode of cmd/bprom does exactly that, one goroutine per
 // hosted model.
 func (d *Detector) Inspect(ctx context.Context, sus oracle.Oracle, inspectID int) (Verdict, error) {

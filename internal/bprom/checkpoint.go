@@ -37,13 +37,16 @@ type Checkpoint struct {
 	Search *vp.SearchState
 }
 
-// Encode returns the checkpoint in its wire form.
+// Encode returns the checkpoint in its wire form, in one exactly sized
+// allocation.
 func (c *Checkpoint) Encode() ([]byte, error) {
 	if c.Search == nil {
 		return nil, fmt.Errorf("bprom: checkpoint has no search state")
 	}
+	header := []uint64{checkpointMagic, checkpointVersion, uint64(c.Generation), uint64(c.Queries)}
 	var w binio.Writer
-	for _, v := range []uint64{checkpointMagic, checkpointVersion, uint64(c.Generation), uint64(c.Queries)} {
+	w.Grow(8*len(header) + c.Search.SavedSize())
+	for _, v := range header {
 		w.U64(v)
 	}
 	c.Search.Save(&w)
@@ -119,7 +122,8 @@ func (d *Detector) InspectResumable(ctx context.Context, sus oracle.Oracle, insp
 	}
 	// Error paths still report Queries: a failed job's structured error
 	// envelope carries the spend exactly as oracle.Counter metered it.
-	if err := vp.TrainBlackBox(ctx, counter, prompt, d.extTrain, bb, r); err != nil {
+	d.windowsOnce.Do(func() { d.windows = vp.NewWindows(prompt, d.extTrain) })
+	if err := vp.TrainBlackBoxWindows(ctx, counter, prompt, d.windows, bb, r); err != nil {
 		return Verdict{Queries: counter.Queries()}, fmt.Errorf("bprom: black-box prompting: %w", err)
 	}
 	pm := &vp.Prompted{Oracle: counter, Prompt: prompt}

@@ -183,6 +183,27 @@ func TestGoldenCheckpoint(t *testing.T) {
 	}
 }
 
+// Encode sizes its buffer from the search state up front: the blob is one
+// allocation of exactly its own length, however long the vectors are.
+func TestCheckpointEncodeIsExactlySized(t *testing.T) {
+	for _, dim := range []int{3, 300, 5000} {
+		c := goldenCheckpoint()
+		for _, v := range []*[]float64{&c.Search.CMA.Mean, &c.Search.CMA.Diag, &c.Search.CMA.Ps, &c.Search.CMA.Pc, &c.Search.CMA.Best} {
+			*v = make([]float64, dim)
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(enc) != len(enc) {
+			t.Fatalf("dim %d: %d-byte checkpoint encoded into a %d-byte buffer", dim, len(enc), cap(enc))
+		}
+		if _, err := DecodeCheckpoint(enc); err != nil {
+			t.Fatalf("dim %d: %v", dim, err)
+		}
+	}
+}
+
 // FuzzDecodeCheckpoint drives the path a network caller reaches through
 // resume.checkpoint — binio.DecodeFrame, then DecodeCheckpoint — with
 // arbitrary bytes: it must never panic, never allocate beyond a small

@@ -230,6 +230,8 @@ func MinimizeSep(obj Objective, x0 []float64, opt Options, r *rng.RNG) (Result, 
 	pop := make([]cand, lambda)
 	xs := make([][]float64, lambda) // candidate views handed to the evaluator
 	fs := make([]float64, lambda)
+	zMean := make([]float64, n) // recombination scratch, zeroed per generation
+	newMean := make([]float64, n)
 	for i := range pop {
 		pop[i].x = make([]float64, n)
 		pop[i].z = make([]float64, n)
@@ -290,8 +292,8 @@ func MinimizeSep(obj Objective, x0 []float64, opt Options, r *rng.RNG) (Result, 
 		sort.Slice(pop, func(a, b int) bool { return pop[a].f < pop[b].f })
 
 		// recombination in z-space and x-space
-		zMean := make([]float64, n)
-		newMean := make([]float64, n)
+		clear(zMean)
+		clear(newMean)
 		for i := 0; i < mu; i++ {
 			for j := 0; j < n; j++ {
 				zMean[j] += w[i] * pop[i].z[j]

@@ -36,12 +36,13 @@ const (
 	recCancelled  = uint32(6)
 )
 
-// encodeRecord is the one encoder of every record kind: kind and job ID,
-// then the kind's fields taken from j. A transition method passes a
-// JobRecord holding its arguments, compaction the replayed record itself.
-// Store.apply is the matching decoder.
-func encodeRecord(kind uint32, j *JobRecord) ([]byte, error) {
+// appendRecord is the one encoder of every record kind: it appends kind and
+// job ID, then the kind's fields taken from j, to dst. A transition method
+// passes a JobRecord holding its arguments, compaction the replayed record
+// itself. Store.apply is the matching decoder.
+func appendRecord(dst []byte, kind uint32, j *JobRecord) ([]byte, error) {
 	var w binio.Writer
+	w.Reset(dst)
 	w.U32(kind)
 	w.U64(j.ID)
 	switch kind {

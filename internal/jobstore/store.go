@@ -114,6 +114,11 @@ type Store struct {
 	compactEvery int64
 	compactFloor int64
 	compactions  int
+
+	// frame is the store's one record buffer: every journal frame is built
+	// in it in place (header, then the encoded record) and written from it,
+	// so an append allocates nothing beyond the record's replayed state.
+	frame []byte
 }
 
 // minCompactBytes is the journal size below which live compaction never
@@ -264,10 +269,6 @@ func (s *Store) Cancel(id uint64, finished time.Time) error {
 // write and fsync the record, and only then fold it in — memory never runs
 // ahead of the file, so a failed append can simply be retried.
 func (s *Store) append(kind uint32, rec *JobRecord) error {
-	payload, err := encodeRecord(kind, rec)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -276,7 +277,11 @@ func (s *Store) append(kind uint32, rec *JobRecord) error {
 	if err := s.check(kind, rec.ID); err != nil {
 		return err
 	}
-	err = binio.AppendFrame(s.f, payload)
+	frame, err := s.buildFrame(kind, rec)
+	if err != nil {
+		return err
+	}
+	_, err = s.f.Write(frame)
 	if err == nil {
 		err = s.f.Sync()
 	}
@@ -289,14 +294,29 @@ func (s *Store) append(kind uint32, rec *JobRecord) error {
 		}
 		return fmt.Errorf("jobstore: appending journal record: %w", err)
 	}
-	s.bytes += binio.FrameHeaderSize + int64(len(payload))
-	if err := s.apply(payload); err != nil {
+	s.bytes += int64(len(frame))
+	if err := s.apply(frame[binio.FrameHeaderSize:]); err != nil {
 		return err
 	}
 	if s.bytes >= s.compactEvery && s.bytes >= 2*s.compactFloor {
 		return s.compactLive()
 	}
 	return nil
+}
+
+// buildFrame encodes kind's record for j as one frame in s.frame
+// (binio.ReserveFrame / SealFrame) and returns it; it is valid until the
+// next call. The caller holds s.mu, or owns s outright during Open.
+func (s *Store) buildFrame(kind uint32, j *JobRecord) ([]byte, error) {
+	frame, err := appendRecord(binio.ReserveFrame(s.frame[:0]), kind, j)
+	s.frame = frame[:0]
+	if err != nil {
+		return nil, err
+	}
+	if err := binio.SealFrame(frame); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // compactLive rewrites the journal in place and swings the open append
@@ -416,11 +436,11 @@ func (s *Store) writeLive(w io.Writer) error {
 	for _, id := range s.order {
 		j := s.jobs[id]
 		for _, kind := range liveKinds(j) {
-			payload, err := encodeRecord(kind, j)
+			frame, err := s.buildFrame(kind, j)
 			if err != nil {
 				return err
 			}
-			if err := binio.AppendFrame(w, payload); err != nil {
+			if _, err := w.Write(frame); err != nil {
 				return err
 			}
 		}

@@ -263,7 +263,10 @@ func WrapOracle(t *Tenant, inner oracle.Oracle) oracle.Oracle {
 	return &quotaOracle{tenant: t, inner: inner}
 }
 
-var _ oracle.BatchLimiter = (*quotaOracle)(nil)
+var (
+	_ oracle.BatchLimiter  = (*quotaOracle)(nil)
+	_ oracle.IntoPredictor = (*quotaOracle)(nil)
+)
 
 func (q *quotaOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	rows := int64(x.Dim(0))
@@ -275,6 +278,20 @@ func (q *quotaOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Te
 		q.tenant.refund(rows)
 	}
 	return out, err
+}
+
+// PredictInto is Predict written into dst, admitted and charged the same
+// way; it forwards to the wrapped oracle's PredictInto when there is one.
+func (q *quotaOracle) PredictInto(ctx context.Context, dst, x *tensor.Tensor) error {
+	rows := int64(x.Dim(0))
+	if err := q.tenant.reserve(rows); err != nil {
+		return err
+	}
+	err := oracle.PredictInto(ctx, q.inner, dst, x)
+	if err != nil {
+		q.tenant.refund(rows)
+	}
+	return err
 }
 
 func (q *quotaOracle) NumClasses() int { return q.inner.NumClasses() }

@@ -97,37 +97,54 @@ func (o *fixedOracle) NumClasses() int { return 2 }
 func (o *fixedOracle) InputDim() int   { return 4 }
 
 func TestQuotaOracleExactAccounting(t *testing.T) {
-	tn := NewTenancy([]TenantConfig{{Name: "acme", Key: "k", Quota: 10}}, nil)
-	tenant, _ := tn.Lookup("acme")
-	inner := &fixedOracle{}
-	counter := oracle.NewCounter(WrapOracle(tenant, inner))
-	ctx := context.Background()
+	// Both entry points, Predict and PredictInto (which a Counter forwards
+	// to the quota oracle's own), admit and charge alike.
+	for _, into := range []bool{false, true} {
+		tn := NewTenancy([]TenantConfig{{Name: "acme", Key: "k", Quota: 10}}, nil)
+		tenant, _ := tn.Lookup("acme")
+		inner := &fixedOracle{}
+		counter := oracle.NewCounter(WrapOracle(tenant, inner))
+		ctx := context.Background()
+		query := func(rows, dstRows int) error {
+			if !into {
+				_, err := counter.Predict(ctx, tensor.New(rows, 4))
+				return err
+			}
+			return oracle.PredictInto(ctx, counter, tensor.New(dstRows, 2), tensor.New(rows, 4))
+		}
 
-	// 3 batches of 3 rows fit; a 4th would cross 10.
-	for i := 0; i < 3; i++ {
-		if _, err := counter.Predict(ctx, tensor.New(3, 4)); err != nil {
+		// 3 batches of 3 rows fit; a 4th would cross 10.
+		for i := 0; i < 3; i++ {
+			if err := query(3, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := query(3, 3)
+		var qe *QuotaError
+		if !errors.As(err, &qe) {
+			t.Fatalf("into=%v: want QuotaError, got %v", into, err)
+		}
+		// The envelope's accounting matches oracle.Counter exactly: the
+		// rejected batch is not charged anywhere.
+		if qe.Spent != 9 || qe.Quota != 10 {
+			t.Fatalf("into=%v: quota error accounting %d/%d, want 9/10", into, qe.Spent, qe.Quota)
+		}
+		if counter.Queries() != 9 || tenant.Spent() != 9 {
+			t.Fatalf("into=%v: counter %d / ledger %d, want 9/9", into, counter.Queries(), tenant.Spent())
+		}
+		if into {
+			// A failed query is refunded: here the reply cannot fill dst.
+			if err := query(1, 2); err == nil {
+				t.Fatal("a 1-row reply filled a 2-row destination")
+			}
+		}
+		// A 1-row probe still fits.
+		if err := query(1, 1); err != nil {
 			t.Fatal(err)
 		}
-	}
-	_, err := counter.Predict(ctx, tensor.New(3, 4))
-	var qe *QuotaError
-	if !errors.As(err, &qe) {
-		t.Fatalf("want QuotaError, got %v", err)
-	}
-	// The envelope's accounting matches oracle.Counter exactly: the
-	// rejected batch is not charged anywhere.
-	if qe.Spent != 9 || qe.Quota != 10 {
-		t.Fatalf("quota error accounting %d/%d, want 9/10", qe.Spent, qe.Quota)
-	}
-	if counter.Queries() != 9 || tenant.Spent() != 9 {
-		t.Fatalf("counter %d / ledger %d, want 9/9", counter.Queries(), tenant.Spent())
-	}
-	// A 1-row probe still fits.
-	if _, err := counter.Predict(ctx, tensor.New(1, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if counter.Queries() != 10 || tenant.Spent() != 10 {
-		t.Fatalf("counter %d / ledger %d, want 10/10", counter.Queries(), tenant.Spent())
+		if counter.Queries() != 10 || tenant.Spent() != 10 {
+			t.Fatalf("into=%v: counter %d / ledger %d, want 10/10", into, counter.Queries(), tenant.Spent())
+		}
 	}
 }
 

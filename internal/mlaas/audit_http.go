@@ -15,6 +15,7 @@ import (
 	"bprom/internal/jobstore"
 	"bprom/internal/oracle"
 	"bprom/internal/tensor"
+	"bprom/internal/vp"
 )
 
 // Audit-as-a-service routes: the HTTP face of internal/audit. A server
@@ -265,7 +266,9 @@ func (l *localAudits) augmentHealth(h *Health) {
 // providerOracle adapts one hosted model to oracle.Oracle for server-side
 // audits: queries go straight to the provider's engines (no HTTP loopback),
 // chunked to the provider's per-request batch limit so audit traffic obeys
-// the same batching contract as wire traffic.
+// the same batching contract as wire traffic. Each chunk's confidences are
+// written straight into its rows of the caller's tensor
+// (oracle.IntoPredictor) when the provider runs in-process engines.
 type providerOracle struct {
 	prov     provider
 	id       string
@@ -273,7 +276,16 @@ type providerOracle struct {
 	inputDim int
 }
 
-var _ oracle.BatchLimiter = (*providerOracle)(nil)
+var (
+	_ oracle.BatchLimiter  = (*providerOracle)(nil)
+	_ oracle.IntoPredictor = (*providerOracle)(nil)
+)
+
+// intoProvider is a provider whose engines can write confidences into
+// caller storage: the single-model provider and the registry.
+type intoProvider interface {
+	predictInto(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error)
+}
 
 func (o *providerOracle) NumClasses() int { return o.classes }
 func (o *providerOracle) InputDim() int   { return o.inputDim }
@@ -283,33 +295,64 @@ func (o *providerOracle) InputDim() int   { return o.inputDim }
 func (o *providerOracle) MaxBatch() int { return o.prov.MaxBatch() }
 
 func (o *providerOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Rank() != 2 || x.Dim(1) != o.inputDim {
+	if x.Rank() != 2 {
 		return nil, fmt.Errorf("mlaas: audit input shape %v, want [N %d]", x.Shape(), o.inputDim)
 	}
-	n := x.Dim(0)
-	maxBatch := o.prov.MaxBatch()
-	// Audit traffic is never screened (screen=false): an inspection issues
-	// thousands of probe queries that only need raw confidences, and its
-	// verdict must stay bit-identical whether or not the hosted model also
-	// serves screened predict traffic.
-	if maxBatch <= 0 || n <= maxBatch {
-		probs, _, err := o.prov.Predict(ctx, o.id, x, false)
-		return probs, err
-	}
-	out := tensor.New(n, o.classes)
-	for start := 0; start < n; start += maxBatch {
-		end := start + maxBatch
-		if end > n {
-			end = n
-		}
-		chunk := tensor.FromSlice(x.Data[start*o.inputDim:end*o.inputDim], end-start, o.inputDim)
-		probs, _, err := o.prov.Predict(ctx, o.id, chunk, false)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Data[start*o.classes:end*o.classes], probs.Data)
+	out := tensor.New(x.Dim(0), o.classes)
+	if err := o.PredictInto(ctx, out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// PredictInto writes x's confidence rows into dst, one provider request per
+// MaxBatch rows, each answered into its own rows of dst. After an error an
+// engine may still be writing dst (oracle.IntoPredictor).
+func (o *providerOracle) PredictInto(ctx context.Context, dst, x *tensor.Tensor) error {
+	if x.Rank() != 2 || x.Dim(1) != o.inputDim {
+		return fmt.Errorf("mlaas: audit input shape %v, want [N %d]", x.Shape(), o.inputDim)
+	}
+	n := x.Dim(0)
+	if dst.Rank() != 2 || dst.Dim(0) != n || dst.Dim(1) != o.classes {
+		return fmt.Errorf("mlaas: audit destination shape %v, want [%d %d]", dst.Shape(), n, o.classes)
+	}
+	step := o.prov.MaxBatch()
+	if step <= 0 || step > n {
+		step = n
+	}
+	for start := 0; start < n; start += step {
+		end := min(start+step, n)
+		chunk, rows := x, dst
+		if step < n {
+			chunk = tensor.FromSlice(x.Data[start*o.inputDim:end*o.inputDim], end-start, o.inputDim)
+			rows = tensor.FromSlice(dst.Data[start*o.classes:end*o.classes], end-start, o.classes)
+		}
+		if err := o.predictChunk(ctx, chunk, rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// predictChunk answers one provider-sized chunk into rows. Audit traffic is
+// never screened (screen=false): an inspection issues thousands of probe
+// queries that only need raw confidences, and its verdict must stay
+// bit-identical whether or not the hosted model also serves screened
+// predict traffic.
+func (o *providerOracle) predictChunk(ctx context.Context, chunk, rows *tensor.Tensor) error {
+	if ip, ok := o.prov.(intoProvider); ok {
+		_, _, err := ip.predictInto(ctx, o.id, chunk, rows, false)
+		return err
+	}
+	probs, _, err := o.prov.Predict(ctx, o.id, chunk, false)
+	if err != nil {
+		return err
+	}
+	if probs.Len() != rows.Len() {
+		return fmt.Errorf("mlaas: provider answered %v confidences for a %v chunk", probs.Shape(), rows.Shape())
+	}
+	copy(rows.Data, probs.Data)
+	return nil
 }
 
 // auditSubmitRequest is the POST /v1/models/{id}/audits body. All fields

@@ -19,8 +19,8 @@ import (
 //	cfg.HTTPClient = &http.Client{Transport: NewChaosTransport(nil)}
 //
 // on a ClientConfig (or GatewayConfig.Client) and drive it with Set/Clear.
-// It ships in the package proper, not a _test file, so operator tooling and
-// example programs can stage failure drills against live fleets too.
+// Only this package's tests use it, so it lives in a _test file and is not
+// part of the built package.
 
 // ChaosRule describes the faults injected for one host. Zero value = no
 // faults. Checks happen in field order below; the first matching fault

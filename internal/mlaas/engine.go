@@ -3,6 +3,7 @@ package mlaas
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"bprom/internal/nn"
@@ -17,10 +18,23 @@ var errEngineClosed = errors.New("mlaas: model engine closed")
 // predictJob is one decoded predict request waiting for a worker.
 type predictJob struct {
 	x *tensor.Tensor // [n, InputDim]
+	// dst, when non-nil, is caller storage ([n, NumClasses]) the job's
+	// confidence rows are written into; nil means a fresh tensor. The worker
+	// may write it after the caller gave up on the job (cancelled context),
+	// which is why a caller drops a dst whose predict failed.
+	dst *tensor.Tensor
 	// screen requests inline screening for this job's rows (honored only
 	// when the engine carries a screener).
 	screen bool
 	out    chan predictResult
+}
+
+// result returns the tensor the job's rows go into: its dst, or a fresh one.
+func (j *predictJob) result(classes int) *tensor.Tensor {
+	if j.dst != nil {
+		return j.dst
+	}
+	return tensor.New(j.x.Dim(0), classes)
 }
 
 // predictResult is one job's outcome: the confidence rows, plus per-row
@@ -78,11 +92,14 @@ func (e *engine) close() {
 	e.once.Do(func() { close(e.done) })
 }
 
-// predict enqueues one batch and waits for its confidence rows — plus
+// predictInto enqueues one batch and waits for its confidence rows — plus
 // per-row screening outcomes when screen is set and the engine screens.
-// The batch must already respect maxBatch (the HTTP layer rejects larger
-// requests).
-func (e *engine) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+// The rows are written into dst when it is non-nil ([n, NumClasses]; the
+// returned tensor is then dst itself), else into a fresh tensor. On error
+// a worker may still write dst later, so the caller must drop it (the
+// oracle.IntoPredictor contract). The batch must already respect maxBatch
+// (the HTTP layer rejects larger requests).
+func (e *engine) predictInto(ctx context.Context, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	// Check done first: select chooses randomly among ready cases, so
 	// without this a post-close predict could still win the enqueue race.
 	select {
@@ -90,7 +107,10 @@ func (e *engine) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 		return nil, nil, errEngineClosed
 	default:
 	}
-	job := &predictJob{x: x, screen: screen && e.screener != nil, out: make(chan predictResult, 1)}
+	if dst != nil && (dst.Rank() != 2 || dst.Dim(0) != x.Dim(0) || dst.Dim(1) != e.model.NumClasses) {
+		return nil, nil, fmt.Errorf("mlaas: destination shape %v for %d rows of %d classes", dst.Shape(), x.Dim(0), e.model.NumClasses)
+	}
+	job := &predictJob{x: x, dst: dst, screen: screen && e.screener != nil, out: make(chan predictResult, 1)}
 	select {
 	case e.queue <- job:
 	case <-ctx.Done():
@@ -152,9 +172,13 @@ func (e *engine) runBatch(batch []*predictJob, rows int) {
 			screenRows += j.x.Dim(0)
 		}
 	}
+	k := e.model.NumClasses
 	if screenRows == 0 && len(batch) == 1 {
 		// Common uncoalesced case: the job owns the whole result.
-		batch[0].out <- predictResult{probs: e.model.Predict(batch[0].x)}
+		j := batch[0]
+		out := j.result(k)
+		e.model.PredictInto(out, j.x)
+		j.out <- predictResult{probs: out}
 		return
 	}
 	dim := e.model.InputDim
@@ -172,11 +196,10 @@ func (e *engine) runBatch(batch []*predictJob, rows int) {
 		}
 	}
 	probs := e.model.Predict(x)
-	k := e.model.NumClasses
 	row, view := 0, rows
 	for _, j := range batch {
 		n := j.x.Dim(0)
-		out := tensor.New(n, k)
+		out := j.result(k)
 		copy(out.Data, probs.Data[row*k:(row+n)*k])
 		res := predictResult{probs: out}
 		if j.screen {

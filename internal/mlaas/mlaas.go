@@ -235,10 +235,16 @@ func (p *singleProvider) Info(id string) (ModelInfo, error) {
 }
 
 func (p *singleProvider) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+	return p.predictInto(ctx, id, x, nil, screen)
+}
+
+// predictInto is Predict with the confidences written into dst when it is
+// non-nil (engine.predictInto).
+func (p *singleProvider) predictInto(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if id != "" && id != p.info.ID {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownModel, id)
 	}
-	return p.eng.predict(ctx, x, screen)
+	return p.eng.predictInto(ctx, x, dst, screen)
 }
 
 // Server is the HTTP front of the service: request decoding, model routing,

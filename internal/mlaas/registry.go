@@ -266,6 +266,12 @@ func (r *Registry) Info(id string) (ModelInfo, error) {
 // inline screening; models outside the screener's coverage return nil
 // screening outcomes.
 func (r *Registry) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+	return r.predictInto(ctx, id, x, nil, screen)
+}
+
+// predictInto is Predict with the confidences written into dst when it is
+// non-nil (engine.predictInto).
+func (r *Registry) predictInto(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if id == "" {
 		id = r.defaultID
 	}
@@ -274,7 +280,7 @@ func (r *Registry) Predict(ctx context.Context, id string, x *tensor.Tensor, scr
 		return nil, nil, err
 	}
 	defer r.release(e)
-	return eng.predict(ctx, x, screen)
+	return eng.predictInto(ctx, x, dst, screen)
 }
 
 // acquire returns the model's running engine, loading the checkpoint if

@@ -120,9 +120,30 @@ func (m *Model) Features(x *tensor.Tensor) *tensor.Tensor {
 // Predict returns softmax probabilities of shape [N, NumClasses]. Pure,
 // like Infer; results are bitwise identical to a single unblocked pass.
 func (m *Model) Predict(x *tensor.Tensor) *tensor.Tensor {
-	out := m.gather(m.Layers, x)
-	SoftmaxInPlace(out)
+	out := tensor.New(x.Dim(0), m.NumClasses)
+	m.PredictInto(out, x)
 	return out
+}
+
+// PredictInto writes Predict(x)'s probabilities into dst, which must be
+// [N, NumClasses] for N input rows; it panics otherwise. Each row block's
+// logits are copied straight into dst and softmaxed there, so a caller that
+// owns its output storage — the serving engine's audit path, a prompt
+// search reusing one confidence tensor per generation — gets the same bits
+// with no per-call allocation of its own.
+func (m *Model) PredictInto(dst, x *tensor.Tensor) {
+	k := m.NumClasses
+	if dst.Rank() != 2 || dst.Dim(0) != x.Dim(0) || dst.Dim(1) != k {
+		panic(fmt.Sprintf("nn: PredictInto destination %v for %d rows of %d classes", dst.Shape(), x.Dim(0), k))
+	}
+	m.forBlocks(m.Layers, x, func(r0 int, logits *tensor.Tensor) {
+		if logits.Len() != logits.Dim(0)*k {
+			panic(fmt.Sprintf("nn: model emits %v logits, NumClasses is %d", logits.Shape(), k))
+		}
+		rows := dst.Data[r0*k : r0*k+logits.Len()]
+		copy(rows, logits.Data)
+		softmaxRows(rows, k)
+	})
 }
 
 // PredictClasses returns the argmax class for each sample. Pure, like Infer.
@@ -196,9 +217,16 @@ func (m *Model) Validate() error {
 // SoftmaxInPlace converts each row of logits [N, K] into probabilities using
 // the max-subtraction trick for numerical stability.
 func SoftmaxInPlace(logits *tensor.Tensor) {
-	n, k := logits.Dim(0), logits.Dim(1)
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
+	softmaxRows(logits.Data, logits.Dim(1))
+}
+
+// softmaxRows is SoftmaxInPlace over flat rows of k values.
+func softmaxRows(data []float64, k int) {
+	if k <= 0 {
+		return
+	}
+	for i := 0; i+k <= len(data); i += k {
+		row := data[i : i+k]
 		maxV := math.Inf(-1)
 		for _, v := range row {
 			if v > maxV {

@@ -46,6 +46,49 @@ type BatchLimiter interface {
 	MaxBatch() int
 }
 
+// IntoPredictor is optionally implemented by oracles that can write
+// confidences into storage the caller owns, so a caller that queries
+// repeatedly at one width — the prompt search, once per CMA-ES generation —
+// reuses one tensor instead of receiving a fresh one per call. Callers go
+// through the PredictInto function, which falls back to Predict plus a
+// shape-checked copy for oracles without it; wrappers (Counter, the
+// tenancy's quota oracle) forward it.
+//
+// The contract:
+//   - dst is [x.Dim(0), NumClasses]; on success every value of it has been
+//     written with exactly the bits Predict would have returned.
+//   - On error dst's contents are unspecified, and the backend may still be
+//     writing it: a request abandoned on a cancelled context can still be
+//     running in a serving engine that was handed dst. The caller must drop
+//     a dst whose PredictInto failed and never use that storage again. This
+//     is the rule vp applies to its pooled canvases, for the same reason.
+//   - x must not be modified until PredictInto returns, and after an error
+//     not at all, for the same reason.
+type IntoPredictor interface {
+	PredictInto(ctx context.Context, dst, x *tensor.Tensor) error
+}
+
+// PredictInto writes o's confidence rows for x into dst ([x.Dim(0),
+// NumClasses]): through o's own IntoPredictor when it has one, else
+// through Predict and a copy, after checking the reply's shape — a reply
+// of the wrong shape is an error naming both shapes, never an index out
+// of range in the caller. The IntoPredictor contract applies: after an
+// error, dst must be dropped.
+func PredictInto(ctx context.Context, o Oracle, dst, x *tensor.Tensor) error {
+	if ip, ok := o.(IntoPredictor); ok {
+		return ip.PredictInto(ctx, dst, x)
+	}
+	out, err := o.Predict(ctx, x)
+	if err != nil {
+		return err
+	}
+	if out.Rank() != 2 || dst.Rank() != 2 || out.Dim(0) != dst.Dim(0) || out.Dim(1) != dst.Dim(1) {
+		return fmt.Errorf("oracle: reply of shape %v for %d queried rows, want %v", out.Shape(), x.Dim(0), dst.Shape())
+	}
+	copy(dst.Data, out.Data)
+	return nil
+}
+
 // ModelOracle adapts an in-process nn.Model to the Oracle interface. It is
 // safe for concurrent use: queries go through the model's stateless
 // inference path, so any number of goroutines may Predict simultaneously.
@@ -53,7 +96,10 @@ type ModelOracle struct {
 	model *nn.Model
 }
 
-var _ Oracle = (*ModelOracle)(nil)
+var (
+	_ Oracle        = (*ModelOracle)(nil)
+	_ IntoPredictor = (*ModelOracle)(nil)
+)
 
 // NewModelOracle wraps model. The model's weights must be frozen for the
 // oracle's lifetime (detection-time models are, by construction); inference
@@ -63,13 +109,33 @@ func NewModelOracle(model *nn.Model) *ModelOracle {
 }
 
 func (o *ModelOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("oracle: %w", err)
-	}
-	if x.Rank() != 2 || x.Dim(1) != o.model.InputDim {
-		return nil, fmt.Errorf("oracle: input shape %v, want [N %d]", x.Shape(), o.model.InputDim)
+	if err := o.admit(ctx, x); err != nil {
+		return nil, err
 	}
 	return o.model.Predict(x), nil
+}
+
+// PredictInto is Predict written into dst (IntoPredictor).
+func (o *ModelOracle) PredictInto(ctx context.Context, dst, x *tensor.Tensor) error {
+	if err := o.admit(ctx, x); err != nil {
+		return err
+	}
+	if dst.Rank() != 2 || dst.Dim(0) != x.Dim(0) || dst.Dim(1) != o.model.NumClasses {
+		return fmt.Errorf("oracle: destination shape %v for %d rows, want [%d %d]", dst.Shape(), x.Dim(0), x.Dim(0), o.model.NumClasses)
+	}
+	o.model.PredictInto(dst, x)
+	return nil
+}
+
+// admit refuses a query on a done context or with inputs of the wrong width.
+func (o *ModelOracle) admit(ctx context.Context, x *tensor.Tensor) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	if x.Rank() != 2 || x.Dim(1) != o.model.InputDim {
+		return fmt.Errorf("oracle: input shape %v, want [N %d]", x.Shape(), o.model.InputDim)
+	}
+	return nil
 }
 
 func (o *ModelOracle) NumClasses() int { return o.model.NumClasses }
@@ -89,7 +155,10 @@ type Counter struct {
 	queries atomic.Int64
 }
 
-var _ Oracle = (*Counter)(nil)
+var (
+	_ Oracle        = (*Counter)(nil)
+	_ IntoPredictor = (*Counter)(nil)
+)
 
 // MaxBatch exposes the wrapped oracle's advertised per-request batch limit
 // (0 when the oracle has none), so wrapping an oracle in a Counter does not
@@ -112,6 +181,16 @@ func (c *Counter) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor
 		c.queries.Add(int64(x.Dim(0)))
 	}
 	return out, err
+}
+
+// PredictInto forwards to the wrapped oracle's PredictInto (or its
+// Predict and a copy) and counts the rows on success, like Predict.
+func (c *Counter) PredictInto(ctx context.Context, dst, x *tensor.Tensor) error {
+	err := PredictInto(ctx, c.inner, dst, x)
+	if err == nil {
+		c.queries.Add(int64(x.Dim(0)))
+	}
+	return err
 }
 
 func (c *Counter) NumClasses() int { return c.inner.NumClasses() }

@@ -147,3 +147,39 @@ func TestCounterExposesBatchLimit(t *testing.T) {
 	}
 	var _ BatchLimiter = capped
 }
+
+// predictOnly hides every optional interface of the oracle it wraps.
+type predictOnly struct{ Oracle }
+
+// PredictInto writes Predict's bits, through an oracle's own PredictInto
+// or through Predict and a copy, and a Counter forwards it and counts the
+// rows once. A destination of the wrong shape is an error either way.
+func TestPredictIntoMatchesPredict(t *testing.T) {
+	m := testModel(t)
+	x := tensor.New(37, 16) // more than one of the model's row blocks
+	rng.New(3).Uniform(x.Data, 0, 1)
+	want := m.Predict(x)
+	for name, o := range map[string]Oracle{
+		"model":          NewModelOracle(m),
+		"predict-only":   predictOnly{NewModelOracle(m)},
+		"counted model":  NewCounter(NewModelOracle(m)),
+		"counted bypass": NewCounter(predictOnly{NewModelOracle(m)}),
+	} {
+		dst := tensor.New(37, 3)
+		dst.Fill(math.NaN())
+		if err := PredictInto(context.Background(), o, dst, x); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range want.Data {
+			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: value %d is %v, Predict gives %v", name, i, dst.Data[i], want.Data[i])
+			}
+		}
+		if c, ok := o.(*Counter); ok && c.Queries() != 37 {
+			t.Fatalf("%s: counted %d queries for 37 rows", name, c.Queries())
+		}
+		if err := PredictInto(context.Background(), o, tensor.New(36, 3), x); err == nil {
+			t.Fatalf("%s: a 36-row destination for 37 rows was accepted", name)
+		}
+	}
+}

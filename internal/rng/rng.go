@@ -182,16 +182,29 @@ func (r *RNG) Sample(n, k int) []int {
 	if k > n {
 		panic("rng: Sample k > n")
 	}
+	return r.SampleInto(make([]int, n), k)
+}
+
+// SampleInto is Sample(len(perm), k) drawn into caller scratch: it
+// overwrites perm and returns its first k slots, the same indices in the
+// same order after the same draws. A caller that samples repeatedly from
+// one population — a mini-batch per CMA-ES candidate — reuses one perm
+// instead of allocating an n-sized permutation per draw. The result aliases
+// perm, so it is valid until perm is reused.
+func (r *RNG) SampleInto(perm []int, k int) []int {
+	n := len(perm)
+	if k > n {
+		panic("rng: Sample k > n")
+	}
 	// Partial Fisher–Yates: only the first k slots are needed.
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+	for i := range perm {
+		perm[i] = i
 	}
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
-		p[i], p[j] = p[j], p[i]
+		perm[i], perm[j] = perm[j], perm[i]
 	}
-	return p[:k:k]
+	return perm[:k:k]
 }
 
 // Gaussian fills dst with independent N(mu, sigma^2) variates.

@@ -4,15 +4,20 @@ package vp
 // black-box audit's wall clock, and its objective decomposes into a
 // candidate-invariant part (resizing training images into the inner window)
 // and a candidate-dependent part (the border θ). This file exploits both:
-// the resize cache computes every inner-window image once per training run,
-// and the generation evaluator materializes all λ×k prompted canvases of a
-// CMA-ES generation into one pooled tensor and issues a single fused
-// oracle.Predict per generation — so remote oracles' parallel chunk fan-out
-// and the serving stack's micro-batch engine see full-width batches instead
-// of λ narrow ones. Everything here is bit-identical to the serial path
-// (locked in by the parity tests): candidate order, mini-batch RNG draws,
-// per-row model outputs, and oracle query accounting (queries = rows) are
-// all preserved.
+// Windows holds every inner-window image of a training set, built once and
+// shared read-only — a bprom.Detector builds one on its first audit and
+// every later audit reuses it — and the generation evaluator materializes
+// all λ×k prompted canvases of a CMA-ES generation into one pooled tensor
+// and issues a single fused oracle query per generation, so remote
+// oracles' parallel chunk fan-out and the serving stack's micro-batch
+// engine see full-width batches instead of λ narrow ones. A warm generation
+// allocates nothing that scales with its rows or the dataset: sample
+// indices are drawn into reused scratch (rng.SampleInto), canvases come
+// from a pool, and confidences land in one reused tensor
+// (oracle.IntoPredictor). Everything here is bit-identical to the serial
+// path (locked in by the parity tests): candidate order, mini-batch RNG
+// draws, per-row model outputs, and oracle query accounting (queries =
+// rows) are all preserved.
 
 import (
 	"context"
@@ -70,31 +75,47 @@ func getCanvas(n int) *[]float64 {
 
 func putCanvas(p *[]float64) { canvasPool.Put(p) }
 
-// resizeCache holds every sample of one dataset bilinearly resized into a
-// prompt's inner window — the candidate-invariant half of prompt
-// application. TrainBlackBox resizes each training image exactly once per
-// call (instead of once per objective evaluation), and TrainWhiteBox once
-// per call (instead of once per epoch×batch visit). The cached pixels are
-// bit-identical to an on-the-fly resize: both run the same
-// data.ResizeImage on the same inputs.
-type resizeCache struct {
-	dim  int
-	data []float64 // [ds.Len()][dim], row i = sample i resized
+// Windows holds every sample of one dataset bilinearly resized into a
+// prompt geometry's inner window — the candidate-invariant half of prompt
+// application. The black-box search reads it instead of resizing each
+// mini-batch image per objective evaluation, and TrainWhiteBox instead of
+// once per epoch×batch visit. The pixels are bit-identical to an
+// on-the-fly resize: both run the same data.ResizeImage on the same inputs.
+// A Windows is never written after NewWindows returns, so any number of
+// concurrent searches over the same dataset and geometry may share one.
+type Windows struct {
+	ds    *data.Dataset
+	inner data.Shape
+	data  []float64 // [ds.Len()][inner.Dim()], row i = sample i resized
 }
 
-func newResizeCache(p *Prompt, ds *data.Dataset) *resizeCache {
-	inner := data.Shape{C: p.Source.C, H: p.Inner, W: p.Inner}
-	c := &resizeCache{dim: inner.Dim()}
-	c.data = make([]float64, ds.Len()*c.dim)
+// NewWindows resizes every sample of ds into p's inner window. Only p's
+// geometry is read: any prompt with the same canvas and window size may use
+// the result.
+func NewWindows(p *Prompt, ds *data.Dataset) *Windows {
+	w := &Windows{ds: ds, inner: data.Shape{C: p.Source.C, H: p.Inner, W: p.Inner}}
+	dim := w.inner.Dim()
+	w.data = make([]float64, ds.Len()*dim)
 	for i := 0; i < ds.Len(); i++ {
-		data.ResizeImage(ds.Sample(i), ds.Shape, c.data[i*c.dim:(i+1)*c.dim], inner)
+		data.ResizeImage(ds.Sample(i), ds.Shape, w.data[i*dim:(i+1)*dim], w.inner)
 	}
-	return c
+	return w
 }
 
-// resized returns sample i's cached inner-window pixels. Callers must not
-// mutate the result.
-func (c *resizeCache) resized(i int) []float64 { return c.data[i*c.dim : (i+1)*c.dim] }
+// resized returns sample i's inner-window pixels. Callers must not mutate
+// the result.
+func (w *Windows) resized(i int) []float64 {
+	dim := w.inner.Dim()
+	return w.data[i*dim : (i+1)*dim]
+}
+
+// fits reports whether the windows were cut for p's window geometry.
+func (w *Windows) fits(p *Prompt) error {
+	if want := (data.Shape{C: p.Source.C, H: p.Inner, W: p.Inner}); w.inner != want {
+		return fmt.Errorf("vp: windows resized to %+v, prompt window is %+v", w.inner, want)
+	}
+	return nil
+}
 
 // fillBorder writes clamp01(theta) into dst's border pixels.
 func (p *Prompt) fillBorder(dst, theta []float64) {
@@ -139,7 +160,7 @@ func (p *Prompt) materializeInto(x *tensor.Tensor, row0 int, theta []float64, wi
 // oracle call per CMA-ES generation. It draws every candidate's mini-batch
 // up front in candidate order (the exact Sample sequence the serial
 // objective consumes), materializes all λ×k canvases into one pooled
-// tensor, sends them through the oracle in a single Predict, and folds the
+// tensor, sends them through the oracle in a single query, and folds the
 // confidence rows back into per-candidate losses in the serial path's
 // summation order — so best-θ selection and the query counter are
 // bit-identical to the per-candidate path.
@@ -147,13 +168,16 @@ type genEvaluator struct {
 	ctx      context.Context
 	oracle   oracle.Oracle
 	prompt   *Prompt
-	cache    *resizeCache
-	train    *data.Dataset
-	k        int       // samples per candidate evaluation
-	batchRNG *rng.RNG  // shared with the serial objective
-	errp     *error    // first oracle failure, shared with TrainBlackBox
-	fs       []float64 // per-candidate losses, reused across generations
-	idx      []int     // λ×k sample indices, reused across generations
+	windows  *Windows
+	k        int      // samples per candidate evaluation
+	batchRNG *rng.RNG // shared with the serial objective
+	errp     *error   // first oracle failure, shared with TrainBlackBox
+
+	// Scratch reused across generations.
+	fs    []float64      // per-candidate losses
+	idx   []int          // λ×k sample indices
+	perm  []int          // SampleInto's n-sized permutation
+	probs *tensor.Tensor // [λ×k, classes] confidences; dropped after a failed query
 }
 
 func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
@@ -168,13 +192,16 @@ func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
 		}
 		return fs
 	}
-	n := e.train.Len()
+	train := e.windows.ds
+	if len(e.perm) != train.Len() {
+		e.perm = make([]int, train.Len())
+	}
 	if cap(e.idx) < lam*e.k {
 		e.idx = make([]int, 0, lam*e.k)
 	}
 	idx := e.idx[:0]
 	for range cands {
-		idx = append(idx, e.batchRNG.Sample(n, e.k)...)
+		idx = append(idx, e.batchRNG.SampleInto(e.perm, e.k)...)
 	}
 	e.idx = idx
 
@@ -183,10 +210,17 @@ func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
 	buf := getCanvas(rows * dim)
 	x := tensor.FromSlice(*buf, rows, dim)
 	for c, theta := range cands {
-		e.prompt.materializeInto(x, c*e.k, theta, e.cache.resized, idx[c*e.k:(c+1)*e.k])
+		e.prompt.materializeInto(x, c*e.k, theta, e.windows.resized, idx[c*e.k:(c+1)*e.k])
 	}
-	probs, err := e.oracle.Predict(e.ctx, x)
-	if err != nil {
+	classes := e.oracle.NumClasses()
+	if e.probs == nil || e.probs.Dim(0) != rows || e.probs.Dim(1) != classes {
+		e.probs = tensor.New(rows, classes)
+	}
+	probs := e.probs
+	if err := oracle.PredictInto(e.ctx, e.oracle, probs, x); err != nil {
+		// Neither the canvas nor probs is reused: the backend may still be
+		// reading the one and writing the other (oracle.IntoPredictor).
+		e.probs = nil
 		*e.errp = err
 		for i := range fs {
 			fs[i] = math.Inf(1)
@@ -194,12 +228,11 @@ func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
 		return fs
 	}
 	putCanvas(buf)
-	classes := probs.Dim(1)
 	for c := 0; c < lam; c++ {
 		loss := 0.0
 		for bi := 0; bi < e.k; bi++ {
 			row := c*e.k + bi
-			pTrue := probs.Data[row*classes+e.train.Y[idx[row]]]
+			pTrue := probs.Data[row*classes+train.Y[idx[row]]]
 			loss -= math.Log(math.Max(pTrue, 1e-12))
 		}
 		fs[c] = loss / float64(e.k)
@@ -210,11 +243,10 @@ func (e *genEvaluator) evaluate(cands [][]float64) []float64 {
 // predictPrompted streams the prompted canvases for ds[idx] through o in
 // chunks of at most promptChunk rows, reusing one pooled canvas (and one
 // resize scratch) across chunks, and collects the [len(idx), K] confidence
-// tensor. Prompted.Confidences and Accuracy share it with the audit
-// feature-extraction path; it replaces the per-chunk idx rebuild and canvas
-// allocation the old Accuracy loop paid. Chunking is invisible to results
-// and query accounting: per-row outputs are batch-size independent, and
-// counters count rows, not calls.
+// tensor, each chunk's rows written straight into it. Prompted.Confidences
+// and Accuracy share it with the audit feature-extraction path. Chunking is
+// invisible to results and query accounting: per-row outputs are
+// batch-size independent, and counters count rows, not calls.
 func predictPrompted(ctx context.Context, o oracle.Oracle, p *Prompt, ds *data.Dataset, idx []int) (*tensor.Tensor, error) {
 	classes := o.NumClasses()
 	out := tensor.New(len(idx), classes)
@@ -256,15 +288,10 @@ func predictPrompted(ctx context.Context, o oracle.Oracle, p *Prompt, ds *data.D
 		}
 		x := tensor.FromSlice((*buf)[:(end-start)*dim], end-start, dim)
 		p.materializeInto(x, 0, p.Theta, window, idx[start:end])
-		probs, err := o.Predict(ctx, x)
-		if err != nil {
+		rows := tensor.FromSlice(out.Data[start*classes:end*classes], end-start, classes)
+		if err := oracle.PredictInto(ctx, o, rows, x); err != nil {
 			return nil, err
 		}
-		if probs.Dim(0) != end-start || probs.Dim(1) != classes {
-			return nil, fmt.Errorf("vp: oracle returned %v confidences for %d prompted samples of %d advertised classes",
-				probs.Shape(), end-start, classes)
-		}
-		copy(out.Data[start*classes:end*classes], probs.Data)
 	}
 	putCanvas(buf)
 	return out, nil

@@ -35,6 +35,15 @@ func (st *SearchState) Save(w *binio.Writer) {
 	}
 }
 
+// SavedSize returns the number of bytes Save writes.
+func (st *SearchState) SavedSize() int {
+	n := 6*8 + 2*6*8 // three counters, three scalars, two RNG states
+	for _, s := range [][]float64{st.CMA.Mean, st.CMA.Diag, st.CMA.Ps, st.CMA.Pc, st.CMA.Best} {
+		n += 4 + 8*len(s)
+	}
+	return n
+}
+
 // LoadSearchState reads a state previously written by Save.
 func LoadSearchState(r *binio.Reader) (*SearchState, error) {
 	st := &SearchState{}

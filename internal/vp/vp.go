@@ -197,7 +197,7 @@ func TrainWhiteBox(ctx context.Context, model *nn.Model, p *Prompt, train *data.
 	// each image every epoch), and one pooled canvas is reused across
 	// batches. The materialized pixels are bit-identical to the old
 	// per-batch Prompt.Batch, so θ's trajectory is unchanged.
-	cache := newResizeCache(p, train)
+	windows := NewWindows(p, train)
 	dim := p.Source.Dim()
 	bs := cfg.BatchSize
 	if bs > n {
@@ -218,7 +218,7 @@ func TrainWhiteBox(ctx context.Context, model *nn.Model, p *Prompt, train *data.
 			}
 			idx := perm[start:end]
 			x := tensor.FromSlice((*buf)[:len(idx)*dim], len(idx), dim)
-			p.materializeInto(x, 0, p.Theta, cache.resized, idx)
+			p.materializeInto(x, 0, p.Theta, windows.resized, idx)
 			yb := y[:len(idx)]
 			for bi, i := range idx {
 				yb[bi] = train.Y[i]
@@ -304,12 +304,30 @@ func (c BlackBoxConfig) Generations() int {
 // only access BPROM has to the suspicious model.
 //
 // The CMA-ES path is generation-batched: every training image is resized
-// into the inner window once per call, each generation's λ×k prompted
+// into the inner window once (NewWindows), each generation's λ×k prompted
 // canvases are materialized into one pooled tensor, and the oracle sees one
-// fused Predict per generation. The result — learned θ and oracle query
+// fused query per generation. The result — learned θ and oracle query
 // count alike — is bit-identical to scoring each candidate with
 // serialObjective, which the parity test pins.
 func TrainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.Dataset, cfg BlackBoxConfig, r *rng.RNG) error {
+	return trainBlackBox(ctx, o, p, train, nil, cfg, r)
+}
+
+// TrainBlackBoxWindows is TrainBlackBox on the dataset windows were built
+// from, reading the inner-window images from windows instead of resizing
+// the training set for this call: for a caller that prompts many oracles on
+// one training set (bprom.Detector builds its windows once and reuses them
+// for every audit). windows must have been built for p's geometry.
+func TrainBlackBoxWindows(ctx context.Context, o oracle.Oracle, p *Prompt, windows *Windows, cfg BlackBoxConfig, r *rng.RNG) error {
+	if err := windows.fits(p); err != nil {
+		return err
+	}
+	return trainBlackBox(ctx, o, p, windows.ds, windows, cfg, r)
+}
+
+// trainBlackBox is TrainBlackBox with optional prebuilt windows (nil: the
+// CMA-ES path builds its own).
+func trainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.Dataset, windows *Windows, cfg BlackBoxConfig, r *rng.RNG) error {
 	cfg.defaults()
 	if train.Classes > o.NumClasses() {
 		return fmt.Errorf("vp: target task has %d classes, oracle only %d", train.Classes, o.NumClasses())
@@ -378,12 +396,14 @@ func TrainBlackBox(ctx context.Context, o oracle.Oracle, p *Prompt, train *data.
 		res := cmaes.SPSA(ctx, objective, p.Theta, cfg.Iterations*10, 0.2, 0.05, spsaOpt, r.Split("spsa"))
 		best = res.Best
 	} else {
+		if windows == nil {
+			windows = NewWindows(p, train)
+		}
 		ev := &genEvaluator{
 			ctx:      ctx,
 			oracle:   o,
 			prompt:   p,
-			cache:    newResizeCache(p, train),
-			train:    train,
+			windows:  windows,
 			k:        k,
 			batchRNG: batchRNG,
 			errp:     &oracleErr,
@@ -420,8 +440,8 @@ func serialObjective(ctx context.Context, o oracle.Oracle, work *Prompt, train *
 		}
 		copy(work.Theta, theta)
 		idx := batchRNG.Sample(train.Len(), k)
-		probs, err := o.Predict(ctx, work.Batch(train, idx))
-		if err != nil {
+		probs := tensor.New(k, o.NumClasses())
+		if err := oracle.PredictInto(ctx, o, probs, work.Batch(train, idx)); err != nil {
 			*errp = err
 			return math.Inf(1)
 		}

@@ -453,12 +453,12 @@ func TestResizeCacheMatchesDirectResize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newResizeCache(p, ds)
+	windows := NewWindows(p, ds)
 	inner := data.Shape{C: p.Source.C, H: p.Inner, W: p.Inner}
 	want := make([]float64, inner.Dim())
 	for i := 0; i < ds.Len(); i++ {
 		data.ResizeImage(ds.Sample(i), ds.Shape, want, inner)
-		got := cache.resized(i)
+		got := windows.resized(i)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("cached resize of sample %d differs at %d", i, j)
