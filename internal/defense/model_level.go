@@ -149,9 +149,10 @@ func classProbMargin(m *nn.Model, x *tensor.Tensor, c int) float64 {
 
 // MNTD trains clean and backdoored shadow models and a meta-classifier over
 // their confidence vectors on a set of query inputs — BPROM's closest prior
-// work, WITHOUT visual prompting: queries are raw source-domain inputs. The
-// paper's §5.3 comparison (fewer shadows needed, single attack suffices for
-// BPROM) is reproduced by running both on identical budgets.
+// work, WITHOUT visual prompting: queries are raw source-domain inputs. It is
+// the control for the paper's §5.3 comparison (fewer shadows needed, single
+// attack suffices for BPROM), which runs both on identical budgets; no
+// experiment runner makes that comparison yet, so only its tests call MNTD.
 type MNTD struct {
 	// NumClean / NumBackdoor shadow counts (default 10+10).
 	NumClean, NumBackdoor int

@@ -15,7 +15,6 @@ import (
 	"bprom/internal/jobstore"
 	"bprom/internal/oracle"
 	"bprom/internal/tensor"
-	"bprom/internal/vp"
 )
 
 // Audit-as-a-service routes: the HTTP face of internal/audit. A server
@@ -267,8 +266,8 @@ func (l *localAudits) augmentHealth(h *Health) {
 // audits: queries go straight to the provider's engines (no HTTP loopback),
 // chunked to the provider's per-request batch limit so audit traffic obeys
 // the same batching contract as wire traffic. Each chunk's confidences are
-// written straight into its rows of the caller's tensor
-// (oracle.IntoPredictor) when the provider runs in-process engines.
+// written by the engine straight into its rows of the caller's tensor
+// (oracle.IntoPredictor).
 type providerOracle struct {
 	prov     provider
 	id       string
@@ -280,12 +279,6 @@ var (
 	_ oracle.BatchLimiter  = (*providerOracle)(nil)
 	_ oracle.IntoPredictor = (*providerOracle)(nil)
 )
-
-// intoProvider is a provider whose engines can write confidences into
-// caller storage: the single-model provider and the registry.
-type intoProvider interface {
-	predictInto(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error)
-}
 
 func (o *providerOracle) NumClasses() int { return o.classes }
 func (o *providerOracle) InputDim() int   { return o.inputDim }
@@ -308,6 +301,11 @@ func (o *providerOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor
 // PredictInto writes x's confidence rows into dst, one provider request per
 // MaxBatch rows, each answered into its own rows of dst. After an error an
 // engine may still be writing dst (oracle.IntoPredictor).
+//
+// Audit traffic is never screened (screen=false): an inspection issues
+// thousands of probe queries that only need raw confidences, and its verdict
+// must stay bit-identical whether or not the hosted model also serves
+// screened predict traffic.
 func (o *providerOracle) PredictInto(ctx context.Context, dst, x *tensor.Tensor) error {
 	if x.Rank() != 2 || x.Dim(1) != o.inputDim {
 		return fmt.Errorf("mlaas: audit input shape %v, want [N %d]", x.Shape(), o.inputDim)
@@ -327,31 +325,10 @@ func (o *providerOracle) PredictInto(ctx context.Context, dst, x *tensor.Tensor)
 			chunk = tensor.FromSlice(x.Data[start*o.inputDim:end*o.inputDim], end-start, o.inputDim)
 			rows = tensor.FromSlice(dst.Data[start*o.classes:end*o.classes], end-start, o.classes)
 		}
-		if err := o.predictChunk(ctx, chunk, rows); err != nil {
+		if _, _, err := o.prov.predict(ctx, o.id, chunk, rows, false); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// predictChunk answers one provider-sized chunk into rows. Audit traffic is
-// never screened (screen=false): an inspection issues thousands of probe
-// queries that only need raw confidences, and its verdict must stay
-// bit-identical whether or not the hosted model also serves screened
-// predict traffic.
-func (o *providerOracle) predictChunk(ctx context.Context, chunk, rows *tensor.Tensor) error {
-	if ip, ok := o.prov.(intoProvider); ok {
-		_, _, err := ip.predictInto(ctx, o.id, chunk, rows, false)
-		return err
-	}
-	probs, _, err := o.prov.Predict(ctx, o.id, chunk, false)
-	if err != nil {
-		return err
-	}
-	if probs.Len() != rows.Len() {
-		return fmt.Errorf("mlaas: provider answered %v confidences for a %v chunk", probs.Shape(), rows.Shape())
-	}
-	copy(rows.Data, probs.Data)
 	return nil
 }
 

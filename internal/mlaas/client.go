@@ -136,8 +136,9 @@ type Client struct {
 }
 
 var (
-	_ oracle.Oracle       = (*Client)(nil)
-	_ oracle.BatchLimiter = (*Client)(nil)
+	_ oracle.Oracle        = (*Client)(nil)
+	_ oracle.BatchLimiter  = (*Client)(nil)
+	_ oracle.IntoPredictor = (*Client)(nil)
 )
 
 // Dial fetches /v1/info and returns a client bound to the endpoint's
@@ -281,17 +282,39 @@ func (c *Client) ScreenPolicy() string { return c.screenPolicy }
 // Should the server reject a row regardless (reject policy), Predict
 // reports it as an error.
 func (c *Client) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, screening, err := c.predict(ctx, x, false)
+	out, screening, err := c.predict(ctx, x, nil, false)
+	if err == nil {
+		err = rejectedRow(screening)
+	}
 	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// PredictInto is Predict with every reply decoded straight into dst, [N,
+// NumClasses] storage the caller owns (oracle.IntoPredictor). A dst of any
+// other shape is an error, and nothing is sent. PredictInto returns only
+// once every chunk request has, so after an error nothing writes dst any more;
+// its rows are then unspecified.
+func (c *Client) PredictInto(ctx context.Context, dst, x *tensor.Tensor) error {
+	_, screening, err := c.predict(ctx, x, dst, false)
+	if err != nil {
+		return err
+	}
+	return rejectedRow(screening)
+}
+
+// rejectedRow is the error for the first row the server withheld under its
+// reject policy, or nil.
+func rejectedRow(screening []Screening) error {
 	for i := range screening {
 		if screening[i].Rejected {
-			return nil, fmt.Errorf("mlaas: input row %d rejected by server-side screening (score %.3f >= threshold %.3f)",
+			return fmt.Errorf("mlaas: input row %d rejected by server-side screening (score %.3f >= threshold %.3f)",
 				i, screening[i].Score, screening[i].Threshold)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // PredictScreened is Predict with inline screening requested: it returns
@@ -301,16 +324,23 @@ func (c *Client) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor,
 // zeroed confidences — callers must check before using those rows. Batches
 // beyond max_batch are chunked exactly like Predict.
 func (c *Client) PredictScreened(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []Screening, error) {
-	return c.predict(ctx, x, true)
+	return c.predict(ctx, x, nil, true)
 }
 
-func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*tensor.Tensor, []Screening, error) {
+// predict sends x and decodes the replies into out, [N, classes] caller
+// storage, or nil for a fresh tensor; it returns out. It waits for every
+// chunk request, so nothing writes out after it returns.
+func (c *Client) predict(ctx context.Context, x, out *tensor.Tensor, screen bool) (*tensor.Tensor, []Screening, error) {
 	if x.Rank() != 2 || x.Dim(1) != c.inputDim {
 		return nil, nil, fmt.Errorf("mlaas: input shape %v, want [N %d]", x.Shape(), c.inputDim)
 	}
 	n := x.Dim(0)
 	// Each request's reply is decoded straight into its rows of out.
-	out := tensor.New(n, c.classes)
+	if out == nil {
+		out = tensor.New(n, c.classes)
+	} else if out.Rank() != 2 || out.Dim(0) != n || out.Dim(1) != c.classes {
+		return nil, nil, fmt.Errorf("mlaas: destination shape %v, want [%d %d]", out.Shape(), n, c.classes)
+	}
 	if c.maxBatch <= 0 || n <= c.maxBatch {
 		screening, err := c.predictBatch(ctx, x.Data, out.Data, screen)
 		if err != nil {
@@ -319,6 +349,9 @@ func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 		return out, screening, nil
 	}
 	var screening []Screening
+	// The chunks capture rows, not out: a reassigned parameter that a
+	// goroutine captures costs a heap cell on every call.
+	rows := out.Data
 	sem := make(chan struct{}, maxInflightChunks)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -339,7 +372,7 @@ func (c *Client) predict(ctx context.Context, x *tensor.Tensor, screen bool) (*t
 			if failed {
 				return
 			}
-			scr, err := c.predictBatch(ctx, x.Data[start*c.inputDim:end*c.inputDim], out.Data[start*c.classes:end*c.classes], screen)
+			scr, err := c.predictBatch(ctx, x.Data[start*c.inputDim:end*c.inputDim], rows[start*c.classes:end*c.classes], screen)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {

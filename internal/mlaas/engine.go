@@ -18,10 +18,11 @@ var errEngineClosed = errors.New("mlaas: model engine closed")
 // predictJob is one decoded predict request waiting for a worker.
 type predictJob struct {
 	x *tensor.Tensor // [n, InputDim]
-	// dst, when non-nil, is caller storage ([n, NumClasses]) the job's
-	// confidence rows are written into; nil means a fresh tensor. The worker
-	// may write it after the caller gave up on the job (cancelled context),
-	// which is why a caller drops a dst whose predict failed.
+	// dst is caller storage ([n, NumClasses]) the job's confidence rows are
+	// written into: a handler's pooled rows or an audit oracle's tensor. nil
+	// (Registry.Predict) means a fresh tensor. The worker may write dst after
+	// the caller gave up on the job (cancelled context, closed engine), which
+	// is why a caller drops a dst whose predict failed.
 	dst *tensor.Tensor
 	// screen requests inline screening for this job's rows (honored only
 	// when the engine carries a screener).
@@ -29,7 +30,8 @@ type predictJob struct {
 	out    chan predictResult
 }
 
-// result returns the tensor the job's rows go into: its dst, or a fresh one.
+// result returns the tensor the job's rows go into: its dst, or a fresh one
+// when the caller passed none.
 func (j *predictJob) result(classes int) *tensor.Tensor {
 	if j.dst != nil {
 		return j.dst
@@ -96,9 +98,10 @@ func (e *engine) close() {
 // per-row screening outcomes when screen is set and the engine screens.
 // The rows are written into dst when it is non-nil ([n, NumClasses]; the
 // returned tensor is then dst itself), else into a fresh tensor. On error
-// a worker may still write dst later, so the caller must drop it (the
-// oracle.IntoPredictor contract). The batch must already respect maxBatch
-// (the HTTP layer rejects larger requests).
+// a worker may still write dst and read x later, so the caller must drop
+// both (the oracle.IntoPredictor contract, and rowPool's success-only rule).
+// The batch must already respect maxBatch (the HTTP layer rejects larger
+// requests).
 func (e *engine) predictInto(ctx context.Context, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	// Check done first: select chooses randomly among ready cases, so
 	// without this a post-close predict could still win the enqueue race.

@@ -559,13 +559,15 @@ func (g *Gateway) resolveID(id string) string {
 	return g.defaultID
 }
 
-// Predict (provider seam) routes one batch to the model's replica set:
+// predict (provider seam) routes one batch to the model's replica set:
 // rotate the starting replica (spreading a hot model's load), fail over on
 // transient errors — dropping to the marked-down desperation tier once the
 // healthy replicas are exhausted — and shed with the node's own 429 only
 // when every replica sheds. Permanent node verdicts (4xx other than 429)
-// pass through immediately: a replica would answer the same.
-func (g *Gateway) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+// pass through immediately: a replica would answer the same. The answering
+// node's reply is decoded into dst, over whatever rows a failed replica left
+// there.
+func (g *Gateway) predict(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if g.closed.Load() {
 		return nil, nil, errEngineClosed
 	}
@@ -591,7 +593,7 @@ func (g *Gateway) Predict(ctx context.Context, id string, x *tensor.Tensor, scre
 	var lastErr error
 	var shed *nodeError
 	for _, n := range candidates {
-		out, scr, err := g.predictOn(ctx, n, id, x, screen)
+		out, scr, err := g.predictOn(ctx, n, id, x, dst, screen)
 		if err == nil {
 			return out, scr, nil
 		}
@@ -621,16 +623,17 @@ func (g *Gateway) Predict(ctx context.Context, id string, x *tensor.Tensor, scre
 	return nil, nil, fmt.Errorf("%w: model %q (%d replicas tried, last: %v)", ErrNoHealthyReplica, id, len(candidates), lastErr)
 }
 
-// predictOn sends the batch to one node. The node's wire Screening comes
-// back as provider-seam ScreenResults; the gateway's own HTTP layer
-// re-derives rejection from Flagged + policy, exactly as a node does, so
-// the response reaching the end client is bit-identical either way.
-func (g *Gateway) predictOn(ctx context.Context, n *gatewayNode, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+// predictOn sends the batch to one node and decodes its reply into dst (nil:
+// a fresh tensor). The node's wire Screening comes back as provider-seam
+// ScreenResults; the gateway's own HTTP layer re-derives rejection from
+// Flagged + policy, exactly as a node does, so the response reaching the end
+// client is bit-identical either way.
+func (g *Gateway) predictOn(ctx context.Context, n *gatewayNode, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	c, err := n.predictClient(ctx, id)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, screening, err := c.predict(ctx, x, screen)
+	out, screening, err := c.predict(ctx, x, dst, screen)
 	if err != nil {
 		return nil, nil, err
 	}

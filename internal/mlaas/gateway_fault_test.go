@@ -603,7 +603,7 @@ func TestGatewayRedialsNodeClientsWhenInfoChanges(t *testing.T) {
 	want := m.Predict(x.Clone())
 	predict := func(what string) {
 		t.Helper()
-		got, _, err := g.Predict(ctx, "", x.Clone(), false)
+		got, _, err := g.predict(ctx, "", x.Clone(), nil, false)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}

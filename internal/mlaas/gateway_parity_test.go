@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -418,23 +417,16 @@ func TestGatewayAuditEnvelopeParity(t *testing.T) {
 	}
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	stall := &stallOracle{classes: info.Classes, dim: info.InputDim, release: release}
+	stall := newStallOracle(info.Classes, info.InputDim, release)
 	wedged, err := s.Audits().Submit("clean", "acme", stall, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second stalled job is accepted once the worker has picked the
 	// first one up; it then holds the only queue slot.
-	for i := 0; ; i++ {
-		if _, err := s.Audits().Submit("clean", "acme", stall, 2); err == nil {
-			break
-		} else if !errors.Is(err, audit.ErrQueueFull) {
-			t.Fatal(err)
-		}
-		if i > 200 {
-			t.Fatal("worker never picked up the wedged job")
-		}
-		time.Sleep(5 * time.Millisecond)
+	<-stall.entered
+	if _, err := s.Audits().Submit("clean", "acme", stall, 2); err != nil {
+		t.Fatal(err)
 	}
 
 	check(node, gw, []probe{

@@ -140,12 +140,15 @@ type provider interface {
 	Info(id string) (ModelInfo, error)
 	// MaxBatch is the per-request row limit shared by all hosted models.
 	MaxBatch() int
-	// Predict routes one batch to the model's engine, loading it first if
-	// necessary. id "" means the default model. screen requests inline
+	// predict routes one batch to the model's engine (or a node), loading
+	// it first if necessary, and writes the confidence rows into dst:
+	// [n, classes] caller storage, returned as the result, or nil for a
+	// fresh tensor. id "" means the default model. screen requests inline
 	// screening: when the model is screened, the returned slice holds one
 	// outcome per input row (nil otherwise — unscreened models and
-	// screen=false cost nothing extra).
-	Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error)
+	// screen=false cost nothing extra). After an error dst may still be
+	// written, and x read, by a queued job: the caller drops both.
+	predict(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error)
 	// Close stops every engine.
 	Close()
 }
@@ -234,13 +237,7 @@ func (p *singleProvider) Info(id string) (ModelInfo, error) {
 	return p.info, nil
 }
 
-func (p *singleProvider) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
-	return p.predictInto(ctx, id, x, nil, screen)
-}
-
-// predictInto is Predict with the confidences written into dst when it is
-// non-nil (engine.predictInto).
-func (p *singleProvider) predictInto(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+func (p *singleProvider) predict(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if id != "" && id != p.info.ID {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownModel, id)
 	}
@@ -470,9 +467,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, id string) {
 
 // handlePredict serves one predict, on a node and on a gateway alike: the
 // body is read into a wireBufPool buffer, its rows decoded into rowPool
-// storage, and the reply encoded over the request's bytes — so no allocation
-// grows with the body. The rows go back to rowPool only once the provider has
-// returned success.
+// storage, the provider answers into that storage's confidence rows (a node's
+// engine writes them, a gateway's node client decodes into them), and the
+// reply is encoded over the request's bytes — so no allocation grows with the
+// body. The storage goes back to rowPool only once the provider has returned
+// success, and only after the reply is encoded.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string) {
 	info, err := s.prov.Info(id)
 	if err != nil {
@@ -503,22 +502,24 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	}
 	// Screening defaults ON for screened models; a request may opt out
 	// ("screen": false) and pay nothing. Unscreened models ignore the flag.
-	// The rows land in pooled storage, which goes back only on success (see
-	// rowPool): a failed predict may leave them queued for a worker.
-	rows := rowPool.Get().(*[]float64)
-	x, screen, err := parsePredictRequest(*rows, contentType, body, maxBatch, info.InputDim)
+	// The rows and their confidences land in pooled storage, which goes back
+	// only on success (see rowPool): a failed predict may leave them queued
+	// for a worker.
+	rows := rowPool.Get().(*predictRows)
+	x, screen, err := parsePredictRequest(rows.in, contentType, body, maxBatch, info.InputDim)
 	if err != nil {
 		rowPool.Put(rows)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	probs, scores, err := s.prov.Predict(r.Context(), id, x, screen)
+	n := x.Dim(0)
+	rows.in, rows.out = x.Data, rowsInto(rows.out, n*info.Classes)
+	probs, scores, err := s.prov.predict(r.Context(), id, x, tensor.FromSlice(rows.out, n, info.Classes), screen)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	*rows = x.Data
-	rowPool.Put(rows)
+	defer rowPool.Put(rows)
 	var screening []Screening
 	if scores != nil {
 		reject := s.screenPolicy == ScreenReject

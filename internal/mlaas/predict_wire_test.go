@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"bprom/internal/nn"
+	"bprom/internal/oracle"
 	"bprom/internal/rng"
 	"bprom/internal/tensor"
 	"bprom/internal/vp"
@@ -91,10 +92,13 @@ func TestEarlyReplyDoesNotRecycleBodyInFlight(t *testing.T) {
 }
 
 // Over a real socket, what one Predict allocates grows with its rows by no
-// more than its two result tensors — the node's confidences and the client's
-// output — plus a fixed slack: the request is encoded into a pooled buffer,
-// written through a pooled copy buffer, read into a pooled buffer and decoded
-// into pooled rows, and the reply is decoded straight into the output.
+// more than its one result tensor — the client's output — plus a fixed slack,
+// and what one PredictInto into warm storage allocates by no more than the
+// slack: the request is encoded into a pooled buffer, written through a
+// pooled copy buffer, read into a pooled buffer and decoded into pooled rows;
+// the node's engine answers into pooled confidence rows, which are encoded
+// into the request's buffer; and the reply is decoded straight into the
+// output.
 func TestPredictOverSocketAllocsIndependentOfBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own and drops pooled buffers at random")
@@ -103,59 +107,81 @@ func TestPredictOverSocketAllocsIndependentOfBody(t *testing.T) {
 	ctx := context.Background()
 	// A collection would empty the pools mid-measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	perPredict := func(rows int) uint64 {
+	perPredict := func(rows int, into bool) uint64 {
 		x := tensor.New(rows, wireCols)
 		rng.New(uint64(rows)).Uniform(x.Data, 0, 1)
+		dst := tensor.New(rows, wireClasses)
 		// Warm the pools and the connection, then take the quietest of a few
 		// tries: TotalAlloc is process-wide, and the node runs in it too.
 		best := uint64(math.MaxUint64)
 		for i := range 15 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := c.Predict(ctx, x); err != nil {
-				t.Fatal(err)
+			var err error
+			if into {
+				err = oracle.PredictInto(ctx, c, dst, x)
+			} else {
+				_, err = c.Predict(ctx, x)
 			}
 			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if i >= 5 {
 				best = min(best, after.TotalAlloc-before.TotalAlloc)
 			}
 		}
 		return best
 	}
-	narrow, wide := perPredict(wireNarrow), perPredict(wireWide)
 	const slack = 4 << 10
-	results := uint64(2 * (wireWide - wireNarrow) * wireClasses * 8)
-	if wide > narrow+results+slack {
-		t.Errorf("a %d-row predict allocates %d bytes, a %d-row one %d: %d more than the two result tensors' %d (slack %d)",
-			wireWide, wide, wireNarrow, narrow, wide-narrow-results, results, slack)
+	result := uint64((wireWide - wireNarrow) * wireClasses * 8)
+	for _, leg := range []struct {
+		into    bool
+		name    string
+		results uint64
+	}{{false, "Predict", result}, {true, "PredictInto", 0}} {
+		narrow, wide := perPredict(wireNarrow, leg.into), perPredict(wireWide, leg.into)
+		t.Logf("%s: %d rows allocate %d bytes, %d rows %d", leg.name, wireNarrow, narrow, wireWide, wide)
+		if wide > narrow+leg.results+slack {
+			t.Errorf("%s: a %d-row call allocates %d bytes, a %d-row one %d: %d more than its result tensors' %d (slack %d)",
+				leg.name, wireWide, wide, wireNarrow, narrow, int64(wide)-int64(narrow)-int64(leg.results), leg.results, slack)
+		}
 	}
 }
 
 // keepingProvider answers like a model while fail is nil. While fail is set
-// it keeps the rows it is handed, as a predictJob still queued for a worker
+// it keeps the rows and the confidence storage it is handed, as a predictJob
+// still queued for a worker would, writes the storage as that job's worker
 // would, and returns fail.
 type keepingProvider struct {
 	singleProvider
 	fail error
-	kept []*tensor.Tensor
+	kept []keptPredict
 }
 
-func (p *keepingProvider) Predict(_ context.Context, _ string, x *tensor.Tensor, _ bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+// keptPredict is what one failed predict handed its provider.
+type keptPredict struct{ x, dst *tensor.Tensor }
+
+// keptFill is what a late worker writes into a failed predict's confidences.
+const keptFill = -1
+
+func (p *keepingProvider) predict(_ context.Context, _ string, x, dst *tensor.Tensor, _ bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if p.fail != nil {
-		p.kept = append(p.kept, x)
+		dst.Fill(keptFill)
+		p.kept = append(p.kept, keptPredict{x, dst})
 		return nil, nil, p.fail
 	}
-	out := tensor.New(x.Dim(0), p.info.Classes)
-	out.Fill(1 / float64(p.info.Classes))
-	return out, nil, nil
+	dst.Fill(1 / float64(p.info.Classes))
+	return dst, nil, nil
 }
 func (p *keepingProvider) MaxBatch() int { return wireNarrow }
 func (p *keepingProvider) Close()        {}
 
-// Decoded rows go back to the pool only after a successful predict: rows a
-// failed one handed to the provider — cancelled, or the engine closed under
-// it — may still be read by a queued job, so later predicts never decode
-// into them.
+// Decoded rows and confidence storage go back to the pool only after a
+// successful predict: what a failed one handed to the provider — cancelled,
+// or the engine closed under it — may still be read or written by a queued
+// job, so later predicts never decode into those rows nor answer into that
+// storage.
 func TestFailedPredictNeverRecyclesRows(t *testing.T) {
 	prov := &keepingProvider{}
 	prov.info = ModelInfo{ID: DefaultModelID, Classes: wireClasses, InputDim: wireCols, Loaded: true}
@@ -186,7 +212,7 @@ func TestFailedPredictNeverRecyclesRows(t *testing.T) {
 				if code := post(ct, fill); code != http.StatusServiceUnavailable {
 					t.Fatalf("%s, %v: status %d, want 503", ct, fail, code)
 				}
-				want = append(want, slices.Clone(prov.kept[len(prov.kept)-1].Data))
+				want = append(want, slices.Clone(prov.kept[len(prov.kept)-1].x.Data))
 			}
 			prov.fail = nil
 			for range 8 {
@@ -197,9 +223,12 @@ func TestFailedPredictNeverRecyclesRows(t *testing.T) {
 			}
 		}
 	}
-	for i, x := range prov.kept {
-		if !slices.Equal(x.Data, want[i]) {
+	for i, k := range prov.kept {
+		if !slices.Equal(k.x.Data, want[i]) {
 			t.Errorf("rows kept by failed predict %d were overwritten by a later one", i)
+		}
+		if k.dst.Len() != wireNarrow*wireClasses || slices.ContainsFunc(k.dst.Data, func(f float64) bool { return f != keptFill }) {
+			t.Errorf("confidence storage kept by failed predict %d was handed to a later one", i)
 		}
 	}
 }
@@ -207,7 +236,9 @@ func TestFailedPredictNeverRecyclesRows(t *testing.T) {
 // BenchmarkPredictLoopback is one Client.Predict through the whole serving
 // path on loopback — binary frame, net/http, the node's decode, the engine
 // queue and micro-batcher, a forward pass — from every proc at once, at the
-// benchmark workloads' two request widths.
+// benchmark workloads' two request widths. Its audit leg is one prompt-search
+// generation as audit_remote sends it: 432 rows through PredictInto into a
+// reused tensor, four parallel chunks of at most 128 rows.
 func BenchmarkPredictLoopback(b *testing.B) {
 	m := loopbackModel(b)
 	c := startLoopback(b, m)
@@ -228,4 +259,17 @@ func BenchmarkPredictLoopback(b *testing.B) {
 			})
 		})
 	}
+	const auditRows = 432
+	x := tensor.New(auditRows, wireCols)
+	rng.New(5).Uniform(x.Data, 0, 1)
+	dst := tensor.New(auditRows, wireClasses)
+	b.Run("audit432rows", func(b *testing.B) {
+		b.SetBytes(binaryRequestSize(auditRows, wireCols))
+		b.ReportAllocs()
+		for range b.N {
+			if err := c.PredictInto(ctx, dst, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -266,12 +266,12 @@ func (r *Registry) Info(id string) (ModelInfo, error) {
 // inline screening; models outside the screener's coverage return nil
 // screening outcomes.
 func (r *Registry) Predict(ctx context.Context, id string, x *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
-	return r.predictInto(ctx, id, x, nil, screen)
+	return r.predict(ctx, id, x, nil, screen)
 }
 
-// predictInto is Predict with the confidences written into dst when it is
-// non-nil (engine.predictInto).
-func (r *Registry) predictInto(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+// predict is Predict with the confidences written into dst when it is
+// non-nil (the provider seam, engine.predictInto).
+func (r *Registry) predict(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
 	if id == "" {
 		id = r.defaultID
 	}

@@ -3,7 +3,6 @@ package mlaas
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"bprom/internal/audit"
 	"bprom/internal/bprom"
 	"bprom/internal/data"
 	"bprom/internal/nn"
@@ -322,15 +320,23 @@ func TestRegistrySidecarScreenOverrides(t *testing.T) {
 }
 
 // stallOracle blocks every audit query until released, wedging an audit
-// worker for as long as a test needs the queue to stay full.
+// worker for as long as a test needs the queue to stay full. Its first query
+// closes entered: from then on a worker holds the job.
 type stallOracle struct {
 	classes, dim int
 	release      chan struct{}
+	entered      chan struct{}
+	once         sync.Once
+}
+
+func newStallOracle(classes, dim int, release chan struct{}) *stallOracle {
+	return &stallOracle{classes: classes, dim: dim, release: release, entered: make(chan struct{})}
 }
 
 func (o *stallOracle) NumClasses() int { return o.classes }
 func (o *stallOracle) InputDim() int   { return o.dim }
 func (o *stallOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
+	o.once.Do(func() { close(o.entered) })
 	select {
 	case <-o.release:
 	case <-ctx.Done():
@@ -366,22 +372,15 @@ func TestAuditQueueFullCarriesRetryAfter(t *testing.T) {
 	}
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	stall := &stallOracle{classes: info.Classes, dim: info.InputDim, release: release}
+	stall := newStallOracle(info.Classes, info.InputDim, release)
 	if _, err := s.Audits().Submit("stall", "", stall, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Once the worker picks the wedged job up, this second submission takes
-	// the single queue slot and stays there.
-	for i := 0; ; i++ {
-		if _, err := s.Audits().Submit("stall", "", stall, 2); err == nil {
-			break
-		} else if !errors.Is(err, audit.ErrQueueFull) {
-			t.Fatal(err)
-		}
-		if i > 200 {
-			t.Fatal("worker never picked up the wedged job")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Once the worker has picked the wedged job up, this second submission
+	// takes the single queue slot and stays there.
+	<-stall.entered
+	if _, err := s.Audits().Submit("stall", "", stall, 2); err != nil {
+		t.Fatal(err)
 	}
 
 	resp, err := srv.Client().Post(srv.URL+"/v1/models/clean/audits", "application/json", strings.NewReader("{}"))

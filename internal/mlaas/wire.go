@@ -84,14 +84,21 @@ func predictReplyLimit(contentType string, n, classes int) int64 {
 // returned, so it goes back when the transport closes the last body over it.
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// rowPool holds the storage handlePredict decodes request rows into: up to
-// max_batch × input_dim values. A handler returns its slice only after
-// prov.Predict has returned success, when every reader of the rows — engine
-// worker, screener, a gateway's node client — is done with them. On any error
+// rowPool holds the float storage of handlePredict: the request rows it
+// decodes (up to max_batch × input_dim values) and the confidence rows the
+// provider answers into. A handler returns its predictRows only after
+// prov.predict has returned success, when every reader of the rows and
+// writer of the confidences — engine worker, screener, a gateway's node
+// client — is done with them, and after the reply is encoded. On any error
 // return, a cancelled context or errEngineClosed above all, a predictJob still
-// in the engine's queue may read the rows later, so the slice is left to the
-// GC.
-var rowPool = sync.Pool{New: func() any { return new([]float64) }}
+// in the engine's queue may read the one and write the other later, so both
+// are left to the GC.
+var rowPool = sync.Pool{New: func() any { return new(predictRows) }}
+
+// predictRows is one handled predict's storage: request rows in, confidence
+// rows out. Keeping them paired keeps each slice at its own size, so a Get
+// never hands back confidence storage where request rows are wanted.
+type predictRows struct{ in, out []float64 }
 
 // rowsInto returns len-n storage for decoded rows: dst's own when its
 // capacity allows, else fresh. Every value is overwritten by the caller.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -17,6 +18,8 @@ import (
 	"testing"
 
 	"bprom/internal/binio"
+	"bprom/internal/nn"
+	"bprom/internal/oracle"
 	"bprom/internal/rng"
 	"bprom/internal/tensor"
 )
@@ -382,6 +385,13 @@ func (p *predictTypes) only(ct string) bool {
 	return p.requests[ct] > 0 && len(p.requests) == 1 && p.responses[ct] == p.requests[ct] && len(p.responses) == 1
 }
 
+// count is how many predicts came in as ct.
+func (p *predictTypes) count(ct string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.requests[ct]
+}
+
 // withoutWire serves h the way an endpoint that predates the "wire" info
 // field does: the field is missing from its info documents.
 func withoutWire(h http.Handler) http.Handler {
@@ -400,6 +410,21 @@ func withoutWire(h http.Handler) http.Handler {
 		w.WriteHeader(rec.Code)
 		_ = json.NewEncoder(w).Encode(doc)
 	})
+}
+
+// predictNode serves m at max_batch 4 with its predicts counted in types, as
+// an endpoint that predates the "wire" info field when legacy is set.
+func predictNode(t *testing.T, m *nn.Model, types *predictTypes, legacy bool) *httptest.Server {
+	t.Helper()
+	s := NewServer(m, ServerConfig{MaxBatch: 4})
+	t.Cleanup(s.Close)
+	h := types.wrap(s.Handler())
+	if legacy {
+		h = withoutWire(h)
+	}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 // In-repo clients speak the frame on every predict, to a node and through a
@@ -427,18 +452,6 @@ func TestBinaryPredictIsNegotiated(t *testing.T) {
 			sameBits(t, "confidences", got, want)
 		}
 	}
-	node := func(t *testing.T, types *predictTypes, legacy bool) *httptest.Server {
-		t.Helper()
-		s := NewServer(m, ServerConfig{MaxBatch: 4})
-		t.Cleanup(s.Close)
-		h := types.wrap(s.Handler())
-		if legacy {
-			h = withoutWire(h)
-		}
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
-		return srv
-	}
 	gateway := func(t *testing.T, types *predictTypes, nodes ...string) *httptest.Server {
 		t.Helper()
 		g, err := NewGateway(ctx, gwTestConfig(nodes...))
@@ -454,7 +467,7 @@ func TestBinaryPredictIsNegotiated(t *testing.T) {
 
 	t.Run("client to node", func(t *testing.T) {
 		var types predictTypes
-		srv := node(t, &types, false)
+		srv := predictNode(t, m, &types, false)
 		var info infoResponse
 		resp, err := http.Get(srv.URL + "/v1/info")
 		if err != nil {
@@ -471,14 +484,14 @@ func TestBinaryPredictIsNegotiated(t *testing.T) {
 	})
 	t.Run("client to legacy node", func(t *testing.T) {
 		var types predictTypes
-		predict(t, node(t, &types, true).URL)
+		predict(t, predictNode(t, m, &types, true).URL)
 		if !types.only(contentTypeJSON) {
 			t.Fatalf("predict content types: requests %v, responses %v", types.requests, types.responses)
 		}
 	})
 	t.Run("client to gateway to nodes", func(t *testing.T) {
 		var edge, n0, n1 predictTypes
-		gw := gateway(t, &edge, node(t, &n0, false).URL, node(t, &n1, false).URL)
+		gw := gateway(t, &edge, predictNode(t, m, &n0, false).URL, predictNode(t, m, &n1, false).URL)
 		predict(t, gw.URL)
 		if !edge.only(ContentTypeBinaryPredict) {
 			t.Fatalf("edge content types: requests %v, responses %v", edge.requests, edge.responses)
@@ -494,10 +507,124 @@ func TestBinaryPredictIsNegotiated(t *testing.T) {
 	})
 	t.Run("client to gateway to legacy node", func(t *testing.T) {
 		var edge, n0 predictTypes
-		gw := gateway(t, &edge, node(t, &n0, true).URL)
+		gw := gateway(t, &edge, predictNode(t, m, &n0, true).URL)
 		predict(t, gw.URL)
 		if !edge.only(ContentTypeBinaryPredict) || !n0.only(contentTypeJSON) {
 			t.Fatalf("edge %v, node %v", edge.requests, n0.requests)
+		}
+	})
+}
+
+// Client.PredictInto decodes every reply straight into the caller's tensor:
+// a batch wider than max_batch goes out as parallel chunks, each answered
+// into its own rows, with Predict's bits in both spellings and through the
+// oracle package's entry points, which count the rows once. A destination of
+// the wrong shape is refused before anything is sent. Through a gateway whose
+// first replica is dead, the surviving node's reply lands in the handler's
+// destination over whatever the dead one left there.
+func TestClientPredictInto(t *testing.T) {
+	ctx := context.Background()
+	m := testModel(t)
+	x := tensor.New(11, 16) // max_batch 4: three parallel chunks
+	rng.New(23).Uniform(x.Data, 0, 1)
+	want := m.Predict(x.Clone())
+	poisoned := func() *tensor.Tensor {
+		dst := tensor.New(x.Dim(0), m.NumClasses)
+		dst.Fill(math.NaN())
+		return dst
+	}
+	for _, leg := range []struct {
+		ct     string
+		legacy bool
+	}{{contentTypeJSON, true}, {ContentTypeBinaryPredict, false}} {
+		t.Run(leg.ct, func(t *testing.T) {
+			var types predictTypes
+			c, err := Dial(ctx, predictNode(t, m, &types, leg.legacy).URL, ClientConfig{Retries: NoRetries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaPredict, err := c.Predict(ctx, x.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "Predict", viaPredict, want)
+			dst := poisoned()
+			if err := c.PredictInto(ctx, dst, x); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "PredictInto", dst, want)
+			counter := oracle.NewCounter(c)
+			for _, o := range []oracle.Oracle{c, counter} {
+				dst := poisoned()
+				if err := oracle.PredictInto(ctx, o, dst, x); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("oracle.PredictInto(%T)", o), dst, want)
+			}
+			if got := counter.Queries(); got != int64(x.Dim(0)) {
+				t.Errorf("counter charged %d rows for one %d-row call", got, x.Dim(0))
+			}
+			if !types.only(leg.ct) || types.count(leg.ct) != 4*3 {
+				t.Fatalf("%d predicts, want 12, all %s", types.count(leg.ct), leg.ct)
+			}
+			for _, bad := range []*tensor.Tensor{tensor.New(x.Dim(0)-1, m.NumClasses), tensor.New(x.Dim(0), m.NumClasses+1), tensor.New(x.Dim(0) * m.NumClasses)} {
+				err := c.PredictInto(ctx, bad, x)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprint(bad.Shape())) || !strings.Contains(err.Error(), fmt.Sprintf("[%d %d]", x.Dim(0), m.NumClasses)) {
+					t.Errorf("destination %v: error %v, want one naming both shapes", bad.Shape(), err)
+				}
+			}
+			if n := types.count(leg.ct); n != 4*3 {
+				t.Errorf("a refused destination sent %d predicts", n-4*3)
+			}
+		})
+	}
+
+	t.Run("gateway failover", func(t *testing.T) {
+		var types [2]predictTypes
+		nodes := []*httptest.Server{predictNode(t, m, &types[0], false), predictNode(t, m, &types[1], false)}
+		cfg := gwTestConfig(nodes[0].URL, nodes[1].URL)
+		cfg.Replication = 2
+		chaos := NewChaosTransport(nil)
+		cfg.Client.HTTPClient = &http.Client{Transport: chaos}
+		g, err := NewGateway(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		// Two predicts, one starting on each replica, dial both nodes; then
+		// the replica the next predict tries first is killed.
+		for range 2 {
+			if _, _, err := g.predict(ctx, "", x, nil, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bin := ContentTypeBinaryPredict
+		served := [2]int{types[0].count(bin), types[1].count(bin)}
+		if served != [2]int{3, 3} {
+			t.Fatalf("warm-up predicts per node %v, want one 3-chunk call each", served)
+		}
+		replicas, _, _ := g.replicasFor(g.resolveID(""))
+		if len(replicas) != 2 {
+			t.Fatalf("%d replicas, want 2", len(replicas))
+		}
+		first := replicas[(g.rr.Load()+1)%2]
+		dead := 0
+		if first.base != nodes[0].URL {
+			dead = 1
+		}
+		chaos.Set(hostOf(nodes[dead].URL), ChaosRule{Kill: true})
+		dst := poisoned()
+		got, _, err := g.predict(ctx, "", x, dst, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != dst {
+			t.Error("the gateway answered into a tensor of its own")
+		}
+		sameBits(t, "gateway PredictInto after failover", dst, want)
+		if first.isHealthy() || types[dead].count(bin) != 3 || types[1-dead].count(bin) != 6 {
+			t.Errorf("the dead replica was not tried first: healthy %v, predicts per node %d %d",
+				first.isHealthy(), types[0].count(bin), types[1].count(bin))
 		}
 	})
 }

@@ -404,11 +404,10 @@ type nanProvider struct {
 	bad float64
 }
 
-func (p *nanProvider) Predict(_ context.Context, _ string, x *tensor.Tensor, _ bool) (*tensor.Tensor, []vp.ScreenResult, error) {
-	out := tensor.New(x.Dim(0), p.info.Classes)
-	out.Fill(0.25)
-	out.Data[1] = p.bad
-	return out, nil, nil
+func (p *nanProvider) predict(_ context.Context, _ string, _, dst *tensor.Tensor, _ bool) (*tensor.Tensor, []vp.ScreenResult, error) {
+	dst.Fill(0.25)
+	dst.Data[1] = p.bad
+	return dst, nil, nil
 }
 func (p *nanProvider) MaxBatch() int { return 8 }
 func (p *nanProvider) Close()        {}
