@@ -137,7 +137,7 @@ func runAudit(args []string) error {
 		url       = fs.String("url", "", "suspicious MLaaS endpoint base URL")
 		fleet     = fs.Bool("fleet", false, "submit server-side audit jobs for every model the endpoint hosts (requires -url)")
 		key       = fs.String("key", "", "API key sent as Authorization: Bearer to the endpoint (required when the server runs with -keys)")
-		timeout   = fs.Duration("timeout", 0, "per-request deadline against the endpoint (0: client default 30s); polling an audit job waits across many requests either way")
+		timeout   = fs.Duration("timeout", 0, "per-request deadline against the endpoint (0: client default 30s); waiting for an audit job sends one request per half-timeout, each held by the server until the job ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

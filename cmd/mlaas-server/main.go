@@ -17,9 +17,10 @@
 //	mlaas-server -addr :8080 -demo badnets    # train a backdoored demo model
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight predict
-// requests drain through http.Server.Shutdown, and running audit jobs are
-// cancelled via their contexts before the model engines stop. /v1/healthz
-// reports liveness and whether audits are enabled.
+// requests drain through http.Server.Shutdown, held audit waits answer
+// their jobs' current snapshots, and running audit jobs are cancelled via
+// their contexts before the model engines stop. /v1/healthz reports
+// liveness and whether audits are enabled.
 package main
 
 import (

@@ -191,6 +191,9 @@ type Manager struct {
 	seq     int
 	resumed int
 	closed  bool
+	// changed is closed and replaced whenever a job turns terminal or is
+	// deleted: the one wake-up every Wait blocks on.
+	changed chan struct{}
 }
 
 // NewManager starts a Manager with cfg.Workers worker goroutines over det.
@@ -205,13 +208,14 @@ func NewManager(det *bprom.Detector, cfg Config) (*Manager, error) {
 	}
 	root, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		det:    det,
-		cfg:    cfg,
-		root:   root,
-		cancel: cancel,
-		wake:   make(chan struct{}, cfg.Workers),
-		now:    time.Now,
-		jobs:   make(map[string]*job),
+		det:     det,
+		cfg:     cfg,
+		root:    root,
+		cancel:  cancel,
+		wake:    make(chan struct{}, cfg.Workers),
+		now:     time.Now,
+		jobs:    make(map[string]*job),
+		changed: make(chan struct{}),
 	}
 	if cfg.Store != nil {
 		if err := m.replay(); err != nil {
@@ -490,6 +494,40 @@ func (m *Manager) Get(id string) (Job, error) {
 	return j.snapshot(), nil
 }
 
+// Wait blocks until the job is terminal and returns that snapshot. When ctx
+// ends or the manager closes first it returns the job's current snapshot, so
+// a caller tells the outcomes apart by State.Terminal. An unknown job, or
+// one deleted while Wait blocks, is ErrUnknownJob.
+func (m *Manager) Wait(ctx context.Context, id string) (Job, error) {
+	for {
+		// changed is read before the snapshot: a job turning terminal or
+		// deleted after the snapshot closes this very channel (notify runs
+		// after the change), so no transition can slip between the two.
+		m.mu.Lock()
+		changed := m.changed
+		m.mu.Unlock()
+		if snap, err := m.Get(id); err != nil || snap.State.Terminal() {
+			return snap, err
+		}
+		select {
+		case <-changed:
+			continue
+		case <-ctx.Done():
+		case <-m.root.Done():
+		}
+		return m.Get(id)
+	}
+}
+
+// notify wakes every Wait: call it after a job's terminal state is written
+// or after it is removed.
+func (m *Manager) notify() {
+	m.mu.Lock()
+	close(m.changed)
+	m.changed = make(chan struct{})
+	m.mu.Unlock()
+}
+
 // List returns snapshots of every job the manager holds, in submission
 // order.
 func (m *Manager) List() []Job {
@@ -532,6 +570,7 @@ func (m *Manager) Delete(id string) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
+	m.notify()
 	j.cancel()
 	// A deleted job is journaled cancelled: it stays out of the listing on
 	// the next boot (unlike shutdown, which deliberately leaves no terminal
@@ -649,10 +688,13 @@ func (m *Manager) failQueued() {
 		}
 		j.mu.Unlock()
 	}
+	// No notify: this runs once the root context is cancelled, which has
+	// already released every Wait.
 }
 
 func (m *Manager) run(j *job) {
-	defer j.cancel() // the job is terminal after run; release its context
+	defer m.notify() // the job is terminal after run: wake its waiters
+	defer j.cancel() // and release its context
 	store := m.cfg.Store
 	if err := j.ctx.Err(); err != nil {
 		// Deleted (journaled cancelled by Delete) or manager closed (no

@@ -3,6 +3,7 @@ package audit
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,6 +85,48 @@ func sharedDetector(t *testing.T) (*bprom.Detector, *nn.Model) {
 	return envDet, envSus
 }
 
+// waitResult is one Manager.Wait outcome, handed back from a goroutine.
+type waitResult struct {
+	job Job
+	err error
+}
+
+func waitAsync(ctx context.Context, m *Manager, id string) <-chan waitResult {
+	res := make(chan waitResult, 1)
+	go func() {
+		j, err := m.Wait(ctx, id)
+		res <- waitResult{j, err}
+	}()
+	return res
+}
+
+// recvWait receives a Wait outcome; a Wait still blocked after 30 s fails
+// the test as a missed wake-up.
+func recvWait(t *testing.T, res <-chan waitResult) waitResult {
+	t.Helper()
+	select {
+	case r := <-res:
+		return r
+	case <-time.After(30 * time.Second):
+		t.Fatal("Manager.Wait missed its wake-up")
+		return waitResult{}
+	}
+}
+
+// waitTerminal blocks in Manager.Wait until the job is terminal.
+func waitTerminal(t *testing.T, m *Manager, id string) Job {
+	t.Helper()
+	r := recvWait(t, waitAsync(context.Background(), m, id))
+	if r.err != nil {
+		t.Fatalf("Wait(%s): %v", id, r.err)
+	}
+	if !r.job.State.Terminal() {
+		t.Fatalf("Wait(%s) returned a non-terminal job: %+v", id, r.job)
+	}
+	return r.job
+}
+
+// waitState polls for a progress predicate, which no Manager call blocks on.
 func waitState(t *testing.T, m *Manager, id string, want func(Job) bool) Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -123,7 +166,7 @@ func TestJobLifecycleAndVerdictParity(t *testing.T) {
 	if j.State != StateQueued || j.ID == "" || j.InspectID != 7 {
 		t.Fatalf("submitted snapshot: %+v", j)
 	}
-	final := waitState(t, m, j.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m, j.ID)
 	if final.State != StateDone || final.Verdict == nil {
 		t.Fatalf("job did not complete: %+v", final)
 	}
@@ -213,7 +256,7 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := waitState(t, m, k.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m, k.ID)
 	if final.State != StateDone {
 		t.Fatalf("post-delete job failed: %+v", final)
 	}
@@ -330,4 +373,154 @@ func TestCloseDrainsRunningJobs(t *testing.T) {
 	if _, err := m.Submit("late", "", blocker, -1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("expected ErrClosed, got %v", err)
 	}
+}
+
+// errOracle fails every query, so a job on it fails at its first generation.
+type errOracle struct{ classes, dim int }
+
+func (o errOracle) Predict(context.Context, *tensor.Tensor) (*tensor.Tensor, error) {
+	return nil, errors.New("oracle unreachable")
+}
+func (o errOracle) NumClasses() int { return o.classes }
+func (o errOracle) InputDim() int   { return o.dim }
+
+// blockedCtx reports, by closing blocked, the first time Wait asks for its
+// Done channel: Wait has then looked the job up and is about to block.
+type blockedCtx struct {
+	context.Context
+	once    sync.Once
+	blocked chan struct{}
+}
+
+func newBlockedCtx() *blockedCtx {
+	return &blockedCtx{Context: context.Background(), blocked: make(chan struct{})}
+}
+
+func (c *blockedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.blocked) })
+	return c.Context.Done()
+}
+
+// TestWait pins Manager.Wait, the hold behind GET /v1/audits/{id}?wait=:
+// a terminal snapshot as soon as the job ends (done, failed, or replayed
+// already terminal), the current snapshot when the caller's context ends or
+// the manager closes first, and ErrUnknownJob for an id that is not, or no
+// longer, held. Jobs are parked on oracles and released by channel.
+func TestWait(t *testing.T) {
+	det, sus := sharedDetector(t)
+	ctx := context.Background()
+
+	t.Run("done", func(t *testing.T) {
+		m := mustManager(t, det, Config{Workers: 1})
+		t.Cleanup(m.Close)
+		gate := &pauseOracle{inner: oracle.NewModelOracle(sus), open: make(chan struct{})}
+		j, err := m.Submit("m0", "", gate, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bctx := newBlockedCtx()
+		res := waitAsync(bctx, m, j.ID)
+		<-bctx.blocked
+		close(gate.open)
+		r := recvWait(t, res)
+		if r.err != nil || r.job.State != StateDone || r.job.Verdict == nil {
+			t.Fatalf("Wait on a released job: %+v, %v", r.job, r.err)
+		}
+	})
+
+	t.Run("failed", func(t *testing.T) {
+		m := mustManager(t, det, Config{Workers: 1})
+		t.Cleanup(m.Close)
+		j, err := m.Submit("m0", "", errOracle{det.MinClasses(), det.InputDim()}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitTerminal(t, m, j.ID)
+		if final.State != StateFailed || !strings.Contains(final.Error, "oracle unreachable") {
+			t.Fatalf("failed job: %+v", final)
+		}
+	})
+
+	t.Run("replayed terminal", func(t *testing.T) {
+		dir := t.TempDir()
+		oracleFor := func(string, string) (oracle.Oracle, error) { return oracle.NewModelOracle(sus), nil }
+		store1 := openStore(t, dir)
+		m1 := mustManager(t, det, Config{Workers: 1, Store: store1, OracleFor: oracleFor})
+		j, err := m1.Submit("m0", "", errOracle{det.MinClasses(), det.InputDim()}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := waitTerminal(t, m1, j.ID)
+		m1.Close()
+		if err := store1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		store2 := openStore(t, dir)
+		t.Cleanup(func() { store2.Close() })
+		m2 := mustManager(t, det, Config{Workers: 1, Store: store2, OracleFor: oracleFor})
+		t.Cleanup(m2.Close)
+		if again := waitTerminal(t, m2, j.ID); again.State != StateFailed || again.Error != first.Error {
+			t.Fatalf("replayed job %+v, first life %+v", again, first)
+		}
+	})
+
+	t.Run("ctx ends", func(t *testing.T) {
+		m := mustManager(t, det, Config{Workers: 1})
+		t.Cleanup(m.Close)
+		blocker := newBlockingOracle(det)
+		j, err := m.Submit("slow", "", blocker, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-blocker.started
+		wctx, cancel := context.WithCancel(ctx)
+		res := waitAsync(wctx, m, j.ID)
+		cancel()
+		r := recvWait(t, res)
+		if r.err != nil || r.job.ID != j.ID || r.job.State != StateRunning {
+			t.Fatalf("Wait after its ctx ended: %+v, %v; want the running snapshot", r.job, r.err)
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		m := mustManager(t, det, Config{Workers: 1})
+		blocker := newBlockingOracle(det)
+		j, err := m.Submit("slow", "", blocker, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-blocker.started
+		res := waitAsync(ctx, m, j.ID)
+		m.Close()
+		if r := recvWait(t, res); r.err != nil || r.job.ID != j.ID {
+			t.Fatalf("Wait across Close: %+v, %v", r.job, r.err)
+		}
+	})
+
+	t.Run("unknown and deleted", func(t *testing.T) {
+		m := mustManager(t, det, Config{Workers: 1})
+		t.Cleanup(m.Close)
+		if _, err := m.Wait(ctx, "a99"); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("unknown job: %v, want ErrUnknownJob", err)
+		}
+		// The queued job never runs, so Delete's is its only wake-up.
+		blocker := newBlockingOracle(det)
+		if _, err := m.Submit("slow", "", blocker, -1); err != nil {
+			t.Fatal(err)
+		}
+		<-blocker.started
+		j, err := m.Submit("queued", "", newBlockingOracle(det), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bctx := newBlockedCtx()
+		res := waitAsync(bctx, m, j.ID)
+		<-bctx.blocked
+		if _, err := m.Delete(j.ID); err != nil {
+			t.Fatal(err)
+		}
+		if r := recvWait(t, res); !errors.Is(r.err, ErrUnknownJob) {
+			t.Fatalf("Wait on a deleted job: %+v, %v; want ErrUnknownJob", r.job, r.err)
+		}
+	})
 }

@@ -61,7 +61,7 @@ func TestExportCheckpointLifecycle(t *testing.T) {
 	// Once the gate opens the job runs to completion — and a terminal job
 	// refuses export: there is nothing to migrate, only a verdict to read.
 	close(gate.open)
-	waitState(t, m, j.ID, func(j Job) bool { return j.State.Terminal() })
+	waitTerminal(t, m, j.ID)
 	if _, err := m.ExportCheckpoint(j.ID); !errors.Is(err, ErrTerminalJob) {
 		t.Fatalf("terminal job export: %v, want ErrTerminalJob", err)
 	}
@@ -113,7 +113,7 @@ func TestSubmitResumeBitExactFromCheckpoint(t *testing.T) {
 	if j.Progress.Queries == 0 {
 		t.Fatal("resumed snapshot must carry the checkpointed spend before the job runs")
 	}
-	final := waitState(t, m, j.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m, j.ID)
 	if final.State != StateDone || final.Verdict == nil {
 		t.Fatalf("resumed job: %+v", final)
 	}
@@ -137,7 +137,7 @@ func TestSubmitResumeEmptyFrameRestartsFresh(t *testing.T) {
 	if j.MigratedFrom != "n1.a8" || j.Progress.Queries != 0 {
 		t.Fatalf("fresh restart snapshot: %+v", j)
 	}
-	final := waitState(t, m, j.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m, j.ID)
 	want, err := det.Inspect(context.Background(), oracle.NewModelOracle(sus), 12)
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func TestKillRestartResumesBitExact(t *testing.T) {
 	if m2.Resumed() != 1 {
 		t.Fatalf("Resumed() = %d, want 1", m2.Resumed())
 	}
-	final := waitState(t, m2, j.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m2, j.ID)
 	if final.State != StateDone || final.Verdict == nil {
 		t.Fatalf("resumed job did not complete: %+v", final)
 	}
@@ -145,7 +145,7 @@ func TestCloseFlushesFinalCheckpoint(t *testing.T) {
 
 	m2 := mustManager(t, det, Config{Workers: 1, Store: store2, OracleFor: oracleFor})
 	t.Cleanup(m2.Close)
-	final := waitState(t, m2, j.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m2, j.ID)
 	want, err := det.Inspect(context.Background(), oracle.NewModelOracle(sus), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestQuotaExhaustedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := waitState(t, m, j.ID, func(j Job) bool { return j.State.Terminal() })
+	final := waitTerminal(t, m, j.ID)
 	if final.State != StateFailed || final.ErrorCode != "quota_exhausted" {
 		t.Fatalf("quota exhaustion not classified: %+v", final)
 	}
@@ -261,7 +261,7 @@ func TestResumedSeqContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m1, a.ID, func(j Job) bool { return j.State.Terminal() })
+	waitTerminal(t, m1, a.ID)
 	m1.Close()
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
@@ -286,5 +286,5 @@ func TestResumedSeqContinues(t *testing.T) {
 	if got.State != StateDone || got.Verdict == nil {
 		t.Fatalf("journaled terminal job lost its verdict: %+v", got)
 	}
-	waitState(t, m2, b.ID, func(j Job) bool { return j.State.Terminal() })
+	waitTerminal(t, m2, b.ID)
 }

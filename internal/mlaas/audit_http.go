@@ -1,6 +1,7 @@
 package mlaas
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"bprom/internal/audit"
 	"bprom/internal/binio"
@@ -105,7 +107,10 @@ type auditBackend interface {
 	// behalf of the tenant authenticated on ctx. inspectID < 0 lets the
 	// backend assign the stream; a non-nil resume continues a migrated job.
 	submitAudit(ctx context.Context, modelID string, inspectID int, resume *AuditResume) (audit.Job, error)
-	getAudit(ctx context.Context, jobID string) (audit.Job, error)
+	// getAudit returns a job's snapshot. wait > 0 holds the call until the
+	// job is terminal, wait has passed or ctx ends, whichever comes first;
+	// wait == 0 answers at once.
+	getAudit(ctx context.Context, jobID string, wait time.Duration) (audit.Job, error)
 	// listAudits returns every held job in submission order.
 	listAudits(ctx context.Context) ([]audit.Job, error)
 	// cancelAudit cancels and removes a job, returning its last snapshot.
@@ -178,11 +183,18 @@ func (l *localAudits) submitAudit(ctx context.Context, modelID string, inspectID
 	return l.mgr.SubmitResume(info.ID, tenant, l.oracle(info, tenant), inspectID, frame, source)
 }
 
-func (l *localAudits) getAudit(_ context.Context, jobID string) (audit.Job, error) {
+// maxAuditWait caps how long a node holds one GET /v1/audits/{id}?wait=.
+const maxAuditWait = time.Minute
+
+// getAudit is one Manager.Wait; wait 0 gives it a context already done, so
+// it answers the current snapshot at once.
+func (l *localAudits) getAudit(ctx context.Context, jobID string, wait time.Duration) (audit.Job, error) {
 	if l.mgr == nil {
 		return audit.Job{}, ErrAuditsDisabled
 	}
-	return l.mgr.Get(jobID)
+	ctx, cancel := context.WithTimeout(ctx, min(wait, maxAuditWait))
+	defer cancel()
+	return l.mgr.Wait(ctx, jobID)
 }
 
 func (l *localAudits) listAudits(context.Context) ([]audit.Job, error) {
@@ -506,8 +518,24 @@ func (s *Server) handleListAudits(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, auditListResponse{Jobs: jobs})
 }
 
+// handleGetAudit serves GET /v1/audits/{id}. With ?wait=<duration> it holds
+// the request until the job is terminal or the wait has passed; server
+// shutdown ends the hold early, and the reply is then the current snapshot.
 func (s *Server) handleGetAudit(w http.ResponseWriter, r *http.Request) {
-	job, err := s.jobs.getAudit(r.Context(), r.PathValue("id"))
+	wait, err := time.ParseDuration(cmp.Or(r.URL.Query().Get("wait"), "0"))
+	if err != nil || wait < 0 {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "wait: want a non-negative duration such as 15s"})
+		return
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(s.held, cancel)()
+	job, err := s.jobs.getAudit(ctx, r.PathValue("id"), wait)
+	if err != nil && ctx.Err() != nil && r.Context().Err() == nil {
+		// Shutdown cut the hold (on a gateway, its node request): the caller
+		// is still there and gets the current snapshot.
+		job, err = s.jobs.getAudit(r.Context(), r.PathValue("id"), 0)
+	}
 	if err != nil {
 		s.writeError(w, err)
 		return

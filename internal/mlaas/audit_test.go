@@ -39,7 +39,7 @@ var (
 	auditShr  *auditEnv
 )
 
-func sharedAuditEnv(t *testing.T) *auditEnv {
+func sharedAuditEnv(t testing.TB) *auditEnv {
 	t.Helper()
 	auditOnce.Do(func() {
 		ctx := context.Background()
@@ -112,10 +112,10 @@ func sharedAuditEnv(t *testing.T) *auditEnv {
 	return auditShr
 }
 
-// startAuditServer serves the shared zoo with audits enabled over a
-// detector freshly loaded from the .bpd artifact — the fresh-process side
+// newAuditNode builds a server over the shared zoo with audits enabled over
+// a detector freshly loaded from the .bpd artifact — the fresh-process side
 // of the train-once / audit-many contract.
-func startAuditServer(t *testing.T) (*httptest.Server, *Server) {
+func newAuditNode(t testing.TB, cfg AuditConfig) *Server {
 	t.Helper()
 	env := sharedAuditEnv(t)
 	loaded, err := bprom.LoadFile(env.artPath)
@@ -127,10 +127,17 @@ func startAuditServer(t *testing.T) (*httptest.Server, *Server) {
 		t.Fatal(err)
 	}
 	s := NewRegistryServer(reg)
-	if err := s.EnableAudits(loaded, AuditConfig{Workers: 2}); err != nil {
+	if err := s.EnableAudits(loaded, cfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	return s
+}
+
+// startAuditServer serves newAuditNode over HTTP with two audit workers.
+func startAuditServer(t *testing.T) (*httptest.Server, *Server) {
+	t.Helper()
+	s := newAuditNode(t, AuditConfig{Workers: 2})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return srv, s

@@ -44,7 +44,11 @@ type ClientConfig struct {
 	// exponential from 100ms with a 5s ceiling and jitter, floored by the
 	// server's Retry-After hint when one is sent.
 	Retries int
-	// AuditPoll is the WaitAudit polling interval. Default 250ms.
+	// AuditPoll is the least time between two WaitAudit requests. Each
+	// request is held server-side until the job is terminal or Timeout/2
+	// has passed, so against a current endpoint a hold ends the wait or the
+	// next request goes at once; an endpoint that answers at once is polled
+	// at this interval. Default 250ms.
 	AuditPoll time.Duration
 	// APIKey, when set, is sent as Authorization: Bearer <key> on every
 	// request — required for mutating routes on endpoints started with an
@@ -603,8 +607,18 @@ func (c *Client) submitAudit(ctx context.Context, inspectID int, resume *AuditRe
 
 // GetAudit fetches one audit job snapshot (GET /v1/audits/{id}).
 func (c *Client) GetAudit(ctx context.Context, jobID string) (audit.Job, error) {
+	return c.getAudit(ctx, jobID, 0)
+}
+
+// getAudit fetches one snapshot; wait > 0 asks the endpoint to hold the
+// request until the job is terminal or wait has passed (?wait=).
+func (c *Client) getAudit(ctx context.Context, jobID string, wait time.Duration) (audit.Job, error) {
+	u := c.base + "/v1/audits/" + url.PathEscape(jobID)
+	if wait > 0 {
+		u += "?wait=" + wait.String()
+	}
 	var job audit.Job
-	if err := c.getJSON(ctx, c.base+"/v1/audits/"+url.PathEscape(jobID), &job); err != nil {
+	if err := c.getJSON(ctx, u, &job); err != nil {
 		return audit.Job{}, err
 	}
 	return job, nil
@@ -723,11 +737,15 @@ func (c *Client) AuditModelResume(ctx context.Context, inspectID int, resume Aud
 	return c.submitAudit(ctx, inspectID, &resume)
 }
 
-// WaitAudit polls an audit job (every ClientConfig.AuditPoll) until it
-// reaches a terminal state and returns the final snapshot. A job that ends
-// StateFailed is returned with a nil error — the failure is the job's
-// Error field; WaitAudit's own error means the polling itself broke
-// (endpoint unreachable, job deleted, ctx cancelled).
+// WaitAudit long-polls an audit job until it reaches a terminal state and
+// returns the final snapshot. Each request asks the endpoint to hold it for
+// up to half of ClientConfig.Timeout (GET /v1/audits/{id}?wait=), so a
+// running job costs one request per hold; ClientConfig.AuditPoll is the
+// floor between requests, which is the polling interval against an endpoint
+// that answers at once. A job that ends StateFailed is returned with a nil
+// error — the failure is the job's Error field; WaitAudit's own error means
+// the polling itself broke (endpoint unreachable, job deleted, ctx
+// cancelled).
 //
 // Transient poll failures — 429 backpressure and 5xx, the statuses a
 // gateway returns while the node holding the job flaps — do not abort the
@@ -739,7 +757,7 @@ func (c *Client) WaitAudit(ctx context.Context, jobID string) (audit.Job, error)
 	ticker := time.NewTicker(c.cfg.AuditPoll)
 	defer ticker.Stop()
 	for {
-		job, err := c.GetAudit(ctx, jobID)
+		job, err := c.getAudit(ctx, jobID, c.cfg.Timeout/2)
 		if err != nil {
 			if !transientStatus(err) || ctx.Err() != nil {
 				return audit.Job{}, err

@@ -755,14 +755,21 @@ func (g *Gateway) onOwner(ctx context.Context, jobID string, call func(*Client, 
 	}
 	job, err := call(n.api, ctx, local)
 	if err != nil {
+		if ctx.Err() != nil {
+			return audit.Job{}, err // caller gone or wait released: no health strike
+		}
 		return audit.Job{}, g.nodeRouteErr(n, err)
 	}
 	return namespaceJob(n, job), nil
 }
 
-// getAudit polls one namespaced job on its node.
-func (g *Gateway) getAudit(ctx context.Context, jobID string) (audit.Job, error) {
-	return g.onOwner(ctx, jobID, (*Client).GetAudit)
+// getAudit polls one namespaced job on its node, forwarding wait: capped at
+// half the node client's Timeout, so the node answers before that request's
+// deadline.
+func (g *Gateway) getAudit(ctx context.Context, jobID string, wait time.Duration) (audit.Job, error) {
+	return g.onOwner(ctx, jobID, func(c *Client, ctx context.Context, id string) (audit.Job, error) {
+		return c.getAudit(ctx, id, min(wait, c.cfg.Timeout/2))
+	})
 }
 
 // cancelAudit cancels one namespaced job on its node.
@@ -969,5 +976,7 @@ func NewGatewayServer(g *Gateway) *Server {
 	if policy == "" {
 		policy = ScreenAnnotate
 	}
-	return &Server{prov: g, jobs: g, screenPolicy: policy}
+	s := &Server{prov: g, jobs: g, screenPolicy: policy}
+	s.held, s.releaseHeld = context.WithCancel(context.Background())
+	return s
 }

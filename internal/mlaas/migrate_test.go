@@ -587,7 +587,7 @@ func TestMigrationBadCheckpointFailsClean(t *testing.T) {
 	}
 
 	// Polling the original id follows the forward to the clean failure.
-	final, err := g.getAudit(ctx, "n0.a7")
+	final, err := g.getAudit(ctx, "n0.a7", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

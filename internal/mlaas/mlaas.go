@@ -256,12 +256,18 @@ type Server struct {
 	tenancy      *jobstore.Tenancy   // edge auth; nil until EnableTenancy
 	reaudit      *jobstore.Scheduler // nil until EnableReaudit
 	once         sync.Once
+	// held ends when the server shuts down, releasing every held
+	// GET /v1/audits/{id}?wait= with its current snapshot.
+	held        context.Context
+	releaseHeld context.CancelFunc
 }
 
 // newNodeServer builds a Server that runs its audit jobs in-process.
 func newNodeServer(prov provider, screenPolicy string) *Server {
 	l := &localAudits{prov: prov}
-	return &Server{prov: prov, screenPolicy: screenPolicy, jobs: l, local: l}
+	s := &Server{prov: prov, screenPolicy: screenPolicy, jobs: l, local: l}
+	s.held, s.releaseHeld = context.WithCancel(context.Background())
+	return s
 }
 
 // NewServer wraps one frozen in-memory model and starts its micro-batch
@@ -301,13 +307,14 @@ func NewRegistryServer(reg *Registry) *Server {
 	return newNodeServer(reg, reg.cfg.ScreenPolicy)
 }
 
-// Close stops the re-audit scheduler, drains the audit manager (running
-// jobs checkpoint and are cancelled via their contexts), and then stops all
-// model engines; queued and future requests fail with 503. The job store
-// itself stays open — its owner closes it after Close returns. Safe to call
-// more than once.
+// Close releases held audit waits, stops the re-audit scheduler, drains the
+// audit manager (running jobs checkpoint and are cancelled via their
+// contexts), and then stops all model engines; queued and future requests
+// fail with 503. The job store itself stays open — its owner closes it after
+// Close returns. Safe to call more than once.
 func (s *Server) Close() {
 	s.once.Do(func() {
+		s.releaseHeld()
 		if s.reaudit != nil {
 			s.reaudit.Close()
 		}
@@ -624,7 +631,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // Serve listens on addr until ctx is cancelled, then shuts down gracefully
-// and stops the model engines. It reports the bound address through ready
+// and stops the model engines; held audit waits answer at once so they do
+// not stall the shutdown. It reports the bound address through ready
 // (useful with addr ":0").
 func (s *Server) Serve(ctx context.Context, addr string, ready chan<- string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -635,6 +643,7 @@ func (s *Server) Serve(ctx context.Context, addr string, ready chan<- string) er
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	srv.RegisterOnShutdown(s.releaseHeld)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"bprom/internal/bprom"
 	"bprom/internal/data"
 	"bprom/internal/nn"
 	"bprom/internal/rng"
@@ -349,24 +348,11 @@ func (o *stallOracle) Predict(ctx context.Context, x *tensor.Tensor) (*tensor.Te
 // a stalling oracle and the one queue slot filled, so the next HTTP
 // submission deterministically bounces.
 func TestAuditQueueFullCarriesRetryAfter(t *testing.T) {
-	env := sharedAuditEnv(t)
-	loaded, err := bprom.LoadFile(env.artPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := OpenRegistry(env.zoo, RegistryConfig{MaxLoaded: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewRegistryServer(reg)
-	if err := s.EnableAudits(loaded, AuditConfig{Workers: 1, MaxQueued: 1}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
+	s := newAuditNode(t, AuditConfig{Workers: 1, MaxQueued: 1})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
-	info, err := reg.Info("clean")
+	info, err := s.prov.Info("clean")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,14 +69,9 @@ func New(shape ...int) *Tensor {
 // FromSlice wraps data with the given shape without copying. The product of
 // the shape must equal len(data).
 func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v does not match data length %d", shape, len(data)))
-	}
-	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
+	t := new(Tensor) // Rebind copies shape, so the caller's never escapes
+	t.Rebind(data, shape...)
+	return t
 }
 
 // Rebind points t at data under shape without copying, reusing t's header

@@ -71,6 +71,19 @@ func TestFromSliceShapeMismatchPanics(t *testing.T) {
 	FromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
+var fromSliceSink *Tensor
+
+// TestFromSliceAllocsHeaderAndShape pins FromSlice at two allocations, the
+// header and its own shape copy: the variadic shape argument must not escape
+// (through the mismatch panic's message) and cost the caller a third.
+func TestFromSliceAllocsHeaderAndShape(t *testing.T) {
+	data := make([]float64, 6)
+	rows, cols := 2, 3
+	if allocs := testing.AllocsPerRun(100, func() { fromSliceSink = FromSlice(data, rows, cols) }); allocs != 2 {
+		t.Fatalf("FromSlice allocates %v times, want 2 (header + shape copy)", allocs)
+	}
+}
+
 func TestAtSetRoundTrip(t *testing.T) {
 	x := New(3, 4)
 	x.Set(7.5, 2, 1)
