@@ -437,94 +437,3 @@ func restoreSnapshot(img []float64, sh data.Shape, x0, y0, block int, saved []fl
 		}
 	}
 }
-
-// --- TED (Mo et al. 2024) ------------------------------------------------------------
-
-// TED tracks a sample's topological evolution: where its nearest clean
-// neighbours sit in feature space versus output space. Benign samples keep
-// neighbours of their predicted class in both views; triggered samples jump
-// classes between views. The score is the rank inconsistency.
-type TED struct {
-	// Neighbors is k for the k-NN rank statistic (default 5).
-	Neighbors int
-}
-
-var _ InputLevel = (*TED)(nil)
-
-func (t *TED) Name() string { return "ted" }
-
-func (t *TED) ScoreInputs(ctx context.Context, m *nn.Model, ds *data.Dataset, env Env) ([]float64, error) {
-	if err := validateEnv(t.Name(), env); err != nil {
-		return nil, err
-	}
-	k := t.Neighbors
-	if k <= 0 {
-		k = 5
-	}
-	clean := env.Clean
-	cleanFeats := featuresOf(m, clean, allIndices(clean.Len()))
-	cx, _ := clean.Batch(allIndices(clean.Len()))
-	cleanProbs := m.Predict(cx)
-	classes := cleanProbs.Dim(1)
-	cleanLogitRows := make([][]float64, clean.Len())
-	for i := range cleanLogitRows {
-		cleanLogitRows[i] = append([]float64(nil), cleanProbs.Data[i*classes:(i+1)*classes]...)
-	}
-	scores := make([]float64, ds.Len())
-	for i := 0; i < ds.Len(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		one := ds.Subset([]int{i})
-		f := featuresOf(m, one, []int{0})[0]
-		x, _ := one.Batch([]int{0})
-		p := m.Predict(x)
-		cls := p.MaxIndex()
-		pr := p.Row(0)
-		// fraction of k nearest clean neighbours sharing the predicted class,
-		// in feature space and in output space
-		ff := classAgreement(f, cleanFeats, clean.Y, cls, k)
-		lf := classAgreement(pr, cleanLogitRows, clean.Y, cls, k)
-		// benign: both high; triggered: feature neighbours disagree with the
-		// hijacked prediction while output neighbours agree
-		scores[i] = lf - ff
-	}
-	return scores, nil
-}
-
-func classAgreement(v []float64, rows [][]float64, labels []int, cls, k int) float64 {
-	type nd struct {
-		d float64
-		y int
-	}
-	nds := make([]nd, len(rows))
-	for i, row := range rows {
-		s := 0.0
-		for j := range row {
-			d := row[j] - v[j]
-			s += d * d
-		}
-		nds[i] = nd{s, labels[i]}
-	}
-	// partial selection of k smallest
-	for i := 0; i < k && i < len(nds); i++ {
-		minJ := i
-		for j := i + 1; j < len(nds); j++ {
-			if nds[j].d < nds[minJ].d {
-				minJ = j
-			}
-		}
-		nds[i], nds[minJ] = nds[minJ], nds[i]
-	}
-	agree := 0
-	n := k
-	if n > len(nds) {
-		n = len(nds)
-	}
-	for i := 0; i < n; i++ {
-		if nds[i].y == cls {
-			agree++
-		}
-	}
-	return float64(agree) / float64(n)
-}

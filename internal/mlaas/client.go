@@ -36,8 +36,9 @@ type ClientConfig struct {
 	// Timeout is the per-request deadline. Default 30s; a fleet scan
 	// (`bprom audit -timeout`) tightens it so a hung node is cut off sooner.
 	Timeout time.Duration
-	// Retries is the number of retry attempts after the first failure, for
-	// transient failures only (network errors, 5xx, and 429 backpressure).
+	// Retries is the number of retry attempts after the first failure of a
+	// predict, for the failures classify calls shed, nodeFault or
+	// unreachable (429, 5xx other than 501, no reply, a malformed reply).
 	// Zero means "use the default" (2); pass NoRetries (or any negative
 	// value) to disable retries entirely. Retrying stops immediately once
 	// the caller's context is cancelled or past its deadline. Backoff is
@@ -218,9 +219,9 @@ func (c *Client) route(leaf string) string {
 // StatusError is a non-2xx endpoint response, carrying the HTTP status
 // code and the decoded error envelope. Callers that must distinguish
 // rejection classes (e.g. a fleet audit telling "model incompatible with
-// the detector" from "queue full", or the gateway classifying a replica's
-// failure) unwrap it with errors.As. Every client request path — metadata,
-// predict, audit routes — surfaces non-2xx responses this way.
+// the detector" from "queue full") unwrap it with errors.As; this package
+// sorts it with classify. Every client request path — metadata, predict,
+// audit routes — surfaces non-2xx responses this way.
 type StatusError struct {
 	// Code is the HTTP status code.
 	Code int
@@ -236,6 +237,40 @@ type StatusError struct {
 
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("mlaas: %s returned %d (%s)", e.URL, e.Code, e.Msg)
+}
+
+// failureClass is what a failed endpoint call means. It is the one policy
+// the predict client, WaitAudit, the gateway's routes and its migration
+// supervisor share (docs/API.md, "Failure classes").
+type failureClass int
+
+const (
+	callerGone  failureClass = iota // the caller's own context ended: nobody to answer
+	shed                            // 429: the endpoint is pushing back
+	final                           // any other 4xx, or 501: asking again gets the same answer
+	nodeFault                       // any other 5xx: the endpoint is broken for now
+	unreachable                     // no HTTP reply at all, a per-request timeout included
+)
+
+// classify sorts one failed call made under the caller's ctx. Whether the
+// caller is gone is read from ctx itself, not from err: a hung endpoint
+// trips the client's own per-request Timeout while ctx is still live, and
+// that is the endpoint's failure.
+func classify(ctx context.Context, err error) failureClass {
+	if ctx.Err() != nil {
+		return callerGone
+	}
+	var se *StatusError
+	switch {
+	case !errors.As(err, &se):
+		return unreachable
+	case se.Code == http.StatusTooManyRequests:
+		return shed
+	case se.Code >= 500 && se.Code != http.StatusNotImplemented:
+		return nodeFault
+	default:
+		return final
+	}
 }
 
 // getJSON fetches one metadata URL and decodes the response (no retries:
@@ -464,23 +499,26 @@ func (c *Client) predictBatch(ctx context.Context, inputs, out []float64, screen
 				return nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
 			}
 		}
-		scr, retryable, retryAfter, err := c.predictOnce(ctx, payload, out)
+		scr, permanent, err := c.predictOnce(ctx, payload, out)
 		if err == nil {
 			return scr, nil
 		}
 		lastErr = err
-		hint = retryAfter
-		// A cancelled or expired caller context is never transient: a
-		// deleted audit job or an aborted fleet run must stop querying
-		// immediately instead of burning the retry budget. Per-request
-		// timeouts (reqCtx) without a dead parent stay retryable. The
-		// reply may have landed before the cancellation did, so the error
-		// names the cancellation itself rather than the reply.
-		if ctx.Err() != nil {
+		// A gone caller is never retried: a deleted audit job or an aborted
+		// fleet run must stop querying at once instead of burning the retry
+		// budget. The reply may have landed before the cancellation did, so
+		// the error names the cancellation itself rather than the reply.
+		class := classify(ctx, err)
+		if class == callerGone {
 			return nil, fmt.Errorf("mlaas: %w (last error: %v)", ctx.Err(), lastErr)
 		}
-		if !retryable {
+		if class == final || permanent {
 			break
+		}
+		hint = 0
+		var se *StatusError
+		if errors.As(err, &se) {
+			hint = time.Duration(se.RetryAfter) * time.Second
 		}
 	}
 	return nil, fmt.Errorf("mlaas: predict failed: %w", lastErr)
@@ -747,19 +785,19 @@ func (c *Client) AuditModelResume(ctx context.Context, inspectID int, resume Aud
 // the polling itself broke (endpoint unreachable, job deleted, ctx
 // cancelled).
 //
-// Transient poll failures — 429 backpressure and 5xx, the statuses a
-// gateway returns while the node holding the job flaps — do not abort the
-// wait: the job is still running somewhere, so the loop keeps polling on
-// its normal cadence. Permanent statuses (404 deleted job, 501 audits
-// disabled) and transport-level errors return immediately, and a cancelled
-// caller context always stops the loop on the spot, even mid-blip.
+// A poll that fails with shed or nodeFault (classify) — what a gateway
+// answers while the node holding the job flaps — does not abort the wait:
+// the job is still running somewhere, so the loop keeps polling on its
+// normal cadence. Any other failure returns at once: a final status (404
+// deleted job, 501 audits disabled), an unreachable endpoint, or the
+// caller's own cancel, even mid-blip.
 func (c *Client) WaitAudit(ctx context.Context, jobID string) (audit.Job, error) {
 	ticker := time.NewTicker(c.cfg.AuditPoll)
 	defer ticker.Stop()
 	for {
 		job, err := c.getAudit(ctx, jobID, c.cfg.Timeout/2)
 		if err != nil {
-			if !transientStatus(err) || ctx.Err() != nil {
+			if class := classify(ctx, err); class != shed && class != nodeFault {
 				return audit.Job{}, err
 			}
 		} else if job.State.Terminal() {
@@ -771,20 +809,6 @@ func (c *Client) WaitAudit(ctx context.Context, jobID string) (audit.Job, error)
 		case <-ticker.C:
 		}
 	}
-}
-
-// transientStatus reports whether err is a *StatusError worth polling
-// through: 429 backpressure or a 5xx other than 501 (audits disabled —
-// that endpoint will never answer differently).
-func transientStatus(err error) bool {
-	var se *StatusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	if se.Code == http.StatusTooManyRequests {
-		return true
-	}
-	return se.Code >= 500 && se.Code != http.StatusNotImplemented
 }
 
 // sendJSON issues one request — payload, when non-nil, is its JSON body —
@@ -849,17 +873,16 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 }
 
 // predictOnce sends one encoded batch and decodes the reply into out,
-// len(out)/classes rows. Transport errors, 5xx and 429 are retryable: the
-// server is unreachable, broken or pushing back, and in the last two cases
-// may name its own recovery horizon via Retry-After (which the backoff
-// honors as a floor).
-func (c *Client) predictOnce(ctx context.Context, payload *requestPayload, out []float64) (_ []Screening, retryable bool, retryAfter time.Duration, _ error) {
+// len(out)/classes rows. Failures are classified by the caller, except for a
+// reply that decodes but is not the answer asked for (wrong row or class
+// count): permanent marks that one, as the endpoint would send it again.
+func (c *Client) predictOnce(ctx context.Context, payload *requestPayload, out []float64) (_ []Screening, permanent bool, _ error) {
 	n := len(out) / c.classes
 	reqCtx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, c.route("predict"), nil)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, true, err
 	}
 	req.Body = payload.body()
 	req.GetBody = func() (io.ReadCloser, error) { return payload.body(), nil }
@@ -867,12 +890,7 @@ func (c *Client) predictOnce(ctx context.Context, payload *requestPayload, out [
 	req.Header.Set("Content-Type", c.contentType)
 	resp, err := c.do(req)
 	if err != nil {
-		var se *StatusError
-		if !errors.As(err, &se) {
-			return nil, true, 0, err
-		}
-		transient := se.Code >= 500 || se.Code == http.StatusTooManyRequests
-		return nil, transient, time.Duration(se.RetryAfter) * time.Second, err
+		return nil, false, err
 	}
 	defer resp.Body.Close()
 	// The reply says how it is spelled; a server answers in the type it was
@@ -886,11 +904,11 @@ func (c *Client) predictOnce(ctx context.Context, payload *requestPayload, out [
 	body, err := readCapped(*buf, resp.Body, resp.ContentLength, limit)
 	*buf = body
 	if err != nil {
-		return nil, true, 0, fmt.Errorf("read response: %w", err)
+		return nil, false, fmt.Errorf("read response: %w", err)
 	}
 	if int64(len(body)) > limit {
-		return nil, true, 0, fmt.Errorf("decode response: reply to %d rows exceeds %d bytes", n, limit)
+		return nil, false, fmt.Errorf("decode response: reply to %d rows exceeds %d bytes", n, limit)
 	}
 	_, screening, malformed, err := parsePredictResponse(out, contentType, body, n, c.classes)
-	return screening, malformed, 0, err
+	return screening, err != nil && !malformed, err
 }

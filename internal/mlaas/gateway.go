@@ -561,10 +561,10 @@ func (g *Gateway) resolveID(id string) string {
 
 // predict (provider seam) routes one batch to the model's replica set:
 // rotate the starting replica (spreading a hot model's load), fail over on
-// transient errors — dropping to the marked-down desperation tier once the
-// healthy replicas are exhausted — and shed with the node's own 429 only
-// when every replica sheds. Permanent node verdicts (4xx other than 429)
-// pass through immediately: a replica would answer the same. The answering
+// shed, nodeFault and unreachable — dropping to the marked-down desperation
+// tier once the healthy replicas are exhausted — and shed with the node's
+// own 429 only when every replica sheds. A final status passes through at
+// once: a replica would answer the same. The answering
 // node's reply is decoded into dst, over whatever rows a failed replica left
 // there.
 func (g *Gateway) predict(ctx context.Context, id string, x, dst *tensor.Tensor, screen bool) (*tensor.Tensor, []vp.ScreenResult, error) {
@@ -590,35 +590,22 @@ func (g *Gateway) predict(ctx context.Context, id string, x, dst *tensor.Tensor,
 	if len(candidates) == 0 {
 		return nil, nil, fmt.Errorf("%w: model %q (all hosting nodes down)", ErrNoHealthyReplica, id)
 	}
-	var lastErr error
-	var shed *nodeError
+	var lastErr, shedErr error
 	for _, n := range candidates {
 		out, scr, err := g.predictOn(ctx, n, id, x, dst, screen)
 		if err == nil {
 			return out, scr, nil
 		}
-		if ctx.Err() != nil {
-			return nil, nil, err // caller gone: stop fanning out
-		}
-		var se *StatusError
-		if errors.As(err, &se) {
-			switch {
-			case se.Code == http.StatusTooManyRequests:
-				// Shedding, not broken: no health strike. Try a replica;
-				// remember the hint in case they all shed.
-				shed = &nodeError{node: n.name, code: se.Code, msg: se.Msg, retryAfter: se.RetryAfter}
-			case se.Code >= 500:
-				n.recordFailure(g.cfg.MarkDownAfter, err)
-			default:
-				return nil, nil, &nodeError{node: n.name, code: se.Code, msg: se.Msg, retryAfter: se.RetryAfter}
-			}
-		} else {
-			n.recordFailure(g.cfg.MarkDownAfter, err)
+		switch class, nodeErr := g.routeErr(ctx, n, err); class {
+		case callerGone, final:
+			return nil, nil, nodeErr
+		case shed:
+			shedErr = nodeErr // kept, with its hint, in case every replica sheds
 		}
 		lastErr = err
 	}
-	if shed != nil {
-		return nil, nil, shed
+	if shedErr != nil {
+		return nil, nil, shedErr
 	}
 	return nil, nil, fmt.Errorf("%w: model %q (%d replicas tried, last: %v)", ErrNoHealthyReplica, id, len(candidates), lastErr)
 }
@@ -647,21 +634,24 @@ func (g *Gateway) predictOn(ctx context.Context, n *gatewayNode, id string, x, d
 	return out, scores, nil
 }
 
-// nodeRouteErr classifies a failed node-level route (audit submit/poll):
-// a node's own non-2xx passes through as nodeError; transport-level
-// failures strike the node's health and become a structured 503. So does a
-// node's 5xx — except 501, its deliberate "not enabled here", which says
-// nothing about its health.
-func (g *Gateway) nodeRouteErr(n *gatewayNode, err error) error {
-	var se *StatusError
-	if errors.As(err, &se) {
-		if se.Code >= 500 && se.Code != http.StatusNotImplemented {
-			n.recordFailure(g.cfg.MarkDownAfter, err)
-		}
-		return &nodeError{node: n.name, code: se.Code, msg: se.Msg, retryAfter: se.RetryAfter}
+// routeErr is a gateway route's answer to a failed call on node n, made
+// under the caller's ctx, with its class. A gone caller gets its own error
+// back. Only nodeFault and unreachable strike n's health. Every status the
+// node sent passes through as a nodeError, and no reply at all is a 503.
+func (g *Gateway) routeErr(ctx context.Context, n *gatewayNode, err error) (failureClass, error) {
+	class := classify(ctx, err)
+	switch class {
+	case callerGone:
+		return class, err
+	case unreachable:
+		n.recordFailure(g.cfg.MarkDownAfter, err)
+		return class, &nodeError{node: n.name, code: http.StatusServiceUnavailable, msg: "node unreachable: " + err.Error()}
+	case nodeFault:
+		n.recordFailure(g.cfg.MarkDownAfter, err)
 	}
-	n.recordFailure(g.cfg.MarkDownAfter, err)
-	return &nodeError{node: n.name, code: http.StatusServiceUnavailable, msg: "node unreachable: " + err.Error()}
+	var se *StatusError
+	errors.As(err, &se) // a reply, or classify would have said unreachable
+	return class, &nodeError{node: n.name, code: se.Code, msg: se.Msg, retryAfter: se.RetryAfter}
 }
 
 // --- Audit-job routing ---------------------------------------------------------------
@@ -715,12 +705,13 @@ func (g *Gateway) submitAudit(ctx context.Context, modelID string, inspectID int
 	}
 	n := replicas[0]
 	c, err := n.predictClient(ctx, modelID)
-	if err != nil {
-		return audit.Job{}, g.nodeRouteErr(n, err)
+	var job audit.Job
+	if err == nil {
+		job, err = c.submitAudit(ctx, inspectID, resume)
 	}
-	job, err := c.submitAudit(ctx, inspectID, resume)
 	if err != nil {
-		return audit.Job{}, g.nodeRouteErr(n, err)
+		_, err = g.routeErr(ctx, n, err)
+		return audit.Job{}, err
 	}
 	gw := namespaceJob(n, job)
 	if g.sup != nil {
@@ -739,7 +730,7 @@ func (g *Gateway) exportAuditCheckpoint(ctx context.Context, jobID string) (Chec
 	}
 	exp, err := n.api.ExportCheckpoint(ctx, local)
 	if err != nil && !errors.Is(err, audit.ErrNoCheckpoint) {
-		err = g.nodeRouteErr(n, err)
+		_, err = g.routeErr(ctx, n, err)
 	}
 	return exp, err
 }
@@ -755,10 +746,8 @@ func (g *Gateway) onOwner(ctx context.Context, jobID string, call func(*Client, 
 	}
 	job, err := call(n.api, ctx, local)
 	if err != nil {
-		if ctx.Err() != nil {
-			return audit.Job{}, err // caller gone or wait released: no health strike
-		}
-		return audit.Job{}, g.nodeRouteErr(n, err)
+		_, err = g.routeErr(ctx, n, err) // a released wait is callerGone too: no strike
+		return audit.Job{}, err
 	}
 	return namespaceJob(n, job), nil
 }
@@ -777,53 +766,68 @@ func (g *Gateway) cancelAudit(ctx context.Context, jobID string) (audit.Job, err
 	return g.onOwner(ctx, jobID, (*Client).CancelAudit)
 }
 
-// listAudits merges every healthy node's job list (best-effort: a node
-// failing mid-list is skipped and takes a health strike), ordered by
-// submission time then id. A fleet whose every healthy node answers 501
-// answers ErrAuditsDisabled, as each of them would. When no node answers
-// at all, the last node error (or ErrNoHealthyReplica, when no node is
-// healthy) passes through: an empty list is only ever a fleet's answer.
-func (g *Gateway) listAudits(ctx context.Context) ([]audit.Job, error) {
+// fanOut asks every healthy node the same question at once and hands each
+// answer to merge, one at a time. A node that fails is skipped, with the
+// strike routeErr gives it. fanOut fails only when no node answered: with the
+// last node's error, or ErrNoHealthyReplica naming what when no node is
+// healthy. asked is how many nodes it asked.
+func fanOut[T any](ctx context.Context, g *Gateway, what string, ask func(*gatewayNode) (T, error), merge func(*gatewayNode, T)) (asked int, err error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var jobs []audit.Job
-	var asked, disabled int
-	var answered bool
-	var lastErr error
+	answered := false
 	for _, n := range g.nodes {
 		if !n.isHealthy() {
 			continue
 		}
 		asked++
 		wg.Add(1)
-		go func(n *gatewayNode) {
+		go func() {
 			defer wg.Done()
-			nodeJobs, err := n.api.ListAudits(ctx)
+			v, nodeErr := ask(n)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				var se *StatusError
-				if errors.As(err, &se) && se.Code == http.StatusNotImplemented {
-					disabled++
-				}
-				lastErr = g.nodeRouteErr(n, err)
+			if nodeErr != nil {
+				_, err = g.routeErr(ctx, n, nodeErr)
 				return
 			}
 			answered = true
-			for _, j := range nodeJobs {
-				jobs = append(jobs, namespaceJob(n, j))
-			}
-		}(n)
+			merge(n, v)
+		}()
 	}
 	wg.Wait()
-	if asked > 0 && disabled == asked {
+	switch {
+	case answered:
+		return asked, nil
+	case err == nil:
+		return asked, fmt.Errorf("%w: %s (no healthy node)", ErrNoHealthyReplica, what)
+	}
+	return asked, err
+}
+
+// listAudits merges every healthy node's job list (fanOut), ordered by
+// submission time then id. A fleet whose every healthy node answers 501
+// answers ErrAuditsDisabled, as each of them would. An empty list is only
+// ever a fleet's answer.
+func (g *Gateway) listAudits(ctx context.Context) ([]audit.Job, error) {
+	var jobs []audit.Job
+	var disabled atomic.Int64
+	asked, err := fanOut(ctx, g, "audit list", func(n *gatewayNode) ([]audit.Job, error) {
+		nodeJobs, err := n.api.ListAudits(ctx)
+		var se *StatusError
+		if errors.As(err, &se) && se.Code == http.StatusNotImplemented {
+			disabled.Add(1)
+		}
+		return nodeJobs, err
+	}, func(n *gatewayNode, nodeJobs []audit.Job) {
+		for _, j := range nodeJobs {
+			jobs = append(jobs, namespaceJob(n, j))
+		}
+	})
+	if asked > 0 && disabled.Load() == int64(asked) {
 		return nil, ErrAuditsDisabled
 	}
-	if !answered {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("%w: audit list (no healthy node)", ErrNoHealthyReplica)
-		}
-		return nil, lastErr
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(jobs, func(i, j int) bool {
 		if !jobs[i].Created.Equal(jobs[j].Created) {
@@ -881,43 +885,27 @@ func (g *Gateway) augmentHealth(h *Health) {
 	}
 }
 
-// tenantUsage fans the usage question out to every healthy node and sums
-// the answers: each node's journal is its own ledger of record, so fleet
-// usage is the sum of per-node spend and job counts. Quota is the maximum a
-// node reports (uniform-fleet assumption: the nodes share one key file).
-// Nodes without tenancy answer 501 and are skipped; only when no node
-// answers at all does the last error pass through.
+// tenantUsage sums every healthy node's answer (fanOut): each node's
+// journal is its own ledger of record, so fleet usage is the sum of per-node
+// spend and job counts. Quota is the maximum a node reports (uniform-fleet
+// assumption: the nodes share one key file). Nodes without tenancy answer
+// 501 and are skipped like any other failing node.
 func (g *Gateway) tenantUsage(ctx context.Context, name string) (TenantUsage, error) {
 	agg := TenantUsage{Tenant: name}
-	var lastErr error
-	answered := false
-	for _, n := range g.nodes {
-		if !n.isHealthy() {
-			continue
-		}
+	_, err := fanOut(ctx, g, fmt.Sprintf("tenant usage for %q", name), func(n *gatewayNode) (TenantUsage, error) {
 		var u TenantUsage
-		if err := n.api.getJSON(ctx, n.base+"/v1/tenants/"+url.PathEscape(name)+"/usage", &u); err != nil {
-			lastErr = g.nodeRouteErr(n, err)
-			continue
-		}
-		answered = true
+		err := n.api.getJSON(ctx, n.base+"/v1/tenants/"+url.PathEscape(name)+"/usage", &u)
+		return u, err
+	}, func(_ *gatewayNode, u TenantUsage) {
 		agg.Spent += u.Spent
 		agg.Jobs += u.Jobs
-		if u.Quota > agg.Quota {
-			agg.Quota = u.Quota
-		}
-	}
-	if !answered {
-		if lastErr != nil {
-			return TenantUsage{}, lastErr
-		}
-		return TenantUsage{}, fmt.Errorf("%w: tenant usage for %q (no healthy node)", ErrNoHealthyReplica, name)
+		agg.Quota = max(agg.Quota, u.Quota)
+	})
+	if err != nil {
+		return TenantUsage{}, err
 	}
 	if agg.Quota > 0 {
-		agg.Remaining = agg.Quota - agg.Spent
-		if agg.Remaining < 0 {
-			agg.Remaining = 0
-		}
+		agg.Remaining = max(agg.Quota-agg.Spent, 0)
 	}
 	return agg, nil
 }

@@ -291,19 +291,18 @@ func (s *supervisor) poll(ctx context.Context, tj *trackedJob) {
 // generation zero — identity (tenant, inspect_id) still carries over, so
 // the verdict is unchanged.
 //
-// Failure handling is three-way. A transient failure (transport error,
-// 5xx, 429) moves on to the next candidate; when the pass exhausts
-// migrateMaxAttempts (or the candidates), the job stays tracked and is
-// deferred by a capped jittered backoff — the sweep never sleeps in place,
-// so other jobs keep migrating on schedule. A deterministic rejection (any other
-// 4xx: oversized body, incompatible model, missing service credential) is
-// final — the fleet is uniform, so every replica would answer the same —
-// and the job is abandoned, counted in migration_failures instead of being
-// retried forever. A target that rejects the checkpoint as CORRUPT is not
-// an error at all: the job is created terminal (failed, error_code
-// "bad_checkpoint"), the forward is recorded, and the poller sees the
-// clean failure — restarting from scratch behind the tenant's back would
-// silently re-spend their query budget.
+// Failure handling is three-way. A final rejection (classify: a 4xx other
+// than 429 — oversized body, incompatible model, missing service credential
+// — or a 501) abandons the job, counted in migration_failures instead of
+// being retried forever: the fleet is uniform, so every replica would answer
+// the same. Any other failure moves on to the next candidate; when the pass
+// exhausts migrateMaxAttempts (or the candidates), the job stays tracked and
+// is deferred by a capped jittered backoff — the sweep never sleeps in place,
+// so other jobs keep migrating on schedule. A target that rejects the
+// checkpoint as CORRUPT is not an error at all: the job is created terminal
+// (failed, error_code "bad_checkpoint"), the forward is recorded, and the
+// poller sees the clean failure — restarting from scratch behind the
+// tenant's back would silently re-spend their query budget.
 func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 	s.mu.Lock()
 	resume := AuditResume{Checkpoint: tj.frame, Tenant: tj.tenant, Source: tj.gwID}
@@ -322,12 +321,11 @@ func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 		attempts++
 		job, err := s.resubmit(ctx, n, tj.modelID, inspectID, resume)
 		if err != nil {
-			var se *StatusError
-			if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 && se.Code != http.StatusTooManyRequests {
-				// Deterministic rejection: the uniform fleet would answer
-				// the same everywhere, so retrying can only loop. Abandon
-				// the job (it stays wherever the dead owner left it) and
-				// surface the give-up in healthz migration_failures.
+			if classify(ctx, err) == final {
+				// The uniform fleet would answer the same everywhere, so
+				// retrying can only loop. Abandon the job (it stays
+				// wherever the dead owner left it) and surface the give-up
+				// in healthz migration_failures.
 				s.mu.Lock()
 				delete(s.tracked, tj.gwID)
 				s.nFailed++
@@ -362,9 +360,9 @@ func (s *supervisor) migrate(ctx context.Context, tj *trackedJob) {
 		return
 	}
 	if attempts > 0 {
-		// Every candidate failed transiently: defer the next pass with
-		// capped-jitter backoff instead of sleeping here — the rest of the
-		// sweep (and the next ticks) must not wait on this job.
+		// No candidate took the job, and none answered final: defer the
+		// next pass with capped-jitter backoff instead of sleeping here —
+		// the rest of the sweep (and the next ticks) must not wait on it.
 		s.mu.Lock()
 		tj.nextTry = time.Now().Add(jitteredBackoff(s.cfg.backoffBase, s.cfg.backoffMax, tj.attempts))
 		s.mu.Unlock()
@@ -386,9 +384,9 @@ func (s *supervisor) resubmit(ctx context.Context, n *gatewayNode, modelID strin
 // lost a job to migration comes back up, its local copy — orphaned, still
 // queued or running — is cancelled so two nodes never burn oracle queries
 // on the same audit. Best-effort: a failure leaves the entry for the next
-// sweep, and a 4xx (job already terminal or gone on the node) retires it —
-// except 429, which a tenancy-enabled node answers to a rate-limited DELETE
-// and which is transient, exactly as in migrate.
+// sweep, and a final answer (job already terminal or gone on the node)
+// retires it. A 429, which a tenancy-enabled node answers to a rate-limited
+// DELETE, is shed, not final, exactly as in migrate.
 func (s *supervisor) cancelStale(ctx context.Context) {
 	s.mu.Lock()
 	pending := s.stale
@@ -400,11 +398,7 @@ func (s *supervisor) cancelStale(ctx context.Context) {
 			keep = append(keep, sj)
 			continue
 		}
-		if _, err := sj.node.api.CancelAudit(ctx, sj.localID); err != nil {
-			var se *StatusError
-			if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 && se.Code != http.StatusTooManyRequests {
-				continue // already terminal or deleted: settled
-			}
+		if _, err := sj.node.api.CancelAudit(ctx, sj.localID); err != nil && classify(ctx, err) != final {
 			keep = append(keep, sj)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -694,61 +695,65 @@ func TestChaosErrorBurstStrikesThenHeals(t *testing.T) {
 }
 
 // TestMigrationDeterministicRejectAbandons: a target that answers a resume
-// submission with a non-429 4xx would answer the same on every sweep (the
-// fleet is uniform), so the supervisor must give up — job out of
-// supervision, counted in healthz migration_failures — instead of
-// resubmitting forever.
+// submission with a final status (a non-429 4xx, or 501) would answer the
+// same on every sweep (the fleet is uniform), so the supervisor must give
+// up — job out of supervision, counted in healthz migration_failures —
+// instead of resubmitting forever.
 func TestMigrationDeterministicRejectAbandons(t *testing.T) {
-	runningJob := `{"id":"a1","model_id":"m","inspect_id":3,"state":"running","created":"2026-01-01T00:00:00Z"}`
-	owner := fakeFleetNode(t, runningJob, nil, nil)
-	rec := resumeRecord{rejectStatus: http.StatusBadRequest}
-	target := fakeFleetNode(t, runningJob, nil, &rec)
+	for _, status := range []int{http.StatusBadRequest, http.StatusNotImplemented} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			runningJob := `{"id":"a1","model_id":"m","inspect_id":3,"state":"running","created":"2026-01-01T00:00:00Z"}`
+			owner := fakeFleetNode(t, runningJob, nil, nil)
+			rec := resumeRecord{rejectStatus: status}
+			target := fakeFleetNode(t, runningJob, nil, &rec)
 
-	chaos := NewChaosTransport(nil)
-	cfg := migratingConfig(orderFleet(owner, target)...)
-	cfg.Replication = 2
-	cfg.Client.HTTPClient = &http.Client{Transport: chaos}
-	g, gwSrv := startGatewayServer(t, cfg)
-	ctx := context.Background()
+			chaos := NewChaosTransport(nil)
+			cfg := migratingConfig(orderFleet(owner, target)...)
+			cfg.Replication = 2
+			cfg.Client.HTTPClient = &http.Client{Transport: chaos}
+			g, gwSrv := startGatewayServer(t, cfg)
+			ctx := context.Background()
 
-	if _, err := g.submitAudit(ctx, "m", 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	chaos.Set(hostOf(owner.URL), ChaosRule{Kill: true})
-	g.probeAll(ctx)
-	g.sup.sweep(ctx) // stamps the down clock
-	time.Sleep(5 * time.Millisecond)
-	g.sup.sweep(ctx) // grace expired: attempts, gets the 400, abandons
-	g.sup.sweep(ctx) // must NOT retry an abandoned job
+			if _, err := g.submitAudit(ctx, "m", 3, nil); err != nil {
+				t.Fatal(err)
+			}
+			chaos.Set(hostOf(owner.URL), ChaosRule{Kill: true})
+			g.probeAll(ctx)
+			g.sup.sweep(ctx) // stamps the down clock
+			time.Sleep(5 * time.Millisecond)
+			g.sup.sweep(ctx) // grace expired: attempts, gets the final status, abandons
+			g.sup.sweep(ctx) // must NOT retry an abandoned job
 
-	rec.mu.Lock()
-	hits := rec.hits
-	rec.mu.Unlock()
-	if hits != 1 {
-		t.Fatalf("target saw %d submissions, want exactly 1 (no retry after a deterministic 4xx)", hits)
-	}
-	if got := g.sup.migrated(); got != 0 {
-		t.Fatalf("migrations: %d, want 0", got)
-	}
-	if got := g.sup.failed(); got != 1 {
-		t.Fatalf("failed counter: %d, want 1", got)
-	}
-	if got := len(g.sup.snapshot()); got != 0 {
-		t.Fatalf("abandoned job still tracked (%d)", got)
-	}
+			rec.mu.Lock()
+			hits := rec.hits
+			rec.mu.Unlock()
+			if hits != 1 {
+				t.Fatalf("target saw %d submissions, want exactly 1 (no retry after a final status)", hits)
+			}
+			if got := g.sup.migrated(); got != 0 {
+				t.Fatalf("migrations: %d, want 0", got)
+			}
+			if got := g.sup.failed(); got != 1 {
+				t.Fatalf("failed counter: %d, want 1", got)
+			}
+			if got := len(g.sup.snapshot()); got != 0 {
+				t.Fatalf("abandoned job still tracked (%d)", got)
+			}
 
-	// The give-up is visible to operators on the fleet healthz.
-	resp, err := http.Get(gwSrv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.MigrationFailures != 1 {
-		t.Fatalf("healthz migration_failures = %d, want 1", h.MigrationFailures)
+			// The give-up is visible to operators on the fleet healthz.
+			resp, err := http.Get(gwSrv.URL + "/v1/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var h Health
+			if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+				t.Fatal(err)
+			}
+			if h.MigrationFailures != 1 {
+				t.Fatalf("healthz migration_failures = %d, want 1", h.MigrationFailures)
+			}
+		})
 	}
 }
 

@@ -826,9 +826,9 @@ func TestChaosCorruptedBinaryReplyIsRetried(t *testing.T) {
 
 		chaos.Set(host, ChaosRule{CorruptPath: "/predict"})
 		out := make([]float64, x.Dim(0)*once.classes)
-		_, retryable, _, err := once.predictOnce(ctx, payload, out)
-		if err == nil || !retryable || slices.ContainsFunc(out, func(f float64) bool { return f != 0 }) || !strings.Contains(err.Error(), "frame corrupt") {
-			t.Fatalf("seed %d: corrupted reply: retryable=%v err=%v", seed, retryable, err)
+		_, permanent, err := once.predictOnce(ctx, payload, out)
+		if err == nil || permanent || slices.ContainsFunc(out, func(f float64) bool { return f != 0 }) || !strings.Contains(err.Error(), "frame corrupt") {
+			t.Fatalf("seed %d: corrupted reply: permanent=%v err=%v", seed, permanent, err)
 		}
 		if _, err := once.Predict(ctx, x); err == nil {
 			t.Fatalf("seed %d: corrupted reply accepted without retries", seed)

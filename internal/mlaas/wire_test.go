@@ -508,10 +508,10 @@ func TestClientCapsPredictReply(t *testing.T) {
 				wire.read = 0
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				_, retryable, _, err := c.predictOnce(ctx, payload, out)
+				_, permanent, err := c.predictOnce(ctx, payload, out)
 				runtime.ReadMemStats(&after)
-				if err == nil || !retryable || slices.ContainsFunc(out, func(f float64) bool { return f != 0 }) || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d bytes", limit)) {
-					t.Fatalf("%s, endless=%v: retryable=%v err=%v", ct, endless, retryable, err)
+				if err == nil || permanent || slices.ContainsFunc(out, func(f float64) bool { return f != 0 }) || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d bytes", limit)) {
+					t.Fatalf("%s, endless=%v: permanent=%v err=%v", ct, endless, permanent, err)
 				}
 				if wire.read != limit+1 {
 					t.Fatalf("%s, endless=%v: read %d bytes of a reply capped at %d", ct, endless, wire.read, limit)

@@ -19,7 +19,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-bound=132
+bound=126
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
