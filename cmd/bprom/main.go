@@ -98,7 +98,10 @@ func runTrain(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("train: -out is required")
 	}
-	p := exp.ParamsFor(exp.Scale(*scale))
+	p, err := exp.ParamsFor(exp.Scale(*scale))
+	if err != nil {
+		return fmt.Errorf("train: %w", err)
+	}
 	p.Seed = *seed
 	if *shadows > 0 {
 		p.ShadowClean, p.ShadowBackdoor = *shadows, *shadows

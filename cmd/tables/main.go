@@ -9,8 +9,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -19,30 +21,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	var (
-		table  = flag.String("table", "", "experiment ID to run (see -list)")
-		scale  = flag.String("scale", "tiny", "experiment scale: tiny | small | full")
-		all    = flag.Bool("all", false, "run every experiment")
-		list   = flag.Bool("list", false, "list experiment IDs")
-		csvDir = flag.String("csv", "", "directory to also write CSV outputs into")
-		seed   = flag.Uint64("seed", 1, "root seed")
+		table  = fs.String("table", "", "experiment ID to run (see -list)")
+		scale  = fs.String("scale", "tiny", "experiment scale: tiny | small | full")
+		all    = fs.Bool("all", false, "run every experiment")
+		list   = fs.Bool("list", false, "list experiment IDs")
+		csvDir = fs.String("csv", "", "directory to also write CSV outputs into")
+		seed   = fs.Uint64("seed", 1, "root seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, id := range exp.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(w, id)
 		}
 		return nil
 	}
-	p := exp.ParamsFor(exp.Scale(*scale))
+	p, err := exp.ParamsFor(exp.Scale(*scale))
+	if err != nil {
+		return err
+	}
 	p.Seed = *seed
 
 	var ids []string
@@ -61,8 +69,8 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Println(t.Render())
-		fmt.Printf("(%s in %s at scale %s)\n\n", id, time.Since(start).Round(time.Millisecond), *scale)
+		fmt.Fprintln(w, t.Render())
+		fmt.Fprintf(w, "(%s in %s at scale %s)\n\n", id, time.Since(start).Round(time.Millisecond), *scale)
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				return err

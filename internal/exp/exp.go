@@ -55,8 +55,9 @@ type Params struct {
 	Seed uint64
 }
 
-// ParamsFor returns the preset for a scale.
-func ParamsFor(scale Scale) Params {
+// ParamsFor returns the preset for a scale, or an error naming the
+// supported ones.
+func ParamsFor(scale Scale) (Params, error) {
 	switch scale {
 	case Tiny:
 		// Sized so all 33 experiments (`tables -all`) complete in roughly
@@ -67,7 +68,15 @@ func ParamsFor(scale Scale) Params {
 			ShadowClean: 3, ShadowBackdoor: 3, SusClean: 2, SusPerAttack: 1,
 			ReservedFrac: 0.10, QuerySamples: 16, ForestTrees: 100,
 			MaxClasses: 16, InputAUROCSamples: 24, Seed: 1,
-		}
+		}, nil
+	case Small:
+		return Params{
+			Scale: Small, SrcTrain: 50, SrcTest: 150, TgtTrain: 20, TgtTest: 10,
+			Epochs: 15, Hidden: 28, CMAIters: 40, WBEpochs: 8, PromptFrac: 0.83,
+			ShadowClean: 8, ShadowBackdoor: 8, SusClean: 6, SusPerAttack: 2,
+			ReservedFrac: 0.10, QuerySamples: 30, ForestTrees: 200,
+			MaxClasses: 40, InputAUROCSamples: 40, Seed: 1,
+		}, nil
 	case Full:
 		return Params{
 			Scale: Full, SrcTrain: 80, SrcTest: 200, TgtTrain: 25, TgtTest: 15,
@@ -75,16 +84,18 @@ func ParamsFor(scale Scale) Params {
 			ShadowClean: 20, ShadowBackdoor: 20, SusClean: 10, SusPerAttack: 4,
 			ReservedFrac: 0.10, QuerySamples: 30, ForestTrees: 300,
 			MaxClasses: 0, InputAUROCSamples: 80, Seed: 1,
-		}
-	default: // Small
-		return Params{
-			Scale: Small, SrcTrain: 50, SrcTest: 150, TgtTrain: 20, TgtTest: 10,
-			Epochs: 15, Hidden: 28, CMAIters: 40, WBEpochs: 8, PromptFrac: 0.83,
-			ShadowClean: 8, ShadowBackdoor: 8, SusClean: 6, SusPerAttack: 2,
-			ReservedFrac: 0.10, QuerySamples: 30, ForestTrees: 200,
-			MaxClasses: 40, InputAUROCSamples: 40, Seed: 1,
-		}
+		}, nil
 	}
+	return Params{}, fmt.Errorf("exp: unknown scale %q (want tiny|small|full)", scale)
+}
+
+// capNote notes p's class cap on a dataset's table; none when p caps
+// nothing.
+func capNote(p Params, dataset string) []string {
+	if p.MaxClasses == 0 {
+		return nil
+	}
+	return []string{fmt.Sprintf("%s classes capped at %d at scale %s", dataset, p.MaxClasses, p.Scale)}
 }
 
 // Table is one reproduced table/figure: rendered rows plus the raw cells.

@@ -15,7 +15,10 @@ import (
 
 func TestParamsForScales(t *testing.T) {
 	for _, s := range []Scale{Tiny, Small, Full} {
-		p := ParamsFor(s)
+		p, err := ParamsFor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if p.Scale != s {
 			t.Fatalf("ParamsFor(%s).Scale = %s", s, p.Scale)
 		}
@@ -23,9 +26,34 @@ func TestParamsForScales(t *testing.T) {
 			t.Fatalf("ParamsFor(%s) has zero fields: %+v", s, p)
 		}
 	}
-	tiny, full := ParamsFor(Tiny), ParamsFor(Full)
+	tiny, full := mustParams(t, Tiny), mustParams(t, Full)
 	if tiny.SrcTrain >= full.SrcTrain || tiny.Epochs >= full.Epochs {
 		t.Fatal("tiny must be smaller than full")
+	}
+	for _, s := range []Scale{"huge", ""} {
+		if _, err := ParamsFor(s); err == nil || !strings.Contains(err.Error(), "tiny|small|full") {
+			t.Fatalf("ParamsFor(%q) error = %v, want one naming tiny|small|full", s, err)
+		}
+	}
+}
+
+func mustParams(t *testing.T, s Scale) Params {
+	t.Helper()
+	p, err := ParamsFor(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCapNote checks that only a scale that caps class counts notes a cap.
+func TestCapNote(t *testing.T) {
+	if n := capNote(mustParams(t, Full), "ImageNet"); n != nil {
+		t.Fatalf("full scale caps nothing, got note %q", n)
+	}
+	want := []string{"ImageNet classes capped at 16 at scale tiny"}
+	if n := capNote(mustParams(t, Tiny), "ImageNet"); !slices.Equal(n, want) {
+		t.Fatalf("tiny note %q, want %q", n, want)
 	}
 }
 
@@ -48,29 +76,37 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestRegistryCoversPaperExperiments(t *testing.T) {
-	reg := Registry()
+	ids := IDs()
+	if len(ids) != 33 {
+		t.Fatalf("%d experiments, want 33", len(ids))
+	}
+	if len(slices.Compact(slices.Sorted(slices.Values(ids)))) != len(ids) {
+		t.Fatalf("duplicate ids in %v", ids)
+	}
+	if !slices.Equal(ids[:3], []string{"table1", "figure3", "table2"}) {
+		t.Fatalf("ids start %v, want the paper's order table1, figure3, table2", ids[:3])
+	}
 	// Every table 1..26 plus both figures and the training-time report.
 	for i := 1; i <= 26; i++ {
-		id := "table" + strconv.Itoa(i)
-		if _, ok := reg[id]; !ok {
+		if id := "table" + strconv.Itoa(i); !slices.Contains(ids, id) {
 			t.Errorf("registry missing %s", id)
 		}
 	}
 	for _, id := range []string{"figure3", "figure5", "training-time"} {
-		if _, ok := reg[id]; !ok {
+		if !slices.Contains(ids, id) {
 			t.Errorf("registry missing %s", id)
 		}
 	}
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := Run(context.Background(), "table999", ParamsFor(Tiny)); err == nil {
+	if _, err := Run(context.Background(), "table999", mustParams(t, Tiny)); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
 }
 
 func TestBuildWorldCapsClasses(t *testing.T) {
-	p := ParamsFor(Tiny)
+	p := mustParams(t, Tiny)
 	w, err := buildWorld(p, data.TinyImageNet, data.STL10, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -3,68 +3,291 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+
+	"bprom/internal/attack"
+	"bprom/internal/data"
+	"bprom/internal/nn"
 )
 
-// Runner regenerates one table or figure.
-type Runner func(ctx context.Context, p Params) (*Table, error)
+// spec is one experiment: its table's ID, caption and header, the function
+// that fills in the rows, and what that function builds. A zero field takes
+// the default its comment names.
+type spec struct {
+	id, caption string
+	header      []string
+	run         func(ctx context.Context, p Params, s *spec, t *Table) error
 
-// Registry maps experiment IDs to their runners, in the paper's order.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"table1":        RunTable1,
-		"figure3":       RunFigure3,
-		"table2":        RunTable2,
-		"table3":        RunTable3,
-		"table4":        RunTable4,
-		"table5":        RunTable5,
-		"table6":        RunTable6,
-		"training-time": RunTrainingTime,
-		"table7":        RunTable7,
-		"table8":        RunTable8,
-		"table9":        RunTable9,
-		"table10":       RunTable10,
-		"table11":       RunTable11,
-		"table12":       RunTable12,
-		"table13":       RunTable13,
-		"table14":       RunTable14,
-		"table15":       RunTable15,
-		"table16":       RunTable16,
-		"table17":       RunTable17,
-		"table18":       RunTable18,
-		"table19":       RunTable19,
-		"table20":       RunTable20,
-		"table21":       RunTable21,
-		"table22":       RunTable22,
-		"table23":       RunTable23,
-		"table24":       RunTable24,
-		"table25":       RunTable25,
-		"table26":       RunTable26,
-		"figure5":       RunFigure5,
-		// Ablations and the paper's stated limitation (beyond its tables).
-		"limitation-alltoall": RunLimitationAllToAll,
-		"ablation-optimizer":  RunAblationOptimizer,
-		"ablation-promptsize": RunAblationPromptSize,
-		"ablation-querycount": RunAblationQueryCount,
-	}
+	sources  []string      // suspects' training domains, one world each
+	external string        // DT (default STL-10)
+	world    uint64        // world seed
+	arch     nn.Arch       // shadow and suspect architecture (default ConvLite)
+	susArch  nn.Arch       // suspect architecture when it differs from arch
+	blocks   int           // arch's block count (0: nn's default)
+	kinds    []attack.Kind // attacks, in column order
+	rate     float64       // poison rate of every attack (0: attack.DefaultConfigs')
+	sweep    func(Params) []step
+	metrics  []string // what each (source, step, kind) reports, see scores
+	rows     []axis   // what the rows run over, see render
+	notes    []string
+	capped   string // display name of a dataset whose class cap is noted
 }
 
-// IDs returns the registered experiment IDs sorted for stable iteration.
+var (
+	cifarGTSRB    = []string{data.CIFAR10, data.GTSRB}
+	cifar         = []string{data.CIFAR10}
+	badnets       = []attack.Kind{attack.BadNets}
+	blends        = []attack.Kind{attack.Blend, attack.AdapBlend}
+	blendColumns  = []string{"cifar10/blend", "cifar10/adap-blend", "gtsrb/blend", "gtsrb/adap-blend"}
+	appendixKinds = []attack.Kind{attack.BadNets, attack.Blend, attack.Trojan,
+		attack.WaNet, attack.Dynamic, attack.AdapBlend, attack.AdapPatch}
+	table6Kinds = []attack.Kind{attack.BadNets, attack.Blend, attack.Trojan, attack.BPP,
+		attack.WaNet, attack.AdapBlend, attack.AdapPatch}
+	table10Kinds = []attack.Kind{attack.WaNet, attack.AdapBlend, attack.AdapPatch}
+	table21Kinds = []attack.Kind{attack.BadNets, attack.Blend, attack.Trojan, attack.WaNet, attack.AdapBlend, attack.AdapPatch}
+	table26Kinds = []attack.Kind{attack.BadNets, attack.Trojan, attack.AdapBlend, attack.AdapPatch}
+	accKinds     = append(slices.Clone(appendixKinds), clean)
+	asrAUROC     = []string{"blend-ASR", "blend-AUROC", "adap-blend-ASR", "adap-blend-AUROC"}
+
+	auroc   = []string{"AUROC"}
+	f1      = []string{"F1"}
+	f1AUROC = []string{"F1", "AUROC"}
+)
+
+// specs lists every experiment in the paper's order: tables 1–26 and
+// figures 3 and 5 where the paper places them, then the ablations and the
+// paper's stated limitation, which go beyond its tables.
+var specs = []spec{
+	{id: "table1", caption: "Input-level detection collapses on clean models (F1 / AUROC)",
+		header: []string{"detector", "attack", "backdoored-F1", "backdoored-AUROC", "clean-F1", "clean-AUROC"},
+		world:  1, kinds: []attack.Kind{attack.BadNets, attack.Blend, attack.WaNet}, run: runTable1},
+	{id: "figure3", caption: "Class-subspace separation (silhouette over penultimate features, top-2 PCA)",
+		header: []string{"model", "view", "silhouette"}, world: 7, run: runFigure3,
+		notes: []string{"expected shape: infected prompted-target silhouette well below clean (Figure 3d's class confusion)"}},
+	{id: "table2", caption: "Prompted accuracy vs number of target classes",
+		header:  []string{"dataset", "1 target", "2 targets", "3 targets"},
+		sources: cifarGTSRB, world: 2, kinds: badnets, rate: 0.20, sweep: targetCounts,
+		metrics: []string{"PACC"}, rows: []axis{bySource}, run: promptSweep},
+	{id: "table3", caption: "Prompted accuracy vs trigger size", header: append([]string{"setting"}, blendColumns...),
+		sources: cifarGTSRB, world: 3, kinds: blends, rate: 0.20, sweep: triggerSizes,
+		metrics: []string{"PACC"}, rows: []axis{byStep}, run: promptSweep},
+	{id: "table4", caption: "Prompted accuracy vs poison rate", header: append([]string{"setting"}, blendColumns...),
+		sources: cifarGTSRB, world: 3, kinds: blends, rate: 0.20, sweep: poisonRates(5, 10, 20),
+		metrics: []string{"PACC"}, rows: []axis{byStep}, run: promptSweep},
+	{id: "table5", caption: "AUROC of defenses vs BPROM (primary architecture)",
+		header:  kindsHeader(table5Attacks(), "defense", "dataset"),
+		sources: cifarGTSRB, world: 5, kinds: table5Attacks(), run: runTable5},
+	{id: "table6", caption: "AUROC of defenses on Tiny-ImageNet (class count capped per scale)",
+		header:  kindsHeader(table6Kinds, "defense", "arch"),
+		sources: []string{data.TinyImageNet}, world: 5, kinds: table6Kinds, capped: "Tiny-ImageNet", run: runTable6},
+	{id: "training-time", caption: "BPROM training time vs shadow-model count",
+		header: []string{"arch", "shadows", "wall-time"}, world: 6, run: runTrainingTime},
+	{id: "table7", caption: "AUROC vs number of shadow models", header: append([]string{"shadows"}, blendColumns...),
+		sources: cifarGTSRB, world: 10, kinds: blends, sweep: shadowCounts,
+		metrics: auroc, rows: []axis{byStep}, run: detect},
+	{id: "table8", caption: "ASR and AUROC vs trigger size", header: append([]string{"dataset", "setting"}, asrAUROC...),
+		sources: cifarGTSRB, world: 11, kinds: blends, rate: 0.20, sweep: triggerSizes,
+		metrics: []string{"ASR", "AUROC"}, rows: []axis{bySource, byStep}, run: detect},
+	{id: "table9", caption: "ASR and AUROC vs poison rate", header: append([]string{"dataset", "setting"}, asrAUROC...),
+		sources: cifarGTSRB, world: 11, kinds: blends, rate: 0.20, sweep: poisonRates(5, 10, 20),
+		metrics: []string{"ASR", "AUROC"}, rows: []axis{bySource, byStep}, run: detect},
+	{id: "table10", caption: "Cross-architecture detection (suspicious MobileNetLite, shadows ConvLite)",
+		header:  kindsHeader(table10Kinds, "metric"),
+		sources: cifar, world: 12, susArch: nn.ArchMobileNetLite, kinds: table10Kinds,
+		metrics: f1AUROC, rows: []axis{byMetric}, run: detect},
+	// The paper sweeps 0.2%..10% of 50k samples; scaled to the synthetic
+	// set size the same absolute poisoned-sample regime is 1%..20%.
+	{id: "table11", caption: "Low-poison-rate adaptive attacks (BadNets, CIFAR-10)",
+		header:  []string{"poison-rate", "AUROC", "ASR"},
+		sources: cifar, world: 13, kinds: badnets, sweep: poisonRates(1, 2, 5, 10, 20),
+		metrics: []string{"AUROC", "ASR"}, rows: []axis{byStep}, run: detect,
+		notes: []string{"paper rates 0.2-10% of 50k CIFAR map to 1-20% of the small synthetic sets (absolute poisoned-sample counts)"}},
+	{id: "table12", caption: "Clean-label adaptive attacks (AUROC)", header: []string{"dataset", "sig", "lc"},
+		sources: cifarGTSRB, world: 14, kinds: []attack.Kind{attack.SIG, attack.LC},
+		metrics: auroc, rows: []axis{bySource}, run: detect},
+	{id: "table13", caption: "Attack configurations: paper rates vs scaled reproduction rates",
+		header:  []string{"attack", "dataset", "paper-poison", "paper-cover", "ours-poison", "ours-cover"},
+		sources: cifarGTSRB, kinds: appendixKinds, run: runTable13,
+		notes: []string{"rates scaled so absolute poisoned-sample counts land in the >98% ASR regime on the small synthetic sets"}},
+	// Tables 14/15: clean accuracy and ASR of the infected models per
+	// architecture; no detector is trained.
+	{id: "table14", caption: "Clean accuracy (ACC) and attack success rate (ASR) on convlite", header: append([]string{"dataset", "metric"}, names(accKinds)...),
+		sources: cifarGTSRB, world: 15, kinds: accKinds,
+		metrics: []string{"ACC", "ASR"}, rows: []axis{bySource, byMetric}, run: detect},
+	{id: "table15", caption: "Clean accuracy (ACC) and attack success rate (ASR) on mobilenetlite", header: append([]string{"dataset", "metric"}, names(accKinds)...),
+		sources: cifarGTSRB, world: 15, arch: nn.ArchMobileNetLite, kinds: accKinds,
+		metrics: []string{"ACC", "ASR"}, rows: []axis{bySource, byMetric}, run: detect},
+	// Table 16 runs DS at 10% and 5% of the source test set.
+	{id: "table16", caption: "F1 of BPROM at reserved-set sizes (primary architecture)",
+		header:  kindsHeader(appendixKinds, "variant", "dataset"),
+		sources: cifarGTSRB, world: 16, kinds: appendixKinds, sweep: reservedFracs(0.10, 0.05),
+		metrics: f1, rows: []axis{byStep, bySource}, run: detect},
+	{id: "table17", caption: "AUROC on MobileNetLite", header: kindsHeader(appendixKinds, "dataset"),
+		sources: cifarGTSRB, world: 17, arch: nn.ArchMobileNetLite, kinds: appendixKinds,
+		metrics: auroc, rows: []axis{bySource}, run: detect},
+	{id: "table18", caption: "F1 on MobileNetLite", header: kindsHeader(appendixKinds, "dataset"),
+		sources: cifarGTSRB, world: 17, arch: nn.ArchMobileNetLite, kinds: appendixKinds,
+		metrics: f1, rows: []axis{bySource}, run: detect},
+	{id: "table19", caption: "DT changed to SVHN, DS = gtsrb", header: kindsHeader(appendixKinds, "metric"),
+		sources: []string{data.GTSRB}, external: data.SVHN, world: 19, kinds: appendixKinds,
+		metrics: f1AUROC, rows: []axis{byMetric}, run: detect},
+	{id: "table20", caption: "DT changed to SVHN, DS = cifar10", header: kindsHeader(appendixKinds, "metric"),
+		sources: cifar, external: data.SVHN, world: 19, kinds: appendixKinds,
+		metrics: f1AUROC, rows: []axis{byMetric}, run: detect},
+	{id: "table21", caption: "DS = CIFAR-100 (class-count mismatch), BPROM AUROC",
+		header:  kindsHeader(table21Kinds, "defense"),
+		sources: []string{data.CIFAR100}, world: 21, kinds: table21Kinds, sweep: reservedFrac, capped: "CIFAR-100",
+		metrics: auroc, rows: []axis{byStep}, run: detect},
+	{id: "table22", caption: "Feature-based backdoors on CIFAR-10", header: []string{"attack", "F1", "AUROC"},
+		sources: cifar, world: 22, kinds: []attack.Kind{attack.Refool, attack.BPP, attack.PoisonInk},
+		metrics: f1AUROC, rows: []axis{byKind}, run: detect},
+	// Table 23 runs DS at 10/5% at tiny scale and 10/5/2% above it.
+	{id: "table23", caption: "AUROC vs reserved clean dataset size",
+		header:  kindsHeader(appendixKinds, "variant", "dataset"),
+		sources: cifarGTSRB, world: 23, kinds: appendixKinds, sweep: table23Fracs,
+		metrics: auroc, rows: []axis{byStep, bySource}, run: detect},
+	// Tables 24/25: the MobileViT and Swin analogues, VitLite at 2 and 3 blocks.
+	{id: "table24", caption: "AUROC on VitLite (MobileViT analogue)", header: kindsHeader(appendixKinds, "dataset"),
+		sources: cifarGTSRB, world: 24, arch: nn.ArchVitLite, blocks: 2, kinds: appendixKinds,
+		metrics: auroc, rows: []axis{bySource}, run: detect},
+	{id: "table25", caption: "AUROC on deeper VitLite (Swin analogue)", header: kindsHeader(appendixKinds, "dataset"),
+		sources: cifarGTSRB, world: 24, arch: nn.ArchVitLite, blocks: 3, kinds: appendixKinds,
+		metrics: auroc, rows: []axis{bySource}, run: detect},
+	{id: "table26", caption: "ImageNet-scale analogue, BPROM AUROC", header: kindsHeader(table26Kinds, "defense"),
+		sources: []string{data.ImageNet}, world: 26, kinds: table26Kinds, sweep: reservedFrac, capped: "ImageNet",
+		metrics: auroc, rows: []axis{byStep}, run: detect},
+	{id: "figure5", caption: "Meta-feature PCA separation (silhouette of clean vs backdoor model groups)",
+		header: []string{"population", "silhouette", "models"}, world: 8, run: runFigure5},
+	// The conclusion's limitation: BPROM detects all-to-one backdoors but
+	// struggles with all-to-all ones, whose feature-space distortion the
+	// attacker controls.
+	{id: "limitation-alltoall", caption: "All-to-one vs all-to-all backdoors (BadNets, CIFAR-10)",
+		header:  []string{"backdoor mapping", "AUROC", "mean ASR"},
+		sources: cifar, world: 30, kinds: badnets, rate: 0.20, sweep: allToAll,
+		metrics: []string{"AUROC", "ASR"}, rows: []axis{byStep}, run: detect,
+		notes: []string{"expected shape: all-to-all AUROC at or below all-to-one (the paper's stated limitation)"}},
+	{id: "ablation-optimizer", caption: "Black-box prompt optimizer: prompted accuracy on a clean model",
+		header: []string{"optimizer", "prompted accuracy"}, world: 31, run: runAblationOptimizer},
+	{id: "ablation-promptsize", caption: "Prompt inner-window fraction vs prompted accuracy (clean model)",
+		header: []string{"inner fraction", "theta dims", "prompted accuracy"}, world: 32, run: runAblationPromptSize,
+		notes: []string{"expected shape: accuracy rises with the visible-content fraction"}},
+	// q = |DQ|: more query samples give the meta-classifier a richer signature.
+	{id: "ablation-querycount", caption: "Meta-feature query count q vs detection AUROC (BadNets)",
+		header:  []string{"q", "AUROC"},
+		sources: cifar, world: 33, kinds: badnets, rate: 0.20, sweep: queryCounts,
+		metrics: auroc, rows: []axis{byStep}, run: detect},
+}
+
+// IDs returns the experiment IDs in the paper's order.
 func IDs() []string {
-	reg := Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
+	ids := make([]string, len(specs))
+	for i, s := range specs {
+		ids[i] = s.id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
 // Run executes one experiment by ID.
 func Run(ctx context.Context, id string, p Params) (*Table, error) {
-	r, ok := Registry()[id]
-	if !ok {
+	i := slices.IndexFunc(specs, func(s spec) bool { return s.id == id })
+	if i < 0 {
 		return nil, fmt.Errorf("exp: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return r(ctx, p)
+	s := &specs[i]
+	t := &Table{ID: s.id, Caption: s.caption, Header: slices.Clone(s.header)}
+	if err := s.run(ctx, p, s, t); err != nil {
+		return nil, err
+	}
+	t.Notes = append(t.Notes, s.notes...)
+	if s.capped != "" {
+		t.Notes = append(t.Notes, capNote(p, s.capped)...)
+	}
+	return t, nil
+}
+
+// step is one point of a sweep. It changes the detector's Params or the
+// suspects' attack configs.
+type step struct {
+	label  string
+	params func(*Params)
+	attack func(*attack.Config)
+}
+
+// shadowCounts sweeps the shadow models per class label.
+func shadowCounts(p Params) (steps []step) {
+	counts := []int{1, 5, 10}
+	if p.Scale == Tiny {
+		counts = []int{1, 3, 5}
+	}
+	for _, n := range counts {
+		steps = append(steps, step{label: fmt.Sprintf("%d (%d+%d)", 2*n, n, n),
+			params: func(p *Params) { p.ShadowClean, p.ShadowBackdoor = n, n }})
+	}
+	return steps
+}
+
+// reservedFracs sweeps DS's fraction of the source test set.
+func reservedFracs(fracs ...float64) func(Params) []step {
+	return func(Params) (steps []step) {
+		for _, f := range fracs {
+			steps = append(steps, step{label: bpromLabel(f), params: func(p *Params) { p.ReservedFrac = f }})
+		}
+		return steps
+	}
+}
+
+// reservedFrac is the one step at p's own DS fraction.
+func reservedFrac(p Params) []step { return reservedFracs(p.ReservedFrac)(p) }
+
+// table23Fracs leaves out 2% at tiny scale: 2% of the synthetic test sets
+// is too few samples to train any shadow model there.
+func table23Fracs(p Params) []step {
+	if p.Scale == Tiny {
+		return reservedFracs(0.10, 0.05)(p)
+	}
+	return reservedFracs(0.10, 0.05, 0.02)(p)
+}
+
+// queryCounts sweeps q = |DQ|.
+func queryCounts(Params) (steps []step) {
+	for _, q := range []int{5, 15, 30} {
+		steps = append(steps, step{label: fmt.Sprint(q), params: func(p *Params) { p.QuerySamples = q }})
+	}
+	return steps
+}
+
+// triggerSizes maps the paper's 4/8/16-on-32 ratios onto the 12-pixel
+// synthetic canvas (2, 3, 6 pixels ≈ 1/6, 1/4, 1/2 of the side).
+func triggerSizes(Params) (steps []step) {
+	for _, v := range []int{2, 3, 6} {
+		steps = append(steps, step{label: fmt.Sprintf("%dx%d", v, v), attack: func(c *attack.Config) { c.TriggerSize = v }})
+	}
+	return steps
+}
+
+// poisonRates sweeps the poison rate over the given percentages.
+func poisonRates(pcts ...int) func(Params) []step {
+	return func(Params) (steps []step) {
+		for _, v := range pcts {
+			steps = append(steps, step{label: fmt.Sprintf("%d%%", v),
+				attack: func(c *attack.Config) { c.PoisonRate = float64(v) / 100 }})
+		}
+		return steps
+	}
+}
+
+// targetCounts sweeps the number of backdoor target classes.
+func targetCounts(p Params) (steps []step) {
+	for _, n := range []int{1, 2, 3} {
+		steps = append(steps, step{label: fmt.Sprint(n), attack: func(c *attack.Config) { c.NumTargets, c.Seed = n, p.Seed }})
+	}
+	return steps
+}
+
+// allToAll compares all-to-one with all-to-all backdoors.
+func allToAll(Params) []step {
+	return []step{
+		{label: "all-to-one", attack: func(c *attack.Config) { c.AllToAll = false }},
+		{label: "all-to-all", attack: func(c *attack.Config) { c.AllToAll = true }},
+	}
 }
