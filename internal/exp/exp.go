@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (Registry lists them; cmd/tables runs them)
-// at three scales. "tiny" is cmd/tables' default, "small" sits between,
-// "full" runs the largest CPU-feasible configuration. The package's tests
-// run every experiment at a scale below tiny.
+// figure of the paper's evaluation (specs lists them in the paper's order;
+// cmd/tables runs them) at three scales. "tiny" is cmd/tables' default,
+// "small" sits between, "full" runs the largest CPU-feasible configuration.
+// The package's tests run every experiment at a scale below tiny and pin
+// each table's bits.
 package exp
 
 import (

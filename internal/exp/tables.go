@@ -219,27 +219,12 @@ func defenseRows(ctx context.Context, p Params, s *spec, t *Table, src string, a
 	}
 	env := defense.Env{Clean: w.reserved, Seed: p.Seed}
 	cfgs := attackConfigsFor(src, s.kinds)
-	var battery []susModel
-	row := func(name string, auc func(attack.Kind) (float64, error)) error {
-		vals := map[attack.Kind]float64{}
+	row := func(name string, auroc map[attack.Kind]float64) {
 		r := []string{name, tag}
 		for _, kind := range s.kinds {
-			v, err := auc(kind)
-			if err != nil {
-				return err
-			}
-			vals[kind] = v
-			r = append(r, f3(v))
+			r = append(r, f3(auroc[kind]))
 		}
-		t.AddRow(append(r, f3(avg(vals, s.kinds)))...)
-		return nil
-	}
-	modelRow := func(name string, score []float64) error {
-		res, err := perKind(battery, score)
-		if err != nil {
-			return err
-		}
-		return row(name, func(kind attack.Kind) (float64, error) { return res["AUROC"][kind], nil })
+		t.AddRow(append(r, f3(avg(auroc, s.kinds)))...)
 	}
 
 	// One infected model + poisoned set per attack for the baselines.
@@ -270,28 +255,32 @@ func defenseRows(ctx context.Context, p Params, s *spec, t *Table, src string, a
 		pa[kind] = &perAttack{infected: infected, poisoned: poisoned, poisonLabels: labels, benign: benign, triggered: triggered}
 	}
 	for _, d := range inputDefs {
-		if err := row(d.Name(), func(kind attack.Kind) (float64, error) {
+		auroc := map[attack.Kind]float64{}
+		for _, kind := range s.kinds {
 			a := pa[kind]
-			_, auc, err := inputLevelQuality(ctx, d, a.infected, a.benign, a.triggered, env)
-			return auc, err
-		}); err != nil {
-			return err
+			if _, auroc[kind], err = inputLevelQuality(ctx, d, a.infected, a.benign, a.triggered, env); err != nil {
+				return err
+			}
 		}
+		row(d.Name(), auroc)
 	}
 	for _, d := range datasetDefs {
-		if err := row(d.Name(), func(kind attack.Kind) (float64, error) {
+		auroc := map[attack.Kind]float64{}
+		for _, kind := range s.kinds {
 			a := pa[kind]
 			scores, err := d.ScoreTraining(ctx, a.infected, a.poisoned, env)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return metric.AUROC(scores, a.poisonLabels)
-		}); err != nil {
-			return err
+			if auroc[kind], err = metric.AUROC(scores, a.poisonLabels); err != nil {
+				return err
+			}
 		}
+		row(d.Name(), auroc)
 	}
 	// MM-BD and BPROM are model-level: evaluate over the battery.
-	if battery, err = buildBattery(ctx, w, arch, 0, p, cfgs); err != nil {
+	battery, err := buildBattery(ctx, w, arch, 0, p, cfgs)
+	if err != nil {
 		return err
 	}
 	mmbd := &defense.MMBD{}
@@ -301,9 +290,11 @@ func defenseRows(ctx context.Context, p Params, s *spec, t *Table, src string, a
 			return fmt.Errorf("%s: %w", mmbd.Name(), err)
 		}
 	}
-	if err := modelRow("mm-bd", score); err != nil {
+	res, err := perKind(battery, score)
+	if err != nil {
 		return err
 	}
+	row("mm-bd", res["AUROC"])
 	det, err := trainDetector(ctx, w, arch, 0, p, attack.Config{})
 	if err != nil {
 		return err
@@ -311,11 +302,15 @@ func defenseRows(ctx context.Context, p Params, s *spec, t *Table, src string, a
 	if score, err = inspect(ctx, det, battery); err != nil {
 		return err
 	}
-	return modelRow(bpromLabel(p.ReservedFrac), score)
+	if res, err = perKind(battery, score); err != nil {
+		return err
+	}
+	row(bpromLabel(p.ReservedFrac), res["AUROC"])
+	return nil
 }
 
 // bpromLabel names BPROM's row at a DS fraction.
-func bpromLabel(frac float64) string { return fmt.Sprintf("bprom (%g%%)", frac*100) }
+func bpromLabel(frac float64) string { return fmt.Sprintf("bprom (%.3g%%)", frac*100) }
 
 // runTrainingTime reproduces the §6.2 training-time report: BPROM training
 // wall time versus shadow count and architecture.
