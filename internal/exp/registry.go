@@ -46,8 +46,10 @@ var (
 	table10Kinds = []attack.Kind{attack.WaNet, attack.AdapBlend, attack.AdapPatch}
 	table21Kinds = []attack.Kind{attack.BadNets, attack.Blend, attack.Trojan, attack.WaNet, attack.AdapBlend, attack.AdapPatch}
 	table26Kinds = []attack.Kind{attack.BadNets, attack.Trojan, attack.AdapBlend, attack.AdapPatch}
-	accKinds     = append(slices.Clone(appendixKinds), clean)
-	asrAUROC     = []string{"blend-ASR", "blend-AUROC", "adap-blend-ASR", "adap-blend-AUROC"}
+	// accKinds ends in tables 14/15's clean column. clean is no attack:
+	// buildBattery trains attacks of attack.AllKinds only.
+	accKinds = append(slices.Clone(appendixKinds), clean)
+	asrAUROC = []string{"blend-ASR", "blend-AUROC", "adap-blend-ASR", "adap-blend-AUROC"}
 
 	auroc   = []string{"AUROC"}
 	f1      = []string{"F1"}
